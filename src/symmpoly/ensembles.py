@@ -13,6 +13,13 @@ Functionals are named builtins ("total_curvature", "total_torsion",
 "theta1*theta2") or LocalFunctional instances, which are evaluated on the
 first k-edge window. Custom functionals must be picklable (module-level
 callables) when workers > 1.
+
+Segment draws (``segment_samples``, hence ``estimate_tv``) cost O(k) per
+sample for a length-k segment of an n-edge polygon: only the k leading
+edges are built, from a chi-square (arm) or Wishart (pol) summary of the
+rest. A length-k draw is therefore not a prefix of a longer segment draw on
+the same stream. Functionals and full-length segments (k = n) still draw
+whole polygons.
 """
 from __future__ import annotations
 
@@ -210,25 +217,27 @@ def _eval_chunk(args):
     if task[0] == "functionals":
         plan = _build_plan(space, n, task[1])
         return _chunk_functionals(space, n, count, stream, chunk, plan)
-    k = task[1]
     rng = stream.chunk_generator(chunk)
-    edges = space_edges_batch(rng, count, space, n)
-    return edges[:, :k, :].reshape(count, -1), 0
+    return space_edges_batch(rng, count, space, n, task[1]).reshape(count, -1), 0
 
 
 def _chunk_counts(N: int, chunk_size: int) -> List[int]:
     return [min(chunk_size, N - start) for start in range(0, N, chunk_size)]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 def _run_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
                 workers: int, chunk_size: int) -> list:
-    if not isinstance(N, int) or N < 1:
-        raise DomainError(f"sample count must be a positive integer, got {N!r}")
-    if not isinstance(chunk_size, int) or chunk_size < 1:
-        raise DomainError(f"chunk size must be a positive integer, got {chunk_size!r}")
+    for what, value in (("sample count", N), ("chunk size", chunk_size),
+                        ("worker count", workers)):
+        if not _is_int(value) or value < 1:
+            raise DomainError(f"{what} must be a positive integer, got {value!r}")
     args = [(space, n, seed, stream_id, chunk, count, task)
-            for chunk, count in enumerate(_chunk_counts(N, chunk_size))]
-    if workers <= 1 or len(args) == 1:
+            for chunk, count in enumerate(_chunk_counts(int(N), int(chunk_size)))]
+    if workers == 1 or len(args) == 1:
         return [_eval_chunk(a) for a in args]
     with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(_eval_chunk, args)
@@ -269,7 +278,7 @@ def run_ensemble(space: str, n: int, N: int,
     Deterministic for fixed (seed, stream_id, N, chunk_size): the worker
     count never changes any output value.
     """
-    if not isinstance(N, int) or N < 2:
+    if not _is_int(N) or N < 2:
         raise DomainError(f"moment estimation needs N >= 2 samples, got {N!r}")
     values, excluded = functional_samples(space, n, N, functionals, seed,
                                           stream_id=stream_id, workers=workers,
@@ -286,10 +295,17 @@ def run_ensemble(space: str, n: int, N: int,
 def segment_samples(space: str, n: int, k: int, N: int, seed: int, *,
                     stream_id: int = 0, workers: int = 1,
                     chunk_size: int = CHUNK_SIZE) -> np.ndarray:
-    """N flattened k-edge segments (shape (N, dim*k)) from a seeded ensemble."""
+    """N flattened k-edge segments (shape (N, dim*k)) from a seeded ensemble.
+
+    Each sample is the first k edges of an n-edge polygon, drawn at O(k)
+    cost (see ``space_edges_batch``). For k < n the draw consumes the
+    stream differently from a full draw, so a length-k sample is not the
+    prefix of a longer segment sample on the same stream. At k = n it is
+    the full polygon, drawn exactly as by the full sampler.
+    """
     if space not in SPACES:
         raise DomainError(f"unknown space {space!r}; expected one of {SPACES}")
-    if not isinstance(k, int) or not 1 <= k <= n:
+    if not _is_int(k) or not 1 <= k <= n:
         raise InvalidSizeError(f"segment length must satisfy 1 <= k <= n, got k={k!r}")
     results = _run_chunks(space, n, N, seed, stream_id, ("segments", k),
                           workers, chunk_size)
@@ -377,7 +393,11 @@ def chebyshev_coverage(samples, interval: Tuple[float, float]) -> float:
 
 
 def ks_distance(samples, cdf: Callable[[float], float]) -> float:
-    """max_i |i/N - cdf(x_(i))| over the sorted samples x_(1) <= ... <= x_(N)."""
+    """Two-sided Kolmogorov-Smirnov distance sup_x |F_N(x) - cdf(x)|.
+
+    Over the sorted samples x_(1) <= ... <= x_(N) this is the larger of
+    D+ = max_i (i/N - cdf(x_(i))) and D- = max_i (cdf(x_(i)) - (i-1)/N).
+    """
     arr = np.sort(np.asarray(samples, dtype=float).ravel())
     if arr.size == 0:
         raise DomainError("KS distance needs a nonempty sample list")
@@ -388,8 +408,8 @@ def ks_distance(samples, cdf: Callable[[float], float]) -> float:
     except (TypeError, ValueError):
         # scalar-only cdf callables (math-based or branching) land here
         fitted = np.array([float(cdf(x)) for x in arr])
-    grid = np.arange(1, arr.size + 1) / arr.size
-    return float(np.max(np.abs(grid - fitted)))
+    steps = np.arange(arr.size + 1) / arr.size
+    return float(max(np.max(steps[1:] - fitted), np.max(fitted - steps[:-1])))
 
 
 def bootstrap_stat_se(size: int, stat: Callable[[np.ndarray], float],

@@ -8,7 +8,7 @@ workers can each own a stream without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -164,24 +164,75 @@ def _gaussian_rows(rng: np.random.Generator, count: int, m: int, kind: str = "re
     return g[:, 0] + 1j * g[:, 1]
 
 
+def _chi2(rng: np.random.Generator, dof: float, count: int) -> np.ndarray:
+    """Chi-square variates with ``dof`` degrees of freedom (0 gives 0)."""
+    return 2.0 * rng.standard_gamma(dof / 2.0, count)
+
+
+def _tail_factor(rng: np.random.Generator, count: int, m: int, kind: str):
+    """Stand-ins for the last m coordinates of two Gaussian vectors.
+
+    Gram-Schmidt sees those coordinates only through their 2x2 Gram matrix
+    W, which is Wishart. Bartlett's decomposition draws its triangular
+    factor R = [[c1, z], [0, c2]] (W = R^* R) directly: c1^2 and c2^2 are
+    chi-square with f*m and f*(m-1) degrees of freedom and z is one Gaussian
+    scalar (f = 1 real; f = 2 complex, Goodman's form). The two columns of
+    R, shape (count, 2) each, have the inner products of the two tails.
+    """
+    f = 2 if kind == "complex" else 1
+    c1 = np.sqrt(_chi2(rng, f * m, count))
+    c2 = np.sqrt(_chi2(rng, f * (m - 1), count))
+    z = _gaussian_rows(rng, count, 1, kind)[:, 0]
+    return np.stack([c1, np.zeros(count)], axis=1), np.stack([z, c2], axis=1)
+
+
 def _unit_rows(rng: np.random.Generator, count: int, m: int, tiny: float = _RESIDUAL_TINY,
-               kind: str = "real") -> np.ndarray:
-    g = _gaussian_rows(rng, count, m, kind)
+               kind: str = "real", head: Optional[int] = None) -> np.ndarray:
+    """Leading ``head`` coordinates (default all m) of uniform unit m-vectors.
+
+    With head < m the other m - head coordinates are never drawn: the
+    normalisation sees them only through their norm, one chi-square draw
+    per row, so the cost is O(head).
+    """
+    head = m if head is None else head
+
+    def draw(c):
+        g = _gaussian_rows(rng, c, head, kind)
+        if head < m:
+            f = 2 if kind == "complex" else 1
+            tail = np.sqrt(_chi2(rng, f * (m - head), c))
+            g = np.concatenate([g, tail[:, None]], axis=1)
+        return g
+
+    g = draw(count)
     norms = np.linalg.norm(g, axis=1)
     while np.any(norms < tiny):
         bad = norms < tiny
-        g[bad] = _gaussian_rows(rng, int(bad.sum()), m, kind)
+        g[bad] = draw(int(bad.sum()))
         norms[bad] = np.linalg.norm(g[bad], axis=1)
-    return g / norms[:, None]
+    return g[:, :head] / norms[:, None]
 
 
-def _frame2_batch(rng: np.random.Generator, count: int, n: int, kind: str) -> np.ndarray:
-    """Batch of orthonormal pairs, shape (count, 2, n)."""
-    out = np.empty((count, 2, n), dtype=complex if kind == "complex" else float)
+def _frame2_batch(rng: np.random.Generator, count: int, n: int, kind: str,
+                  head: Optional[int] = None) -> np.ndarray:
+    """Leading ``head`` rows (default all n) of orthonormal pairs, shape
+    (count, 2, head).
+
+    With head < n the last n - head coordinates of the two Gaussian vectors
+    are replaced by the two columns of ``_tail_factor``, which have the same
+    inner products, so Gram-Schmidt gives the head exactly in law at O(head)
+    cost.
+    """
+    head = n if head is None else head
+    out = np.empty((count, 2, head), dtype=complex if kind == "complex" else float)
     todo = np.arange(count)
     while todo.size:
-        g1 = _gaussian_rows(rng, todo.size, n, kind)
-        g2 = _gaussian_rows(rng, todo.size, n, kind)
+        g1 = _gaussian_rows(rng, todo.size, head, kind)
+        g2 = _gaussian_rows(rng, todo.size, head, kind)
+        if head < n:
+            t1, t2 = _tail_factor(rng, todo.size, n - head, kind)
+            g1 = np.concatenate([g1, t1], axis=1)
+            g2 = np.concatenate([g2, t2], axis=1)
         n1 = np.linalg.norm(g1, axis=1)
         ok1 = n1 >= _RESIDUAL_TINY
         a = np.where(ok1[:, None], g1, 1.0) / np.where(ok1, n1, 1.0)[:, None]
@@ -190,8 +241,8 @@ def _frame2_batch(rng: np.random.Generator, count: int, n: int, kind: str) -> np
         n2 = np.linalg.norm(resid, axis=1)
         ok = ok1 & (n2 >= _RESIDUAL_TINY)
         b = np.where(ok[:, None], resid, 1.0) / np.where(ok, n2, 1.0)[:, None]
-        out[todo[ok], 0] = a[ok]
-        out[todo[ok], 1] = b[ok]
+        out[todo[ok], 0] = a[ok, :head]
+        out[todo[ok], 1] = b[ok, :head]
         todo = todo[~ok]
     return out
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -152,26 +152,31 @@ def _check_space_args(dim: int, n: int) -> None:
         raise InvalidSizeError(f"polygon size n must be >= 3, got {n}")
 
 
-def arm_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int) -> np.ndarray:
-    """Edge arrays of ``count`` open-arm samples, shape (count, n, dim)."""
+def arm_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
+                    k: Optional[int] = None) -> np.ndarray:
+    """Leading k edges (default all n) of ``count`` open-arm samples,
+    shape (count, k, dim)."""
+    k = n if k is None else k
     if dim == 2:
-        pts = math.sqrt(2.0) * _unit_rows(rng, count, 2 * n, _SPHERE_TINY)
-        zc = pts.reshape(count, n, 2)
+        pts = math.sqrt(2.0) * _unit_rows(rng, count, 2 * n, _SPHERE_TINY, head=2 * k)
+        zc = pts.reshape(count, k, 2)
         z = zc[..., 0] + 1j * zc[..., 1]
         e = z * z
         return np.stack([e.real, e.imag], axis=-1)
-    pts = math.sqrt(2.0) * _unit_rows(rng, count, 4 * n, _SPHERE_TINY)
-    return _hopf_edges(pts.reshape(count, n, 4))
+    pts = math.sqrt(2.0) * _unit_rows(rng, count, 4 * n, _SPHERE_TINY, head=4 * k)
+    return _hopf_edges(pts.reshape(count, k, 4))
 
 
-def pol_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int) -> np.ndarray:
-    """Edge arrays of ``count`` closed-polygon samples, shape (count, n, dim)."""
+def pol_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
+                    k: Optional[int] = None) -> np.ndarray:
+    """Leading k edges (default all n) of ``count`` closed-polygon samples,
+    shape (count, k, dim)."""
     if dim == 2:
-        fr = _frame2_batch(rng, count, n, "real")
+        fr = _frame2_batch(rng, count, n, "real", head=k)
         z = fr[:, 0] + 1j * fr[:, 1]
         e = z * z
         return np.stack([e.real, e.imag], axis=-1)
-    fr = _frame2_batch(rng, count, n, "complex")
+    fr = _frame2_batch(rng, count, n, "complex", head=k)
     a, b = fr[:, 0], fr[:, 1]
     comp = np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
     return _hopf_edges(comp)
@@ -184,13 +189,23 @@ def space_dim(space: str) -> int:
     return 2 if space.endswith("2") else 3
 
 
-def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int) -> np.ndarray:
-    """Batch sampler keyed by space name ('arm2', 'pol2', 'arm3', 'pol3')."""
+def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int,
+                      k: Optional[int] = None) -> np.ndarray:
+    """Batch sampler keyed by space name ('arm2', 'pol2', 'arm3', 'pol3').
+
+    Returns the leading k edges (default all n) of ``count`` n-edge samples,
+    shape (count, k, dim). For k < n the first k edges are drawn at O(k)
+    cost, exactly in law: the rest of the Gaussian draw enters only through
+    a chi-square norm (arm) or a Wishart 2x2 Gram matrix (pol). At k = n the
+    draws and arithmetic are those of the full sampler.
+    """
     dim = space_dim(space)
     _check_space_args(dim, n)
+    if k is not None and (not isinstance(k, (int, np.integer)) or not 1 <= k <= n):
+        raise InvalidSizeError(f"segment length k={k!r} out of range 1..{n}")
     if space.startswith("arm"):
-        return arm_edges_batch(rng, count, dim, n)
-    return pol_edges_batch(rng, count, dim, n)
+        return arm_edges_batch(rng, count, dim, n, k)
+    return pol_edges_batch(rng, count, dim, n, k)
 
 
 def sample_arm(dim: int, n: int, s: StreamLike) -> Polygon:

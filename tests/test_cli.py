@@ -170,6 +170,9 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     # histogram too fine for the sample count
     assert run(["tv", "--space", "pol2", "--n", "20", "--count", "1000",
                 "--k", "2", "--bins", "8", *SEED_ARGS]) == 2
+    # no workers to run on
+    assert run(["tv", "--space", "pol2", "--n", "20", "--count", "20000",
+                "--workers", "0", *SEED_ARGS]) == 2
     err = capsys.readouterr().err
     assert "symmpoly:" in err
 

@@ -199,6 +199,27 @@ def test_segment_samples_shapes():
         segment_samples("arm2", 10, 1, 100, SEED, chunk_size=0)
 
 
+def test_sample_counts_accept_numpy_integers():
+    a = segment_samples("arm2", 10, np.int64(2), np.int64(300), SEED,
+                        stream_id=18, chunk_size=np.int64(128))
+    b = segment_samples("arm2", 10, 2, 300, SEED, stream_id=18, chunk_size=128)
+    assert np.array_equal(a, b)
+    v, _ = functional_samples("pol2", 10, np.int32(300), ["theta1"], SEED,
+                              stream_id=18, workers=np.int64(1))
+    assert v["theta1"].shape == (300,)
+    summary = run_ensemble("pol2", 10, np.int64(300), ["theta1"], SEED)
+    assert summary.count == 300
+
+
+def test_worker_count_must_be_positive():
+    for workers in (0, -2, 1.5):
+        with pytest.raises(DomainError):
+            segment_samples("arm2", 10, 1, 100, SEED, workers=workers)
+        with pytest.raises(DomainError):
+            functional_samples("arm2", 10, 100, ["theta1"], SEED,
+                               workers=workers)
+
+
 def test_estimate_tv_same_law_is_null_sized():
     hist = estimate_tv("arm2", "arm2", 50, 1, 50_000, 8, SEED,
                        stream_ids=(20, 21))
@@ -320,6 +341,9 @@ def test_ks_distance_values():
     # constant sample against the uniform cdf: sup gap is 1 - cdf(c)
     assert ks_distance([0.3] * 10, lambda x: np.clip(x, 0.0, 1.0)) \
         == pytest.approx(0.7, rel=1e-12)
+    # ... and cdf(c) itself when that is larger (the D- side)
+    assert ks_distance([0.9] * 10, lambda x: np.clip(x, 0.0, 1.0)) \
+        == pytest.approx(0.9, rel=1e-12)
     rng = SeedStream(SEED, 31).generator()
     u = rng.random(100_000)
     assert ks_distance(u, lambda x: np.clip(x, 0.0, 1.0)) < 0.01
@@ -330,6 +354,14 @@ def test_ks_distance_values():
     assert vec == scl
     with pytest.raises(DomainError):
         ks_distance([], stats.norm.cdf)
+    # the two-sided textbook statistic, as scipy computes it
+    for i in range(200):
+        x = SeedStream(SEED, 1000 + i).generator().random(50)
+        assert ks_distance(x, lambda t: np.clip(t, 0.0, 1.0)) == pytest.approx(
+            stats.kstest(x, "uniform").statistic, rel=1e-12, abs=1e-15)
+    z = rng.standard_normal(500)
+    assert ks_distance(z, stats.norm.cdf) == pytest.approx(
+        stats.kstest(z, "norm").statistic, rel=1e-12)
 
 
 def test_bootstrap_se_behaviour():

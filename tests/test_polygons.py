@@ -216,3 +216,64 @@ def test_polygon_validation():
         Polygon(dim=2, closed=False, edges=np.zeros((3, 3)))
     with pytest.raises(InvalidSizeError):
         Polygon(dim=2, closed=False, edges=np.zeros((0, 2)))
+
+
+# Head sampler: space_edges_batch(..., k) draws the leading k edges at O(k)
+# cost. Its law must equal that of the first k edges of a full draw.
+HEAD_CASES = ((6, 1), (10, 3), (100, 1), (100, 5))
+HEAD_N = 40_000
+# Family-wise false-alarm rate of the KS comparisons below, split evenly
+# (Bonferroni) over every coordinate and edge length of every case.
+HEAD_ALPHA = 1e-3
+HEAD_TESTS = sum((space_dim(s) + 1) * k for s in ("arm2", "pol2", "arm3", "pol3")
+                 for _, k in HEAD_CASES)
+
+
+@pytest.mark.parametrize("space", ["arm2", "pol2", "arm3", "pol3"])
+def test_head_sampler_matches_full_prefix(space):
+    dim = space_dim(space)
+    full = {}
+    for i, (n, k) in enumerate(HEAD_CASES):
+        if n not in full:
+            full[n] = space_edges_batch(SeedStream(SEED, 40 + n).generator(),
+                                        HEAD_N, space, n)
+        head = space_edges_batch(SeedStream(SEED, 50 + i).generator(),
+                                 HEAD_N, space, n, k)
+        assert head.shape == (HEAD_N, k, dim)
+        ref = full[n][:, :k]
+        pairs = [(head[:, j, c], ref[:, j, c]) for j in range(k) for c in range(dim)]
+        pairs += [(np.linalg.norm(head[:, j], axis=1), np.linalg.norm(ref[:, j], axis=1))
+                  for j in range(k)]
+        for x, y in pairs:
+            p = stats.ks_2samp(x, y).pvalue
+            assert p > HEAD_ALPHA / HEAD_TESTS, (space, n, k, p)
+
+
+@pytest.mark.parametrize("space", ["pol2", "pol3"])
+@pytest.mark.parametrize("n", [4, 6, 20])
+def test_head_sampler_tail_gram_is_exact(space, n):
+    # At k = n - 1 the tail is a single edge, so its Gram matrix has rank 1
+    # and the missing edge is minus the sum of the head: the head perimeter
+    # plus that edge's length is the full perimeter 2, sample by sample.
+    head = space_edges_batch(SeedStream(SEED, 60).generator(), 2000, space,
+                             n, n - 1)
+    total = (np.linalg.norm(head, axis=2).sum(axis=1)
+             + np.linalg.norm(head.sum(axis=1), axis=1))
+    assert np.max(np.abs(total - 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("space", ["arm2", "pol2", "arm3", "pol3"])
+def test_head_sampler_full_length_is_default(space):
+    a = space_edges_batch(SeedStream(SEED, 61).generator(), 300, space, 12)
+    b = space_edges_batch(SeedStream(SEED, 61).generator(), 300, space, 12, 12)
+    assert np.array_equal(a, b)
+    c = space_edges_batch(SeedStream(SEED, 61).generator(), 300, space, 12,
+                          np.int64(4))
+    assert c.shape == (300, 4, space_dim(space))
+
+
+def test_head_sampler_rejects_bad_length():
+    rng = SeedStream(SEED, 62).generator()
+    for k in (0, -1, 11, 2.0):
+        with pytest.raises(InvalidSizeError):
+            space_edges_batch(rng, 10, "pol3", 10, k)
