@@ -18,8 +18,8 @@ from .densities import (block_density, cbi_density, ensure_hermitian,
                         hermitian_logdet, ln_multigamma, ratio_argmax_check,
                         ratio_profile, wishart_density)
 from .ensembles import (CHUNK_SIZE, CovariancePartition, EnsembleSummary,
-                        FunctionalStats, GridHistogram, bootstrap_se,
-                        bootstrap_stat_se, chebyshev_coverage,
+                        FunctionalStats, GridHistogram, assemble_partition,
+                        bootstrap_se, bootstrap_stat_se, chebyshev_coverage,
                         covariance_partition, estimate_tv, functional_samples,
                         ks_distance, run_ensemble, segment_samples)
 from .errors import (BoundUndefinedError, DegenerateEdgeError,
@@ -31,7 +31,7 @@ from .functionals import (LocalFunctional, sliding_window_apply,
                           torsion_angle, torsion_angles, total_curvature,
                           total_torsion, turning_angle, turning_angles)
 from .haar import (Frame2, SeedStream, ensure_generator, sample_frame2,
-                   sample_haar_unitary, sample_sphere, upper_block)
+                   sample_haar_unitary, sample_sphere)
 from .io import (polygon_record_line, read_ensemble, write_csv,
                  write_ensemble)
 from .polygons import (SPACES, Polygon, Quaternion, closure_residual,

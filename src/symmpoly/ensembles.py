@@ -18,16 +18,23 @@ Segment draws (``segment_samples``, hence ``estimate_tv``) cost O(k) per
 sample for a length-k segment of an n-edge polygon: only the k leading
 edges are built, from a chi-square (arm) or Wishart (pol) summary of the
 rest. A length-k draw is therefore not a prefix of a longer segment draw on
-the same stream. Functionals and full-length segments (k = n) still draw
-whole polygons.
+the same stream. Window plans, functionals that read only the first k < n
+edges ("theta<i>" reads i+1, "tau<i>" reads i+2, a LocalFunctional its k),
+are drawn the same way at O(k) cost, so their samples are not those of a
+full plan on the same stream. Plans that read a total or a closed angle
+that wraps around, and full-length segments (k = n), draw whole polygons.
+
+Chunk runs inside ``_worker_pool(workers)`` share its one process pool.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -105,6 +112,7 @@ class _Plan(NamedTuple):
     ops: Tuple[Tuple[str, str, object], ...]  # (name, kind, payload)
     need_turning: bool
     need_torsion: bool
+    window: int  # leading edges read, n when a total or wrapping angle is read
 
 
 def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _Plan:
@@ -164,14 +172,34 @@ def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _P
     need_turning = any(kind in ("theta", "theta_sq", "theta_prod", "total_curvature")
                        for _, kind, _ in ops)
     need_torsion = any(kind in ("tau", "total_torsion") for _, kind, _ in ops)
-    return _Plan(tuple(ops), need_turning, need_torsion)
+    return _Plan(tuple(ops), need_turning, need_torsion,
+                 min(n, max(_edges_read(kind, payload, n) for _, kind, payload in ops)))
+
+
+def _edges_read(kind: str, payload, n: int) -> int:
+    """Leading edges an op reads; more than n means it wraps around."""
+    if kind in ("theta", "theta_sq"):
+        return payload + 1
+    if kind == "theta_prod":
+        return payload[1] + 1
+    if kind == "tau":
+        return payload + 2
+    if kind == "custom":
+        return payload.k
+    return n
 
 
 def _chunk_functionals(space: str, n: int, count: int, stream: SeedStream,
                        chunk: int, plan: _Plan) -> Tuple[Dict[str, np.ndarray], int]:
     rng = stream.chunk_generator(chunk)
-    edges = space_edges_batch(rng, count, space, n)
-    closed = space.startswith("pol")
+    if plan.window < n:
+        # The window does not wrap, so the open-chain kernels on the head
+        # give the angles at the same indices as the closed ones.
+        edges = space_edges_batch(rng, count, space, n, k=plan.window)
+        closed = False
+    else:
+        edges = space_edges_batch(rng, count, space, n)
+        closed = space.startswith("pol")
     ok = np.ones(count, dtype=bool)
     angles = taus = None
     if plan.need_turning:
@@ -229,17 +257,49 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer))
 
 
+def _check_positive(what: str, value) -> None:
+    if not _is_int(value) or value < 1:
+        raise DomainError(f"{what} must be a positive integer, got {value!r}")
+
+
+# (workers, pool) of the innermost open _worker_pool block, if any.
+_ACTIVE_POOL = None
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int) -> Iterator:
+    """A process pool of ``workers`` processes for the chunk runs in the block.
+
+    A block inside another at the same worker count reuses the outer pool,
+    so a caller that wraps many sampling calls in one block starts its
+    workers once. One worker needs no pool and yields None.
+    """
+    global _ACTIVE_POOL
+    _check_positive("worker count", workers)
+    if workers == 1:
+        yield None
+    elif _ACTIVE_POOL is not None and _ACTIVE_POOL[0] == workers:
+        yield _ACTIVE_POOL[1]
+    else:
+        outer = _ACTIVE_POOL
+        with multiprocessing.Pool(processes=int(workers)) as pool:
+            _ACTIVE_POOL = (workers, pool)
+            try:
+                yield pool
+            finally:
+                _ACTIVE_POOL = outer
+
+
 def _run_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
                 workers: int, chunk_size: int) -> list:
     for what, value in (("sample count", N), ("chunk size", chunk_size),
                         ("worker count", workers)):
-        if not _is_int(value) or value < 1:
-            raise DomainError(f"{what} must be a positive integer, got {value!r}")
+        _check_positive(what, value)
     args = [(space, n, seed, stream_id, chunk, count, task)
             for chunk, count in enumerate(_chunk_counts(int(N), int(chunk_size)))]
     if workers == 1 or len(args) == 1:
         return [_eval_chunk(a) for a in args]
-    with multiprocessing.Pool(processes=workers) as pool:
+    with _worker_pool(workers) as pool:
         return pool.map(_eval_chunk, args)
 
 
@@ -254,6 +314,12 @@ def functional_samples(space: str, n: int, N: int,
     array over the non-degenerate samples, in chunk order. Degenerate
     geometry is excluded sample-wise; more than 0.01% exclusions raises
     ReliabilityError.
+
+    A window plan, one whose functionals read only the first k < n edges
+    (no total and no angle that wraps around a closed polygon), draws just
+    those k edges at O(k) cost per sample. Its samples therefore differ
+    from those of a full plan on the same stream, though their law is the
+    same.
     """
     plan = _build_plan(space, n, functionals)
     results = _run_chunks(space, n, N, seed, stream_id,
@@ -328,7 +394,7 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
     if space_dim(space_b) != dim:
         raise InvalidDimensionError(
             f"segment grids need one ambient dimension, got {space_a} vs {space_b}")
-    if not isinstance(bins_per_axis, int) or bins_per_axis < 4:
+    if not _is_int(bins_per_axis) or bins_per_axis < 4:
         raise ResolutionError(f"bins_per_axis must be an integer >= 4, got {bins_per_axis!r}")
     d = dim * k
     cells = bins_per_axis ** d
@@ -338,10 +404,11 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
             f"need N >= {50 * cells} (50 samples per cell on average)")
     if stream_ids[0] == stream_ids[1] and space_a == space_b:
         raise DomainError("same-law comparison needs distinct stream ids")
-    seg_a = segment_samples(space_a, n, k, N, seed, stream_id=stream_ids[0],
-                            workers=workers, chunk_size=chunk_size)
-    seg_b = segment_samples(space_b, n, k, N, seed, stream_id=stream_ids[1],
-                            workers=workers, chunk_size=chunk_size)
+    with _worker_pool(workers):
+        seg_a = segment_samples(space_a, n, k, N, seed, stream_id=stream_ids[0],
+                                workers=workers, chunk_size=chunk_size)
+        seg_b = segment_samples(space_b, n, k, N, seed, stream_id=stream_ids[1],
+                                workers=workers, chunk_size=chunk_size)
     lo = np.minimum(seg_a.min(axis=0), seg_b.min(axis=0))
     hi = np.maximum(seg_a.max(axis=0), seg_b.max(axis=0))
     pad = np.maximum(0.005 * (hi - lo), 1e-12)
@@ -361,19 +428,28 @@ def covariance_partition(space: str, n: int, N: int, seed: int, *,
                          chunk_size: int = CHUNK_SIZE) -> CovariancePartition:
     """Partition the variance of total curvature by angle separation.
 
-    Estimates C(theta1,theta1), C(theta1,theta2), C(theta1,theta3) and
-    assembles n*c_self + 2n*c_adjacent + (n^2-3n)*c_distant, which for a
-    closed planar polygon equals Var(total curvature) by exchangeability
-    of the turning angles.
+    Draws theta1, theta2, theta3 as a window plan (four leading edges per
+    sample) and assembles them with ``assemble_partition``.
     """
     if space not in ("pol2", "arm2"):
         raise DomainError(f"covariance partition applies to planar spaces, got {space!r}")
-    if not isinstance(n, int) or n < 7:
+    if not _is_int(n) or n < 7:
         raise InvalidSizeError(f"covariance partition needs n >= 7, got {n!r}")
     values, _ = functional_samples(space, n, N, ["theta1", "theta2", "theta3"],
                                    seed, stream_id=stream_id, workers=workers,
                                    chunk_size=chunk_size)
-    t1, t2, t3 = values["theta1"], values["theta2"], values["theta3"]
+    return assemble_partition(n, values["theta1"], values["theta2"], values["theta3"])
+
+
+def assemble_partition(n: int, t1: np.ndarray, t2: np.ndarray,
+                       t3: np.ndarray) -> CovariancePartition:
+    """Covariance partition from samples of theta1, theta2, theta3.
+
+    Estimates C(theta1,theta1), C(theta1,theta2), C(theta1,theta3) and
+    assembles n*c_self + 2n*c_adjacent + (n^2-3n)*c_distant, which for a
+    closed planar n-gon equals Var(total curvature) by exchangeability of
+    the turning angles.
+    """
     c_self = float(t1.var(ddof=1))
     c_adjacent = float(np.cov(t1, t2, ddof=1)[0, 1])
     c_distant = float(np.cov(t1, t3, ddof=1)[0, 1])

@@ -135,17 +135,6 @@ def sample_haar_unitary(n: int, s: StreamLike) -> np.ndarray:
     return _haar_unitary_batch(rng, 1, n)[0]
 
 
-def upper_block(M: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Upper-left p x q block of a matrix."""
-    M = np.asarray(M)
-    if M.ndim != 2:
-        raise InvalidDimensionError(f"expected a matrix, got shape {M.shape}")
-    if not (1 <= p <= M.shape[0] and 1 <= q <= M.shape[1]):
-        raise InvalidDimensionError(
-            f"block size ({p}, {q}) out of range for shape {M.shape}")
-    return M[:p, :q].copy()
-
-
 # ---------------------------------------------------------------------------
 # Batch internals shared with the ensemble engine. All take an explicit
 # Generator and consume a draw count that depends only on (count, n) except

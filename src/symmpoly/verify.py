@@ -20,10 +20,13 @@ import numpy as np
 from scipy import integrate, stats
 
 from . import bounds, densities
-from .ensembles import (bootstrap_se, bootstrap_stat_se, chebyshev_coverage,
+# covariance_partition and _haar_unitary_batch have no caller here; they stay
+# importable from this module because benchmark tracers wrap them by name.
+from .ensembles import (_worker_pool, assemble_partition, bootstrap_se,
+                        bootstrap_stat_se, chebyshev_coverage,
                         covariance_partition, estimate_tv, functional_samples,
                         ks_distance)
-from .haar import SeedStream, _haar_unitary_batch
+from .haar import SeedStream, _haar_unitary_batch, _unit_rows
 from .io import format_cell, write_csv
 from .polygons import space_dim
 
@@ -122,7 +125,11 @@ def run_verify(level: str = "desk", seed: int = 7,
     """Run the full check suite; deep level scales sample counts by 10."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
-    scale = 10 if level == "deep" else 1
+    with _worker_pool(workers):
+        return _run_checks(10 if level == "deep" else 1, seed, workers)
+
+
+def _run_checks(scale: int, seed: int, workers: int) -> List[CheckResult]:
     N = DESK_N * scale
     N_tv = DESK_N_TV * scale
     N_struct = DESK_N_STRUCT * scale
@@ -235,18 +242,14 @@ def run_verify(level: str = "desk", seed: int = 7,
                                SeedStream(seed, STREAM_IDS["boot_var_spatial"]))
     results.append(_check(7, "variance_bound_spatial", var_t100, "<=",
                           bounds.torsion_variance_bound(100) + 4 * se_var_t100))
-    part = covariance_partition("pol2", 100, N, seed,
-                                stream_id=STREAM_IDS["pol2_100"], workers=workers)
     t1a = pol2_100_vals["theta1"]
     t2a = pol2_100_vals["theta2"]
     t3a = pol2_100_vals["theta3"]
+    part = assemble_partition(100, t1a, t2a, t3a)
 
     def partition_gap(idx: np.ndarray) -> float:
-        s1, s2, s3, kap = t1a[idx], t2a[idx], t3a[idx], kappa100[idx]
-        assembled = (100 * s1.var(ddof=1)
-                     + 200 * float(np.cov(s1, s2, ddof=1)[0, 1])
-                     + (100 * 100 - 300) * float(np.cov(s1, s3, ddof=1)[0, 1]))
-        return assembled - float(kap.var(ddof=1))
+        return (assemble_partition(100, t1a[idx], t2a[idx], t3a[idx]).assembled_variance
+                - float(kappa100[idx].var(ddof=1)))
 
     se_gap = bootstrap_stat_se(t1a.size, partition_gap,
                                SeedStream(seed, STREAM_IDS["boot_partition"]))
@@ -323,7 +326,12 @@ def formula_checks() -> List[CheckResult]:
 def _block_gram_scalars(seed: int, stream_id: int, N: int, n: int,
                         chunk_size: int = 4096) -> Dict[int, np.ndarray]:
     """Delta* Delta for the leading p x 1 blocks (p = 1, 2) of N Haar
-    unitaries of size n, sampled with the chunked scheme."""
+    unitaries of size n, sampled with the chunked scheme.
+
+    A column of a Haar unitary is uniform on the unit sphere of C^n, so each
+    chunk draws just the two leading coordinates of such a vector, at O(1)
+    cost per sample, in place of whole unitaries.
+    """
     stream = SeedStream(seed, stream_id)
     parts = {1: [], 2: []}
     start = 0
@@ -331,7 +339,7 @@ def _block_gram_scalars(seed: int, stream_id: int, N: int, n: int,
     while start < N:
         count = min(chunk_size, N - start)
         rng = stream.chunk_generator(chunk)
-        col_sq = np.abs(_haar_unitary_batch(rng, count, n)[:, :2, 0]) ** 2
+        col_sq = np.abs(_unit_rows(rng, count, n, kind="complex", head=2)) ** 2
         parts[1].append(col_sq[:, 0])
         parts[2].append(col_sq[:, 0] + col_sq[:, 1])
         start += count

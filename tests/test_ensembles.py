@@ -1,6 +1,8 @@
-"""Seeded ensemble engine: determinism, functional plans, TV estimation,
-covariance partition, coverage, KS, and bootstrap helpers."""
+"""Seeded ensemble engine: determinism, functional plans, window draws,
+the shared worker pool, TV estimation, covariance partition, coverage, KS,
+and bootstrap helpers."""
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -9,10 +11,13 @@ from scipy import stats
 from symmpoly import (CHUNK_SIZE, DegenerateEdgeError, DomainError,
                       InvalidDimensionError, InvalidSizeError,
                       LocalFunctional, ReliabilityError, ResolutionError,
-                      SeedStream, b2, b3, bootstrap_se, bootstrap_stat_se,
-                      chebyshev_coverage, covariance_partition, estimate_tv,
-                      functional_samples, ks_distance, run_ensemble,
-                      segment_samples)
+                      SeedStream, assemble_partition, b2, b3, bootstrap_se,
+                      bootstrap_stat_se, chebyshev_coverage,
+                      covariance_partition, estimate_tv, functional_samples,
+                      ks_distance, run_ensemble, segment_samples)
+from symmpoly.ensembles import _build_plan, _worker_pool
+from symmpoly.functionals import _batch_torsion, _batch_turning
+from symmpoly.polygons import SPACES, space_edges_batch
 
 SEED = 7
 
@@ -209,6 +214,11 @@ def test_sample_counts_accept_numpy_integers():
     assert v["theta1"].shape == (300,)
     summary = run_ensemble("pol2", 10, np.int64(300), ["theta1"], SEED)
     assert summary.count == 300
+    h = estimate_tv("pol2", "arm2", 10, 1, 2000, np.int64(4), SEED)
+    assert h.tv_estimate == estimate_tv("pol2", "arm2", 10, 1, 2000, 4,
+                                        SEED).tv_estimate
+    assert covariance_partition("pol2", np.int64(10), 300, SEED) \
+        == covariance_partition("pol2", 10, 300, SEED)
 
 
 def test_worker_count_must_be_positive():
@@ -218,6 +228,148 @@ def test_worker_count_must_be_positive():
         with pytest.raises(DomainError):
             functional_samples("arm2", 10, 100, ["theta1"], SEED,
                                workers=workers)
+
+
+def test_plan_window_counts_leading_edges():
+    def window(space, n, fns):
+        return _build_plan(space, n, fns).window
+
+    assert window("arm2", 100, ["theta1", "theta1^2"]) == 2
+    assert window("pol2", 100, ["theta1*theta2"]) == 3
+    assert window("arm3", 50, ["tau1", "tau3"]) == 5
+    assert window("pol2", 12, [EDGE_LENGTH]) == 1
+    assert window("pol2", 100, ["theta3", "total_curvature"]) == 100
+    assert window("arm3", 20, ["tau1", "total_torsion"]) == 20
+    # closed angles that wrap around read the whole polygon
+    assert window("pol2", 10, ["theta9"]) == 10
+    assert window("pol2", 10, ["theta10"]) == 10
+    assert window("pol3", 10, ["tau8"]) == 10
+    assert window("pol3", 10, ["tau9"]) == 10
+    assert window("pol3", 10, ["tau10"]) == 10
+    assert window("arm2", 10, ["theta9"]) == 10
+
+
+# Window plans against full plans: two-sample KS on independent streams.
+# 20 comparisons; a family-wise level of 1e-3 split Bonferroni gives each
+# one the p-value floor below, declared before the test was first run.
+WINDOW_KS_N = 20_000
+WINDOW_KS_P_FLOOR = 1e-3 / 20
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("n", [10, 100])
+def test_window_plan_matches_full_plan_in_law(space, n):
+    window = ["theta1", "theta1*theta2"]
+    if space.endswith("3"):
+        window.append("tau1")
+    sid = 40 + 2 * SPACES.index(space) + (n == 100) * 8
+    heads, _ = functional_samples(space, n, WINDOW_KS_N, window, SEED,
+                                  stream_id=sid)
+    full, _ = functional_samples(space, n, WINDOW_KS_N,
+                                 window + ["total_curvature"], SEED,
+                                 stream_id=sid + 1)
+    for name in window:
+        p = stats.ks_2samp(heads[name], full[name]).pvalue
+        assert p > WINDOW_KS_P_FLOOR, (space, n, name, p)
+
+
+@pytest.mark.parametrize("space,n,fns", [
+    ("pol2", 10, ["theta10"]),
+    ("pol2", 12, ["theta1", "total_curvature"]),
+    ("arm2", 10, ["theta9", "theta1^2"]),
+    ("pol3", 10, ["tau9", "theta2"]),
+    ("pol3", 10, ["tau10"]),
+    ("arm3", 10, ["tau1", "total_torsion"]),
+])
+def test_full_plans_keep_full_draws(space, n, fns):
+    # bit for bit the kernels on whole polygons from each chunk's generator
+    N, chunk_size, sid = 300, 128, 60
+    vals, excluded = functional_samples(space, n, N, fns, SEED, stream_id=sid,
+                                        chunk_size=chunk_size)
+    assert excluded == 0
+    stream = SeedStream(SEED, sid)
+    closed = space.startswith("pol")
+    parts = {name: [] for name in fns}
+    for c, start in enumerate(range(0, N, chunk_size)):
+        edges = space_edges_batch(stream.chunk_generator(c),
+                                  min(chunk_size, N - start), space, n)
+        angles = _batch_turning(edges, closed)[0]
+        taus = _batch_torsion(edges, closed)[0] if space.endswith("3") else None
+        for name in fns:
+            if name == "total_curvature":
+                parts[name].append(angles.sum(axis=1))
+            elif name == "total_torsion":
+                parts[name].append(taus.sum(axis=1))
+            elif name == "theta1^2":
+                parts[name].append(angles[:, 0] ** 2)
+            elif name.startswith("theta"):
+                parts[name].append(angles[:, int(name[5:]) - 1])
+            else:
+                parts[name].append(taus[:, int(name[3:]) - 1])
+    for name in fns:
+        assert np.array_equal(vals[name], np.concatenate(parts[name])), name
+
+
+def test_window_plan_reads_open_kernels_on_heads():
+    # pol3 theta2 and tau2 read four leading edges: the open-chain kernels
+    # on a four-edge head from each chunk's generator, bit for bit
+    N, chunk_size, sid = 300, 128, 61
+    vals, _ = functional_samples("pol3", 30, N, ["theta2", "tau2"], SEED,
+                                 stream_id=sid, chunk_size=chunk_size)
+    stream = SeedStream(SEED, sid)
+    theta, tau = [], []
+    for c, start in enumerate(range(0, N, chunk_size)):
+        head = space_edges_batch(stream.chunk_generator(c),
+                                 min(chunk_size, N - start), "pol3", 30, k=4)
+        theta.append(_batch_turning(head, False)[0][:, 1])
+        tau.append(_batch_torsion(head, False)[0][:, 1])
+    assert np.array_equal(vals["theta2"], np.concatenate(theta))
+    assert np.array_equal(vals["tau2"], np.concatenate(tau))
+
+
+def _count_pools(monkeypatch):
+    opened = []
+    real = multiprocessing.Pool
+
+    def counting(*args, **kwargs):
+        opened.append(kwargs.get("processes", args[0] if args else None))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting)
+    return opened
+
+
+def test_estimate_tv_opens_one_pool(monkeypatch):
+    opened = _count_pools(monkeypatch)
+    a = estimate_tv("pol2", "arm2", 20, 1, 20_000, 8, SEED,
+                    stream_ids=(24, 25), workers=2)
+    assert opened == [2]
+    b = estimate_tv("pol2", "arm2", 20, 1, 20_000, 8, SEED,
+                    stream_ids=(24, 25), workers=1)
+    assert opened == [2]
+    assert np.array_equal(a.counts_a, b.counts_a)
+    assert np.array_equal(a.counts_b, b.counts_b)
+
+
+def test_worker_pool_is_shared_by_nested_blocks(monkeypatch):
+    opened = _count_pools(monkeypatch)
+    kwargs = dict(stream_id=2, chunk_size=1024)
+    with _worker_pool(2):
+        v2, _ = functional_samples("pol2", 20, 5000, ["total_curvature"],
+                                   SEED, workers=2, **kwargs)
+        with _worker_pool(2):
+            s2 = segment_samples("arm3", 20, 2, 3000, SEED, workers=2,
+                                 **kwargs)
+    assert opened == [2]
+    v1, _ = functional_samples("pol2", 20, 5000, ["total_curvature"], SEED,
+                               workers=1, **kwargs)
+    s1 = segment_samples("arm3", 20, 2, 3000, SEED, workers=1, **kwargs)
+    assert opened == [2]
+    assert np.array_equal(v1["total_curvature"], v2["total_curvature"])
+    assert np.array_equal(s1, s2)
+    with pytest.raises(DomainError):
+        with _worker_pool(0):
+            pass
 
 
 def test_estimate_tv_same_law_is_null_sized():
@@ -279,30 +431,30 @@ def test_covariance_partition_open_chain_uncorrelated():
 
 
 def test_covariance_partition_matches_direct_variance():
-    # same seed and stream id reproduce the same polygons, so the partition
-    # and the direct variance describe one ensemble; the gap is bootstrapped
+    # covariance_partition is a window plan: it assembles theta1..theta3
+    # drawn as four-edge heads on its stream
     n, N = 100, 20_000
     part = covariance_partition("pol2", n, N, SEED, stream_id=27)
+    heads, _ = functional_samples("pol2", n, N, ["theta1", "theta2", "theta3"],
+                                  SEED, stream_id=27)
+    assert part == assemble_partition(n, heads["theta1"], heads["theta2"],
+                                      heads["theta3"])
+    # the partition and the direct variance of one full draw describe one
+    # ensemble, as in verify; the gap is bootstrapped
     vals, _ = functional_samples(
         "pol2", n, N, ["theta1", "theta2", "theta3", "total_curvature"],
         SEED, stream_id=27)
     t1, t2, t3 = vals["theta1"], vals["theta2"], vals["theta3"]
     kappa = vals["total_curvature"]
-    assembled_again = (n * float(t1.var(ddof=1))
-                       + 2 * n * float(np.cov(t1, t2, ddof=1)[0, 1])
-                       + (n * n - 3 * n) * float(np.cov(t1, t3, ddof=1)[0, 1]))
-    assert part.assembled_variance == pytest.approx(assembled_again, rel=1e-12)
 
     def gap(idx):
-        assembled = (n * float(t1[idx].var(ddof=1))
-                     + 2 * n * float(np.cov(t1[idx], t2[idx], ddof=1)[0, 1])
-                     + (n * n - 3 * n)
-                     * float(np.cov(t1[idx], t3[idx], ddof=1)[0, 1]))
-        return assembled - float(kappa[idx].var(ddof=1))
+        return (assemble_partition(n, t1[idx], t2[idx], t3[idx]).assembled_variance
+                - float(kappa[idx].var(ddof=1)))
 
     se = bootstrap_stat_se(t1.size, gap, SeedStream(SEED, 28))
+    assembled = assemble_partition(n, t1, t2, t3).assembled_variance
     direct = float(kappa.var(ddof=1))
-    assert abs(part.assembled_variance - direct) < 4 * se
+    assert abs(assembled - direct) < 4 * se
 
 
 def test_covariance_partition_exchangeable_angles():

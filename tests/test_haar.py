@@ -7,7 +7,7 @@ from scipy import stats
 
 from symmpoly import (Frame2, InvalidDimensionError, SeedStream,
                       ensure_generator, ks_distance, sample_frame2,
-                      sample_haar_unitary, sample_sphere, upper_block)
+                      sample_haar_unitary, sample_sphere)
 
 SEED = 7
 
@@ -163,26 +163,3 @@ def test_unitary_validation():
     with pytest.raises(InvalidDimensionError):
         sample_haar_unitary(0, SeedStream(SEED, 0))
 
-
-def test_upper_block_examples():
-    assert np.array_equal(upper_block(np.eye(3), 2, 2), np.eye(2))
-    m = np.arange(1, 10).reshape(3, 3)
-    assert np.array_equal(upper_block(m, 3, 3), m)
-    grid = np.array([[10 * i + j for j in range(1, 4)] for i in range(1, 4)])
-    assert np.array_equal(upper_block(grid, 1, 2), [[11, 12]])
-
-
-def test_upper_block_returns_copy():
-    m = np.eye(3)
-    blk = upper_block(m, 2, 2)
-    blk[0, 0] = 99.0
-    assert m[0, 0] == 1.0
-
-
-def test_upper_block_validation():
-    with pytest.raises(InvalidDimensionError):
-        upper_block(np.eye(3), 4, 1)
-    with pytest.raises(InvalidDimensionError):
-        upper_block(np.eye(3), 0, 1)
-    with pytest.raises(InvalidDimensionError):
-        upper_block(np.zeros(3), 1, 1)

@@ -1,9 +1,11 @@
 """Check plumbing of the verification suite (full runs live in
 test_acceptance.py)."""
 import io
+import multiprocessing
 
 import pytest
 
+from symmpoly import verify
 from symmpoly.verify import (CheckResult, _check, density_checks,
                              extended_density_checks, format_check_line,
                              formula_checks, run_verify, write_results_csv)
@@ -63,3 +65,26 @@ def test_extended_density_checks_pass():
 def test_run_verify_rejects_unknown_level():
     with pytest.raises(ValueError):
         run_verify("quick", SEED, 1)
+
+
+def test_run_verify_opens_one_pool(monkeypatch):
+    # sample counts cut down so each ensemble still spans several chunks
+    monkeypatch.setattr(verify, "DESK_N", 8192)
+    monkeypatch.setattr(verify, "DESK_N_TV", 32_768)
+    monkeypatch.setattr(verify, "DESK_N_STRUCT", 64)
+    opened = []
+    real = multiprocessing.Pool
+
+    def counting(*args, **kwargs):
+        opened.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting)
+    csv = {}
+    for workers in (1, 2):
+        buf = io.StringIO()
+        write_results_csv(buf, run_verify("desk", SEED, workers))
+        csv[workers] = buf.getvalue()
+    assert len(opened) == 1
+    assert csv[1] == csv[2]
+    assert csv[1].count("\n") == 38
