@@ -15,8 +15,8 @@ from .bounds import (BoundEvaluation, alpha_limit, alpha_threshold,
                      torsion_variance_bound, unitary_block_bound)
 from .cli import DEFAULT_SEED
 from .densities import (block_density, cbi_density, ensure_hermitian,
-                        hermitian_logdet, ln_multigamma, ratio_argmax_check,
-                        ratio_profile, wishart_density)
+                        hermitian_logdet, ln_multigamma, ratio_profile,
+                        wishart_density)
 from .ensembles import (CHUNK_SIZE, CovariancePartition, EnsembleSummary,
                         FunctionalStats, GridHistogram, assemble_partition,
                         bootstrap_se, bootstrap_stat_se, chebyshev_coverage,
@@ -31,12 +31,12 @@ from .functionals import (LocalFunctional, sliding_window_apply,
                           torsion_angle, torsion_angles, total_curvature,
                           total_torsion, turning_angle, turning_angles)
 from .haar import (Frame2, SeedStream, ensure_generator, sample_frame2,
-                   sample_haar_unitary, sample_sphere)
+                   sample_sphere)
 from .io import (polygon_record_line, read_ensemble, write_csv,
                  write_ensemble)
-from .polygons import (SPACES, Polygon, Quaternion, closure_residual,
-                       hopf_map, perimeter, sample_arm, sample_pol, segment,
-                       space_dim, square_map, vertices)
+from .polygons import (SPACES, Polygon, closure_residual, hopf_map,
+                       perimeter, sample_arm, sample_pol, segment, space_dim,
+                       square_map, vertices)
 from .verify import (STREAM_IDS, CheckResult, density_checks,
                      extended_density_checks, format_check_line,
                      formula_checks, run_verify, write_results_csv)

@@ -169,7 +169,3 @@ def ratio_profile(r: int, n: int, grid_points: int) -> Tuple[float, float]:
     i = int(np.argmax(ln))
     return float(v[i]), float(math.exp(ln[i]))
 
-
-def ratio_argmax_check(r: int, n: int, grid_points: int) -> float:
-    """Grid argmax of the beta-to-gamma density ratio; expected at (r+1)/n."""
-    return ratio_profile(r, n, grid_points)[0]

@@ -493,6 +493,8 @@ def bootstrap_stat_se(size: int, stat: Callable[[np.ndarray], float],
     """Bootstrap SE of a statistic defined on index arrays of length size."""
     if size < 2:
         raise DomainError(f"bootstrap needs at least 2 samples, got {size}")
+    if not _is_int(n_resamples) or n_resamples < 2:
+        raise DomainError(f"bootstrap needs at least 2 resamples, got {n_resamples!r}")
     rng = ensure_generator(s)
     out = np.empty(n_resamples)
     for i in range(n_resamples):

@@ -6,10 +6,11 @@ Conventions
   the incoming and outgoing edge vectors; total curvature is their sum
   (n angles on a closed polygon, n-1 on an open chain).
 * The torsion angle at an interior edge b with neighbors a, c is
-  tau = pi - phi wrapped into (-pi, pi], where phi is the signed angle from
-  the projection of a to the projection of c in the plane normal to b,
-  oriented by b. Total torsion sums n cyclic angles on a closed polygon and
-  the n-2 interior angles on an open chain.
+  tau = -atan2(|b| a.(b x c), (a x b).(b x c)) in (-pi, pi] (-pi is read
+  as pi). The atan2 is the dihedral angle of Blondel and Karplus (1996):
+  the signed angle, oriented by b, from the projection of -a to that of c
+  in the plane normal to b. Total torsion sums n cyclic angles on a closed
+  polygon and the n-2 interior angles on an open chain.
 
 Both angles are invariant under global rotations and positive scalings.
 Degenerate inputs (near-zero edges or projections) raise instead of
@@ -47,36 +48,34 @@ class LocalFunctional:
 
 
 def turning_angle(u, v) -> float:
-    """Unsigned angle in [0, pi] between two edge vectors."""
+    """Unsigned angle in [0, pi] between two edge vectors (``_batch_turning``
+    on the open window (u, v))."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu <= _EDGE_TINY or nv <= _EDGE_TINY:
+    if u.ndim != 1 or u.shape != v.shape:
+        # a near-zero edge is reported ahead of the shape mismatch
+        if min(np.linalg.norm(u), np.linalg.norm(v)) <= _EDGE_TINY:
+            raise DegenerateEdgeError("turning angle of a near-zero edge")
+        raise ValueError(f"expected two edge vectors of one length, "
+                         f"got shapes {u.shape} and {v.shape}")
+    angles, ok = _batch_turning(np.stack([u, v])[None], closed=False)
+    if not ok[0]:
         raise DegenerateEdgeError("turning angle of a near-zero edge")
-    c = float(u @ v) / (nu * nv)
-    return math.acos(min(1.0, max(-1.0, c)))
+    return float(angles[0, 0])
 
 
 def torsion_angle(a, b, c) -> float:
-    """Signed dihedral-style angle in (-pi, pi] at the middle edge b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if a.shape != (3,) or b.shape != (3,) or c.shape != (3,):
+    """Signed torsion angle in (-pi, pi] at the middle edge b
+    (``_batch_torsion`` on the open window (a, b, c))."""
+    edges = [np.asarray(e, dtype=float) for e in (a, b, c)]
+    if any(e.shape != (3,) for e in edges):
         raise InvalidDimensionError("torsion is defined for 3-vectors")
-    nb = np.linalg.norm(b)
-    if nb <= _EDGE_TINY:
-        raise DegenerateEdgeError("torsion about a near-zero edge")
-    bh = b / nb
-    u = a - (a @ bh) * bh
-    w = c - (c @ bh) * bh
-    if np.linalg.norm(u) <= _PROJ_TINY or np.linalg.norm(w) <= _PROJ_TINY:
+    taus, ok = _batch_torsion(np.stack(edges)[None], closed=False)
+    if not ok[0]:
+        if not np.linalg.norm(edges[1]) > _EDGE_TINY:
+            raise DegenerateEdgeError("torsion about a near-zero edge")
         raise DegenerateTorsionError("neighbor edge parallel to the torsion axis")
-    phi = math.atan2(float(np.cross(bh, u) @ w), float(u @ w))
-    tau = math.pi - phi
-    if tau > math.pi:
-        tau -= 2.0 * math.pi
-    return tau
+    return float(taus[0, 0])
 
 
 def _batch_turning(edges: np.ndarray, closed: bool):
@@ -99,24 +98,25 @@ def _batch_turning(edges: np.ndarray, closed: bool):
 def _batch_torsion(edges: np.ndarray, closed: bool):
     """Torsions and validity mask for a spatial edge batch (C, n, 3).
 
-    Window i is (e_i, e_{i+1}, e_{i+2}); closed input wraps cyclically for
-    n windows, open input yields the n-2 interior windows.
+    Window i is (a, b, c) = (e_i, e_{i+1}, e_{i+2}); closed input wraps
+    cyclically for n windows, open input yields the n-2 interior windows.
+    A window is valid when |b| > _EDGE_TINY and |a x b|, |b x c| >
+    _PROJ_TINY |b|: both neighbors project normal to b longer than _PROJ_TINY.
     """
     if closed:
-        a, b, c = edges, np.roll(edges, -1, axis=1), np.roll(edges, -2, axis=1)
+        b = np.roll(edges, -1, axis=1)
+        ab = np.cross(edges, b)
+        a, bc = edges, np.roll(ab, -1, axis=1)
     else:
-        a, b, c = edges[:, :-2], edges[:, 1:-1], edges[:, 2:]
+        cross = np.cross(edges[:, :-1], edges[:, 1:])
+        a, b, ab, bc = edges[:, :-2], edges[:, 1:-1], cross[:, :-1], cross[:, 1:]
     nb = np.linalg.norm(b, axis=-1)
     ok = np.all(nb > _EDGE_TINY, axis=-1)
-    bh = b / np.where(nb > _EDGE_TINY, nb, 1.0)[..., None]
-    u = a - np.einsum("cij,cij->ci", a, bh)[..., None] * bh
-    w = c - np.einsum("cij,cij->ci", c, bh)[..., None] * bh
-    ok &= np.all(np.linalg.norm(u, axis=-1) > _PROJ_TINY, axis=-1)
-    ok &= np.all(np.linalg.norm(w, axis=-1) > _PROJ_TINY, axis=-1)
-    phi = np.arctan2(np.einsum("cij,cij->ci", np.cross(bh, u), w),
-                     np.einsum("cij,cij->ci", u, w))
-    tau = math.pi - phi
-    tau = np.where(tau > math.pi, tau - 2.0 * math.pi, tau)
+    ok &= np.all(np.linalg.norm(ab, axis=-1) > _PROJ_TINY * nb, axis=-1)
+    ok &= np.all(np.linalg.norm(bc, axis=-1) > _PROJ_TINY * nb, axis=-1)
+    tau = -np.arctan2(nb * np.einsum("cij,cij->ci", a, bc),
+                      np.einsum("cij,cij->ci", ab, bc))
+    tau[tau == -math.pi] = math.pi
     return tau, ok
 
 

@@ -122,19 +122,6 @@ def sample_frame2(n: int, kind: str, s: StreamLike) -> Frame2:
     return Frame2(n=int(n), scalar_kind=kind, col_a=pair[0], col_b=pair[1])
 
 
-def sample_haar_unitary(n: int, s: StreamLike) -> np.ndarray:
-    """Haar-distributed n x n unitary matrix.
-
-    QR factorization of a complex Gaussian matrix with the diagonal of R
-    rotated to positive reals, the standard correction that makes the
-    factor Haar.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimensionError(f"unitary dimension n must be >= 1, got {n}")
-    rng = ensure_generator(s)
-    return _haar_unitary_batch(rng, 1, n)[0]
-
-
 # ---------------------------------------------------------------------------
 # Batch internals shared with the ensemble engine. All take an explicit
 # Generator and consume a draw count that depends only on (count, n) except

@@ -36,7 +36,7 @@ def _parse_record(obj, lineno: int) -> Polygon:
         if key not in obj:
             raise ParseError(f"line {lineno}: missing field {key!r}")
     dim = obj["dim"]
-    if dim not in (2, 3):
+    if type(dim) is not int or dim not in (2, 3):
         raise ParseError(f"line {lineno}: dim must be 2 or 3, got {dim!r}")
     closed = obj["closed"]
     if not isinstance(closed, bool):

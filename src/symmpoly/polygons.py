@@ -11,6 +11,9 @@ Four sample spaces, all normalized to perimeter 2:
 * ``pol3(n)``: closed spatial polygons; a Haar unitary 2-frame (a, b) of C^n
   read as q = a + b j, pushed through ``hopf_map``.
 
+Both maps take whole batches: ``square_map`` complex arrays (...) to edges
+(..., 2), ``hopf_map`` arrays (..., 4) of (w, x, y, z) to edges (..., 3).
+
 Closure of the pol spaces is the frame orthonormality: the squared/Hopf
 images sum to zero exactly when the two vectors are orthonormal, which also
 pins the perimeter to 2 without any rescaling.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,43 +31,6 @@ from .haar import (SeedStream, StreamLike, _SPHERE_TINY, _frame2_batch,
                    _unit_rows, ensure_generator)
 
 SPACES = ("arm2", "pol2", "arm3", "pol3")
-
-_HOPF_REAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    """Quaternion w + x i + y j + z k with the Hamilton product (ij = k)."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def from_complex_pair(cls, a: complex, b: complex) -> "Quaternion":
-        """q = a + b j with a = w + x i and b = y + z i."""
-        a, b = complex(a), complex(b)
-        return cls(a.real, a.imag, b.real, b.imag)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +50,8 @@ class Polygon:
         if edges.ndim != 2 or edges.shape[1] != self.dim:
             raise InvalidDimensionError(
                 f"edges must have shape (n, {self.dim}), got {edges.shape}")
-        if self.dim not in (2, 3):
-            raise InvalidDimensionError(f"dim must be 2 or 3, got {self.dim}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim not in (2, 3):
+            raise InvalidDimensionError(f"dim must be 2 or 3, got {self.dim!r}")
         if edges.shape[0] < 1:
             raise InvalidSizeError("a polygon needs at least one edge")
         object.__setattr__(self, "edges", edges)
@@ -102,43 +68,17 @@ def square_map(z: Sequence[complex]) -> np.ndarray:
     return np.stack([e.real, e.imag], axis=-1)
 
 
-def _as_quaternion_array(q) -> np.ndarray:
-    if isinstance(q, Quaternion):
-        return q.as_array()[None, :]
-    if isinstance(q, Iterable) and not isinstance(q, np.ndarray):
-        q = list(q)
-        if q and isinstance(q[0], Quaternion):
-            return np.stack([qi.as_array() for qi in q])
-    arr = np.asarray(q, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != 4:
-        raise InvalidDimensionError(
-            f"expected quaternions as shape (n, 4) (w, x, y, z), got {arr.shape}")
-    return arr
+def hopf_map(comp) -> np.ndarray:
+    """Hopf image of quaternions, given as an array (..., 4) of (w, x, y, z).
 
-
-def hopf_map(q) -> np.ndarray:
-    """Map each quaternion q to the vector part of q-conjugate * i * q.
-
-    Input is a Quaternion, a sequence of Quaternions, or an (n, 4) array of
-    (w, x, y, z) components. The real part of the product vanishes
-    identically; it is computed and checked as a guard on the arithmetic.
-    Each output edge has length |q|^2.
+    Each quaternion q maps to the vector part of q-conjugate * i * q (the
+    real part vanishes identically), an array (..., 3) of R^3 edges; each
+    edge has length |q|^2.
     """
-    arr = _as_quaternion_array(q)
-    w, x, y, z = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    # full product (w - xi - yj - zk) i (w + xi + yj + zk)
-    real = w * x - x * w + y * z - z * y
-    if np.any(np.abs(real) > _HOPF_REAL_TOL):
-        raise AssertionError("hopf image acquired a nonzero real part")
-    return np.stack([w * w + x * x - y * y - z * z,
-                     2.0 * (x * y - w * z),
-                     2.0 * (w * y + x * z)], axis=-1)
-
-
-def _hopf_edges(comp: np.ndarray) -> np.ndarray:
-    """Vectorized hopf image for component array (..., 4) -> (..., 3)."""
+    comp = np.asarray(comp, dtype=float)
+    if comp.ndim < 1 or comp.shape[-1] != 4:
+        raise InvalidDimensionError(
+            f"expected quaternions as shape (..., 4) (w, x, y, z), got {comp.shape}")
     w, x, y, z = comp[..., 0], comp[..., 1], comp[..., 2], comp[..., 3]
     return np.stack([w * w + x * x - y * y - z * z,
                      2.0 * (x * y - w * z),
@@ -160,11 +100,9 @@ def arm_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
     if dim == 2:
         pts = math.sqrt(2.0) * _unit_rows(rng, count, 2 * n, _SPHERE_TINY, head=2 * k)
         zc = pts.reshape(count, k, 2)
-        z = zc[..., 0] + 1j * zc[..., 1]
-        e = z * z
-        return np.stack([e.real, e.imag], axis=-1)
+        return square_map(zc[..., 0] + 1j * zc[..., 1])
     pts = math.sqrt(2.0) * _unit_rows(rng, count, 4 * n, _SPHERE_TINY, head=4 * k)
-    return _hopf_edges(pts.reshape(count, k, 4))
+    return hopf_map(pts.reshape(count, k, 4))
 
 
 def pol_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
@@ -173,13 +111,10 @@ def pol_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
     shape (count, k, dim)."""
     if dim == 2:
         fr = _frame2_batch(rng, count, n, "real", head=k)
-        z = fr[:, 0] + 1j * fr[:, 1]
-        e = z * z
-        return np.stack([e.real, e.imag], axis=-1)
+        return square_map(fr[:, 0] + 1j * fr[:, 1])
     fr = _frame2_batch(rng, count, n, "complex", head=k)
     a, b = fr[:, 0], fr[:, 1]
-    comp = np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
-    return _hopf_edges(comp)
+    return hopf_map(np.stack([a.real, a.imag, b.real, b.imag], axis=-1))
 
 
 def space_dim(space: str) -> int:

@@ -22,8 +22,8 @@ from scipy import integrate, stats
 from . import bounds, densities
 # covariance_partition and _haar_unitary_batch have no caller here; they stay
 # importable from this module because benchmark tracers wrap them by name.
-from .ensembles import (_worker_pool, assemble_partition, bootstrap_se,
-                        bootstrap_stat_se, chebyshev_coverage,
+from .ensembles import (_chunk_counts, _worker_pool, assemble_partition,
+                        bootstrap_se, bootstrap_stat_se, chebyshev_coverage,
                         covariance_partition, estimate_tv, functional_samples,
                         ks_distance)
 from .haar import SeedStream, _haar_unitary_batch, _unit_rows
@@ -334,16 +334,11 @@ def _block_gram_scalars(seed: int, stream_id: int, N: int, n: int,
     """
     stream = SeedStream(seed, stream_id)
     parts = {1: [], 2: []}
-    start = 0
-    chunk = 0
-    while start < N:
-        count = min(chunk_size, N - start)
+    for chunk, count in enumerate(_chunk_counts(N, chunk_size)):
         rng = stream.chunk_generator(chunk)
         col_sq = np.abs(_unit_rows(rng, count, n, kind="complex", head=2)) ** 2
         parts[1].append(col_sq[:, 0])
         parts[2].append(col_sq[:, 0] + col_sq[:, 1])
-        start += count
-        chunk += 1
     return {p: np.concatenate(chunks) for p, chunks in parts.items()}
 
 

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 
 from symmpoly import (DomainError, SupportError, block_density, cbi_density,
                       ensure_hermitian, hermitian_logdet, ln_multigamma,
-                      ratio_argmax_check, ratio_profile, wishart_density)
+                      ratio_profile, wishart_density)
 
 REL = 1e-12
 
@@ -181,7 +181,6 @@ def test_ratio_profile_values():
     assert abs(argmax2 - 0.15) <= 1e-5
     assert peak2 == pytest.approx(1.0838552798875356, rel=1e-9)
     assert peak2 <= 1.0 / (1.0 - 3.0 / 20.0)
-    assert ratio_argmax_check(1, 20, 10**5) == argmax1
 
 
 def test_ratio_profile_domain():

@@ -527,3 +527,15 @@ def test_bootstrap_se_behaviour():
     assert bootstrap_se(np.ones(100), np.mean, SeedStream(SEED, 34)) == 0.0
     with pytest.raises(DomainError):
         bootstrap_stat_se(1, lambda idx: 0.0, SeedStream(SEED, 35))
+
+
+def test_bootstrap_needs_two_resamples():
+    data = np.arange(10.0)
+    for n_resamples in (1, 0, -3, 2.0):
+        with pytest.raises(DomainError):
+            bootstrap_se(data, np.mean, SeedStream(SEED, 36), n_resamples)
+        with pytest.raises(DomainError):
+            bootstrap_stat_se(10, lambda idx: 0.0, SeedStream(SEED, 36),
+                              n_resamples=n_resamples)
+    se = bootstrap_se(data, np.mean, SeedStream(SEED, 36), np.int64(2))
+    assert math.isfinite(se)

@@ -12,6 +12,9 @@ from symmpoly import (DegenerateEdgeError, DegenerateTorsionError,
                       total_curvature, total_torsion, turning_angle,
                       turning_angles)
 from symmpoly.ensembles import functional_samples
+from symmpoly.functionals import (_EDGE_TINY, _PROJ_TINY, _batch_torsion,
+                                  _batch_turning)
+from symmpoly.polygons import space_edges_batch
 
 SEED = 7
 
@@ -34,6 +37,9 @@ def test_turning_angle_degenerate():
         turning_angle([0, 0], [1, 0])
     with pytest.raises(DegenerateEdgeError):
         turning_angle([1, 0], [1e-15, 0])
+    # with mixed lengths a near-zero edge is still reported first
+    with pytest.raises(DegenerateEdgeError):
+        turning_angle([0, 0], [1, 0, 0])
 
 
 def test_torsion_angle_units():
@@ -48,10 +54,82 @@ def test_torsion_angle_units():
 def test_torsion_angle_validation():
     with pytest.raises(InvalidDimensionError):
         torsion_angle([1, 0], [0, 1], [1, 0])
+    with pytest.raises(InvalidDimensionError):
+        torsion_angle([1, 0, 0], [0, 0, 0], [1, 0])
     with pytest.raises(DegenerateEdgeError):
         torsion_angle([1, 0, 0], [0, 0, 0], [1, 0, 0])
     with pytest.raises(DegenerateTorsionError):
         torsion_angle([0, 0, 2], [0, 0, 1], [1, 0, 0])
+
+
+def test_scalar_angles_wrap_batch_kernels():
+    rng = SeedStream(SEED, 1).generator()
+    for _ in range(20):
+        a, b, c = rng.standard_normal((3, 3))
+        window = np.stack([a, b, c])[None]
+        assert turning_angle(a, b) == _batch_turning(window[:, :2], False)[0][0, 0]
+        assert torsion_angle(a, b, c) == _batch_torsion(window, False)[0][0, 0]
+    with pytest.raises(ValueError):
+        turning_angle([1, 0], [1, 0, 0])
+
+
+def _projection_torsion(edges, closed):
+    """The torsion kernel as first written: project a and c onto the plane
+    normal to b and take the signed angle between the projections."""
+    if closed:
+        a, b, c = edges, np.roll(edges, -1, axis=1), np.roll(edges, -2, axis=1)
+    else:
+        a, b, c = edges[:, :-2], edges[:, 1:-1], edges[:, 2:]
+    nb = np.linalg.norm(b, axis=-1)
+    ok = np.all(nb > _EDGE_TINY, axis=-1)
+    bh = b / np.where(nb > _EDGE_TINY, nb, 1.0)[..., None]
+    u = a - np.einsum("cij,cij->ci", a, bh)[..., None] * bh
+    w = c - np.einsum("cij,cij->ci", c, bh)[..., None] * bh
+    ok &= np.all(np.linalg.norm(u, axis=-1) > _PROJ_TINY, axis=-1)
+    ok &= np.all(np.linalg.norm(w, axis=-1) > _PROJ_TINY, axis=-1)
+    phi = np.arctan2(np.einsum("cij,cij->ci", np.cross(bh, u), w),
+                     np.einsum("cij,cij->ci", u, w))
+    tau = math.pi - phi
+    return np.where(tau > math.pi, tau - 2.0 * math.pi, tau), ok
+
+
+def _gap_mod_2pi(x, y):
+    return np.abs(np.angle(np.exp(1j * (x - y))))
+
+
+def test_torsion_kernel_matches_projection_formula():
+    for space, closed in (("pol3", True), ("arm3", False)):
+        rng = SeedStream(SEED, 2).generator()
+        edges = space_edges_batch(rng, 512, space, 100)
+        tau, ok = _batch_torsion(edges, closed)
+        ref, ref_ok = _projection_torsion(edges, closed)
+        assert tau.shape == (512, 100 if closed else 98)
+        assert np.array_equal(ok, ref_ok) and ok.all()
+        assert np.max(_gap_mod_2pi(tau, ref)) < 1e-12
+        assert np.all((tau > -math.pi) & (tau <= math.pi))
+
+
+def test_torsion_mask_near_degenerate_windows():
+    # Windows with a neighbor within 1e-13 of the b axis are excluded; the
+    # cut is on the neighbor's projection normal to b, at any length of b.
+    rng = SeedStream(SEED, 3).generator()
+    rows, expect = [], []
+    for length in (1.0, 0.02):
+        for proj, valid in ((1e-13, False), (0.99e-12, False), (1.01e-12, True),
+                            (1e-9, True)):
+            for side in (0, 2):
+                rot = _random_rotation(rng, 3)
+                b = length * rot[:, 2]
+                window = [0.7 * rot[:, 2] + 0.3 * rot[:, 1], b,
+                          -0.4 * rot[:, 2] + 0.5 * rot[:, 0]]
+                window[side] = 0.03 * rot[:, 2] + proj * rot[:, side // 2]
+                rows.append(window)
+                expect.append(valid)
+    edges = np.array(rows)
+    _, ok = _batch_torsion(edges, False)
+    _, ref_ok = _projection_torsion(edges, False)
+    assert np.array_equal(ok, expect)
+    assert np.array_equal(ref_ok, expect)
 
 
 def test_square_total_curvature():

@@ -7,7 +7,8 @@ from scipy import stats
 
 from symmpoly import (Frame2, InvalidDimensionError, SeedStream,
                       ensure_generator, ks_distance, sample_frame2,
-                      sample_haar_unitary, sample_sphere)
+                      sample_sphere)
+from symmpoly.haar import _haar_unitary_batch
 
 SEED = 7
 
@@ -130,18 +131,15 @@ def test_frame2_validation():
 
 
 def test_unitary_one_dimensional_is_phase():
-    rng = SeedStream(SEED, 6).generator()
-    for _ in range(25):
-        u = sample_haar_unitary(1, rng)
-        assert abs(abs(u[0, 0]) - 1.0) < 1e-12
+    u = _haar_unitary_batch(SeedStream(SEED, 6).generator(), 25, 1)
+    assert u.shape == (25, 1, 1)
+    assert np.max(np.abs(np.abs(u[:, 0, 0]) - 1.0)) < 1e-12
 
 
 def test_unitary_is_unitary():
-    rng = SeedStream(SEED, 7).generator()
-    for _ in range(10):
-        u = sample_haar_unitary(5, rng)
-        gap = np.max(np.abs(u.conj().T @ u - np.eye(5)))
-        assert gap < 1e-10
+    u = _haar_unitary_batch(SeedStream(SEED, 7).generator(), 10, 5)
+    gap = np.abs(np.conj(np.swapaxes(u, 1, 2)) @ u - np.eye(5))
+    assert np.max(gap) < 1e-10
 
 
 def test_unitary_corner_law():
@@ -154,12 +152,5 @@ def test_unitary_corner_law():
     z = g[:, 0] + 1j * g[:, 1]
     corner = np.abs(z[:, 0]) ** 2 / np.einsum("ij,ij->i", z.conj(), z).real
     assert ks_distance(corner, stats.beta(1, 9).cdf) < 0.01
-    direct = np.array([abs(sample_haar_unitary(10, rng)[0, 0]) ** 2
-                       for _ in range(4000)])
+    direct = np.abs(_haar_unitary_batch(rng, 4000, 10)[:, 0, 0]) ** 2
     assert ks_distance(direct, stats.beta(1, 9).cdf) < 0.05
-
-
-def test_unitary_validation():
-    with pytest.raises(InvalidDimensionError):
-        sample_haar_unitary(0, SeedStream(SEED, 0))
-

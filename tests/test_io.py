@@ -75,6 +75,14 @@ def test_parse_errors_name_the_line():
         read_ensemble(io.StringIO("[1, 2, 3]"))
 
 
+def test_non_integer_dim_is_rejected():
+    good = '{"dim": 2, "closed": false, "edges": [[1, 0]]}'
+    for dim in ("2.0", "3.0", "true", '"2"'):
+        record = good.replace('"dim": 2', f'"dim": {dim}')
+        with pytest.raises(ParseError, match="line 2: dim"):
+            read_ensemble(io.StringIO(good + "\n" + record + "\n"))
+
+
 def test_format_cell():
     assert format_cell(None) == ""
     assert format_cell(True) == "true"

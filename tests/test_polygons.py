@@ -6,9 +6,9 @@ import pytest
 from scipy import stats
 
 from symmpoly import (InvalidDimensionError, InvalidSizeError, Polygon,
-                      Quaternion, SeedStream, closure_residual, hopf_map,
-                      ks_distance, perimeter, sample_arm, sample_pol, segment,
-                      space_dim, square_map, vertices)
+                      SeedStream, closure_residual, hopf_map, ks_distance,
+                      perimeter, sample_arm, sample_pol, segment, space_dim,
+                      square_map, vertices)
 from symmpoly.polygons import space_edges_batch
 
 SEED = 7
@@ -30,59 +30,54 @@ def test_square_map_edge_length_is_modulus_squared():
 
 
 def test_hopf_map_units():
-    assert np.allclose(hopf_map(Quaternion(1, 0, 0, 0)), [[1.0, 0.0, 0.0]])
-    assert np.allclose(hopf_map(Quaternion(0, 0, 1, 0)), [[-1.0, 0.0, 0.0]])
+    assert np.allclose(hopf_map([[1, 0, 0, 0]]), [[1.0, 0.0, 0.0]])
+    assert np.allclose(hopf_map([[0, 0, 1, 0]]), [[-1.0, 0.0, 0.0]])
     # i also maps to (1, 0, 0): the fiber over each edge is a circle
-    assert np.allclose(hopf_map(Quaternion(0, 1, 0, 0)), [[1.0, 0.0, 0.0]])
+    assert np.allclose(hopf_map([[0, 1, 0, 0]]), [[1.0, 0.0, 0.0]])
 
 
 def test_hopf_map_edge_length_is_norm_squared():
     rng = SeedStream(SEED, 1).generator()
-    comp = rng.standard_normal((50, 4))
+    comp = rng.standard_normal((5, 10, 4))
     edges = hopf_map(comp)
-    assert np.allclose(np.linalg.norm(edges, axis=1),
-                       np.sum(comp**2, axis=1), rtol=0, atol=1e-12)
+    assert edges.shape == (5, 10, 3)
+    assert np.allclose(np.linalg.norm(edges, axis=-1),
+                       np.sum(comp**2, axis=-1), rtol=0, atol=1e-12)
 
 
 def test_hopf_map_input_forms_agree():
-    q = Quaternion(0.3, -0.4, 0.5, 1.2)
-    single = hopf_map(q)
-    from_list = hopf_map([q, q])
-    from_array = hopf_map(np.array([[0.3, -0.4, 0.5, 1.2]]))
-    assert np.array_equal(single[0], from_list[0])
-    assert np.array_equal(single[0], from_array[0])
-    with pytest.raises(InvalidDimensionError):
-        hopf_map(np.zeros((2, 3)))
+    comp = [0.3, -0.4, 0.5, 1.2]
+    single = hopf_map(comp)
+    assert single.shape == (3,)
+    assert np.array_equal(single, hopf_map([comp, comp])[1])
+    assert np.array_equal(single, hopf_map(np.array([[[comp]]]))[0, 0, 0])
+    for bad in (np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(()), [1.0, 2.0]):
+        with pytest.raises(InvalidDimensionError):
+            hopf_map(bad)
+
+
+def _hamilton(p, q):
+    """Hamilton product (ij = k) of quaternions given as (w, x, y, z)."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return np.array([w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                     w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                     w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                     w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2])
 
 
 def test_hopf_map_matches_quaternion_product():
+    i, j, k = np.eye(4)[1:]
+    assert np.array_equal(_hamilton(i, j), k)
+    assert np.array_equal(_hamilton(j, i), -k)
     rng = SeedStream(SEED, 2).generator()
-    for comp in rng.standard_normal((20, 4)):
-        q = Quaternion(*comp)
-        prod = q.conjugate() * Quaternion(0, 1, 0, 0) * q
-        assert abs(prod.w) < 1e-12
-        assert np.allclose(hopf_map(q)[0], [prod.x, prod.y, prod.z],
-                           rtol=0, atol=1e-12)
-
-
-def test_quaternion_algebra():
-    i = Quaternion(0, 1, 0, 0)
-    j = Quaternion(0, 0, 1, 0)
-    k = Quaternion(0, 0, 0, 1)
-    assert i * j == k
-    assert j * i == Quaternion(0, 0, 0, -1)
-    rng = SeedStream(SEED, 3).generator()
-    for _ in range(20):
-        p, q, r = (Quaternion(*c) for c in rng.standard_normal((3, 4)))
-        left = ((p * q) * r).as_array()
-        right = (p * (q * r)).as_array()
-        assert np.allclose(left, right, rtol=1e-12, atol=1e-12)
-        assert abs((p * q).norm() - p.norm() * q.norm()) < 1e-12
-
-
-def test_quaternion_from_complex_pair():
-    q = Quaternion.from_complex_pair(1 + 2j, 3 + 4j)
-    assert (q.w, q.x, q.y, q.z) == (1.0, 2.0, 3.0, 4.0)
+    comp = rng.standard_normal((20, 4))
+    edges = hopf_map(comp)
+    for q, edge in zip(comp, edges):
+        conj = q * np.array([1.0, -1.0, -1.0, -1.0])
+        prod = _hamilton(_hamilton(conj, i), q)
+        assert abs(prod[0]) < 1e-12
+        assert np.allclose(edge, prod[1:], rtol=0, atol=1e-12)
 
 
 def test_sample_arm_perimeter():
@@ -216,6 +211,10 @@ def test_polygon_validation():
         Polygon(dim=2, closed=False, edges=np.zeros((3, 3)))
     with pytest.raises(InvalidSizeError):
         Polygon(dim=2, closed=False, edges=np.zeros((0, 2)))
+    for dim in (2.0, 3.0, np.float64(2.0)):
+        with pytest.raises(InvalidDimensionError):
+            Polygon(dim=dim, closed=False, edges=np.zeros((3, int(dim))))
+    assert Polygon(dim=np.int64(3), closed=True, edges=np.zeros((3, 3))).dim == 3
 
 
 # Head sampler: space_edges_batch(..., k) draws the leading k edges at O(k)
