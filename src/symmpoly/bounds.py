@@ -20,6 +20,7 @@ divided once, which keeps the large-n asymptote checks accurate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -46,9 +47,11 @@ class BoundEvaluation:
 
 
 def _check_positive_int(name: str, v) -> int:
-    if not isinstance(v, int) or v < 1:
+    """v as a Python int (numpy integers included), so that powers such as
+    n**4 do not overflow a fixed-width integer."""
+    if not isinstance(v, numbers.Integral) or v < 1:
         raise BoundUndefinedError(f"{name} must be a positive integer, got {v!r}")
-    return v
+    return int(v)
 
 
 def ortho_block_bound(r: int, s: int, n: int) -> float:
@@ -119,10 +122,10 @@ def asymptotic_slope(dim: int, k: int) -> float:
         k = _check_positive_int("k", k)
         return 6.0 * k + 19.0
     if dim == 3:
-        if not isinstance(k, int) or k < 2:
+        if not isinstance(k, numbers.Integral) or k < 2:
             raise BoundUndefinedError(
                 f"spatial asymptote needs k >= 2 (k=1 uses the assembly form), got {k!r}")
-        return 10.0 * k + 17.5
+        return 10.0 * int(k) + 17.5
     raise InvalidDimensionError(f"dim must be 2 or 3, got {dim}")
 
 

@@ -14,6 +14,7 @@ test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Tuple
 
 import numpy as np
@@ -59,8 +60,9 @@ def hermitian_logdet(M, name: str = "matrix") -> float:
 def ln_multigamma(m: int, a: float) -> float:
     """ln of the complex multivariate gamma:
     (m(m-1)/2) ln pi + sum_{j=1}^m lnGamma(a - j + 1); needs a > m - 1."""
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, numbers.Integral) or m < 1:
         raise DomainError(f"m must be a positive integer, got {m!r}")
+    m = int(m)
     if not a > m - 1:
         raise DomainError(f"multivariate gamma needs a > m-1, got a={a}, m={m}")
     j = np.arange(1, m + 1)
@@ -84,8 +86,9 @@ def block_density(delta, n: int) -> float:
     if arr.ndim != 2:
         raise DomainError(f"block must be a p x q matrix, got shape {np.shape(delta)}")
     p, q = arr.shape
-    if not isinstance(n, int) or not n > p + q:
+    if not isinstance(n, numbers.Integral) or not n > p + q:
         raise DomainError(f"block density needs integer n > p+q, got n={n!r} for ({p},{q})")
+    n = int(n)
     arr = arr.astype(complex)
     residual = np.eye(q) - arr.conj().T @ arr
     ln_det = hermitian_logdet(residual, "I - block* block")
@@ -101,10 +104,11 @@ def wishart_density(A, p: int, n: int, sigma) -> float:
     for Hermitian positive semi-definite A and positive definite Sigma,
     n >= p. The pi^(p(p-1)/2) prefactor is folded into CGamma_p(n).
     """
-    if not isinstance(p, int) or p < 1:
+    if not isinstance(p, numbers.Integral) or p < 1:
         raise DomainError(f"p must be a positive integer, got {p!r}")
-    if not isinstance(n, int) or n < p:
+    if not isinstance(n, numbers.Integral) or n < p:
         raise DomainError(f"complex Wishart needs integer n >= p, got n={n!r}, p={p}")
+    p, n = int(p), int(n)
     a = ensure_hermitian(A, "A")
     if a.shape[0] != p:
         raise DomainError(f"A must be {p} x {p}, got {a.shape}")
@@ -132,8 +136,9 @@ def cbi_density(M, m: int, a: float, b: float) -> float:
     for Hermitian M with M and I - M positive definite; a, b > m - 1.
     At m = 1 this is the scalar Beta(a, b) density.
     """
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, numbers.Integral) or m < 1:
         raise DomainError(f"m must be a positive integer, got {m!r}")
+    m = int(m)
     if not (a > m - 1 and b > m - 1):
         raise DomainError(f"cbi density needs a, b > m-1, got a={a}, b={b}, m={m}")
     mat = ensure_hermitian(M, "M")
@@ -158,12 +163,13 @@ def ratio_profile(r: int, n: int, grid_points: int) -> Tuple[float, float]:
     g/f is smooth with a unique interior maximum at v = (r+1)/n, so the grid
     argmax lands within one grid step of it.
     """
-    if not isinstance(r, int) or r < 1:
+    if not isinstance(r, numbers.Integral) or r < 1:
         raise DomainError(f"r must be a positive integer, got {r!r}")
-    if not isinstance(n, int) or not r + 3 < n:
+    if not isinstance(n, numbers.Integral) or not r + 3 < n:
         raise DomainError(f"ratio check needs r + 3 < n, got r={r}, n={n!r}")
-    if not isinstance(grid_points, int) or grid_points < 1000:
+    if not isinstance(grid_points, numbers.Integral) or grid_points < 1000:
         raise DomainError(f"grid_points must be an integer >= 1000, got {grid_points!r}")
+    r, n, grid_points = int(r), int(n), int(grid_points)
     v = np.arange(1, grid_points + 1) / (grid_points + 1.0)
     ln = _ln_ratio(r, n, v)
     i = int(np.argmax(ln))

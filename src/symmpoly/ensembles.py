@@ -8,10 +8,10 @@ are scheduled, never which generator produced which sample, so every
 estimate here is bit-identical for a fixed (seed, N, CHUNK_SIZE)
 regardless of the worker count.
 
-Functionals are named builtins ("total_curvature", "total_torsion",
-"theta<i>", "tau<i>", plus the window products "theta1^2" and
-"theta1*theta2") or LocalFunctional instances, which are evaluated on the
-first k-edge window. Custom functionals must be picklable (module-level
+Functionals are named builtins, listed with their values and the leading
+edges each reads in the README table "Builtin functionals" and parsed only
+by ``_build_plan``, or LocalFunctional instances, which are evaluated on
+the first k-edge window. Custom functionals must be picklable (module-level
 callables) when workers > 1.
 
 Segment draws (``segment_samples``, hence ``estimate_tv``) cost O(k) per
@@ -108,11 +108,24 @@ class CovariancePartition(NamedTuple):
     assembled_variance: float
 
 
+class _Op(NamedTuple):
+    name: str
+    reads: int  # leading edges read; more than n when it wraps around
+    kernel: str  # "turning", "torsion" or "custom"
+    read: Callable  # kernel output -> values; custom: one window -> value
+
+
 class _Plan(NamedTuple):
-    ops: Tuple[Tuple[str, str, object], ...]  # (name, kind, payload)
-    need_turning: bool
-    need_torsion: bool
+    ops: Tuple[_Op, ...]
     window: int  # leading edges read, n when a total or wrapping angle is read
+
+
+def _angle(i: int) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda angles: angles[:, i - 1]
+
+
+def _total(angles: np.ndarray) -> np.ndarray:
+    return angles.sum(axis=1)
 
 
 def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _Plan:
@@ -124,38 +137,38 @@ def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _P
     max_tau = n if closed else n - 2
     if not functionals:
         raise DomainError("at least one functional is required")
-    ops: List[Tuple[str, str, object]] = []
+    ops: List[_Op] = []
     for f in functionals:
         if isinstance(f, LocalFunctional):
-            if not 1 <= f.k <= n:
+            if not _is_int(f.k) or not 1 <= f.k <= n:
                 raise InvalidSizeError(
                     f"functional {f.name!r} needs a window of {f.k} edges, polygon has {n}")
-            ops.append((f.name, "custom", f))
+            ops.append(_Op(f.name, f.k, "custom", f.eval))
             continue
         if not isinstance(f, str):
             raise DomainError(f"functional must be a name or LocalFunctional, got {f!r}")
         if f == "total_curvature":
-            ops.append((f, "total_curvature", None))
+            ops.append(_Op(f, n, "turning", _total))
             continue
         if f == "total_torsion" or _TAU_RE.match(f):
             if dim != 3:
                 raise InvalidDimensionError(f"{f!r} needs a spatial space, got {space}")
             if f == "total_torsion":
-                ops.append((f, "total_torsion", None))
+                ops.append(_Op(f, n, "torsion", _total))
             else:
                 idx = int(_TAU_RE.match(f).group(1))
                 if idx > max_tau:
                     raise InvalidSizeError(
                         f"{f!r} out of range: {space}(n={n}) has {max_tau} torsion angles")
-                ops.append((f, "tau", idx))
+                ops.append(_Op(f, idx + 2, "torsion", _angle(idx)))
             continue
         if f == "theta1^2":
-            ops.append((f, "theta_sq", 1))
+            ops.append(_Op(f, 2, "turning", lambda angles: angles[:, 0] ** 2))
             continue
         if f == "theta1*theta2":
             if max_theta < 2:
                 raise InvalidSizeError(f"{f!r} needs at least 2 turning angles")
-            ops.append((f, "theta_prod", (1, 2)))
+            ops.append(_Op(f, 3, "turning", lambda angles: angles[:, 0] * angles[:, 1]))
             continue
         m = _THETA_RE.match(f)
         if m:
@@ -163,79 +176,47 @@ def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _P
             if idx > max_theta:
                 raise InvalidSizeError(
                     f"{f!r} out of range: {space}(n={n}) has {max_theta} turning angles")
-            ops.append((f, "theta", idx))
+            ops.append(_Op(f, idx + 1, "turning", _angle(idx)))
             continue
         raise DomainError(f"unknown functional name {f!r}")
-    names = [name for name, _, _ in ops]
+    names = [op.name for op in ops]
     if len(set(names)) != len(names):
         raise DomainError(f"duplicate functional names in {names}")
-    need_turning = any(kind in ("theta", "theta_sq", "theta_prod", "total_curvature")
-                       for _, kind, _ in ops)
-    need_torsion = any(kind in ("tau", "total_torsion") for _, kind, _ in ops)
-    return _Plan(tuple(ops), need_turning, need_torsion,
-                 min(n, max(_edges_read(kind, payload, n) for _, kind, payload in ops)))
+    return _Plan(tuple(ops), min(n, max(op.reads for op in ops)))
 
 
-def _edges_read(kind: str, payload, n: int) -> int:
-    """Leading edges an op reads; more than n means it wraps around."""
-    if kind in ("theta", "theta_sq"):
-        return payload + 1
-    if kind == "theta_prod":
-        return payload[1] + 1
-    if kind == "tau":
-        return payload + 2
-    if kind == "custom":
-        return payload.k
-    return n
+def _window_values(op: _Op, edges: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """A custom op on the window of each sample still ok; a degenerate
+    window clears its sample's ok flag."""
+    vals = np.full(len(edges), np.nan)
+    for i in np.nonzero(ok)[0]:
+        try:
+            vals[i] = op.read(edges[i, :op.reads])
+        except (DegenerateEdgeError, DegenerateTorsionError):
+            ok[i] = False
+    return vals
 
 
 def _chunk_functionals(space: str, n: int, count: int, stream: SeedStream,
                        chunk: int, plan: _Plan) -> Tuple[Dict[str, np.ndarray], int]:
     rng = stream.chunk_generator(chunk)
-    if plan.window < n:
-        # The window does not wrap, so the open-chain kernels on the head
-        # give the angles at the same indices as the closed ones.
-        edges = space_edges_batch(rng, count, space, n, k=plan.window)
-        closed = False
-    else:
-        edges = space_edges_batch(rng, count, space, n)
-        closed = space.startswith("pol")
+    # At window n this is the full draw. A shorter window does not wrap, so
+    # the open-chain kernels on the head give the angles at the same indices
+    # as the closed ones.
+    edges = space_edges_batch(rng, count, space, n, k=plan.window)
+    closed = plan.window == n and space.startswith("pol")
     ok = np.ones(count, dtype=bool)
-    angles = taus = None
-    if plan.need_turning:
-        angles, ok_t = _batch_turning(edges, closed)
-        ok &= ok_t
-    if plan.need_torsion:
-        taus, ok_s = _batch_torsion(edges, closed)
-        ok &= ok_s
-    custom_vals: Dict[str, np.ndarray] = {}
-    for name, kind, payload in plan.ops:
-        if kind != "custom":
-            continue
-        vals = np.full(count, np.nan)
-        for i in np.nonzero(ok)[0]:
-            try:
-                vals[i] = payload.eval(edges[i, :payload.k])
-            except (DegenerateEdgeError, DegenerateTorsionError):
-                ok[i] = False
-        custom_vals[name] = vals
-    out: Dict[str, np.ndarray] = {}
-    for name, kind, payload in plan.ops:
-        if kind == "theta":
-            arr = angles[:, payload - 1]
-        elif kind == "tau":
-            arr = taus[:, payload - 1]
-        elif kind == "total_curvature":
-            arr = angles.sum(axis=1)
-        elif kind == "total_torsion":
-            arr = taus.sum(axis=1)
-        elif kind == "theta_sq":
-            arr = angles[:, payload - 1] ** 2
-        elif kind == "theta_prod":
-            arr = angles[:, payload[0] - 1] * angles[:, payload[1] - 1]
-        else:
-            arr = custom_vals[name]
-        out[name] = np.ascontiguousarray(arr[ok])
+    outputs = {}
+    # The kernels are looked up here, not bound at import, so that a wrapper
+    # installed on the module attribute sees every call.
+    for kernel, batch in (("turning", _batch_turning), ("torsion", _batch_torsion)):
+        if any(op.kernel == kernel for op in plan.ops):
+            outputs[kernel], ok_k = batch(edges, closed)
+            ok &= ok_k
+    values = {op.name: (_window_values(op, edges, ok) if op.kernel == "custom"
+                        else op.read(outputs[op.kernel]))
+              for op in plan.ops}
+    out = {name: np.ascontiguousarray(arr[ok]) for name, arr in values.items()}
     return out, int(count - int(ok.sum()))
 
 
@@ -324,9 +305,8 @@ def functional_samples(space: str, n: int, N: int,
     plan = _build_plan(space, n, functionals)
     results = _run_chunks(space, n, N, seed, stream_id,
                           ("functionals", tuple(functionals)), workers, chunk_size)
-    names = [name for name, _, _ in plan.ops]
-    values = {name: np.concatenate([chunk[0][name] for chunk in results])
-              for name in names}
+    values = {op.name: np.concatenate([chunk[0][op.name] for chunk in results])
+              for op in plan.ops}
     excluded = sum(chunk[1] for chunk in results)
     if excluded > 1e-4 * N:
         raise ReliabilityError(
@@ -349,13 +329,15 @@ def run_ensemble(space: str, n: int, N: int,
     values, excluded = functional_samples(space, n, N, functionals, seed,
                                           stream_id=stream_id, workers=workers,
                                           chunk_size=chunk_size)
-    records = []
-    for name, arr in values.items():
-        mean = float(arr.mean())
-        variance = float(arr.var(ddof=1))
-        records.append(FunctionalStats(name, mean, variance,
-                                       math.sqrt(variance / arr.size)))
-    return EnsembleSummary(space, n, N, seed, tuple(records), excluded)
+    records = tuple(FunctionalStats(name, *_moments(arr)) for name, arr in values.items())
+    return EnsembleSummary(space, n, N, seed, records, excluded)
+
+
+def _moments(arr: np.ndarray) -> Tuple[float, float, float]:
+    """Mean, unbiased variance and standard error of the mean."""
+    mean = float(arr.mean())
+    variance = float(arr.var(ddof=1))
+    return mean, variance, math.sqrt(variance / arr.size)
 
 
 def segment_samples(space: str, n: int, k: int, N: int, seed: int, *,
@@ -413,13 +395,15 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
     hi = np.maximum(seg_a.max(axis=0), seg_b.max(axis=0))
     pad = np.maximum(0.005 * (hi - lo), 1e-12)
     ranges = tuple((float(l), float(h)) for l, h in zip(lo - pad, hi + pad))
-    counts_a, _ = np.histogramdd(seg_a, bins=bins_per_axis, range=ranges)
-    counts_b, _ = np.histogramdd(seg_b, bins=bins_per_axis, range=ranges)
-    tv = 0.5 * float(np.abs(counts_a / N - counts_b / N).sum())
-    half = N // 2
-    counts_1, _ = np.histogramdd(seg_a[:half], bins=bins_per_axis, range=ranges)
-    counts_2, _ = np.histogramdd(seg_a[half:], bins=bins_per_axis, range=ranges)
-    null = 0.5 * float(np.abs(counts_1 / half - counts_2 / (N - half)).sum())
+
+    def binned_tv(x: np.ndarray, y: np.ndarray):
+        counts_x, _ = np.histogramdd(x, bins=bins_per_axis, range=ranges)
+        counts_y, _ = np.histogramdd(y, bins=bins_per_axis, range=ranges)
+        tv = 0.5 * float(np.abs(counts_x / len(x) - counts_y / len(y)).sum())
+        return counts_x, counts_y, tv
+
+    counts_a, counts_b, tv = binned_tv(seg_a, seg_b)
+    null = binned_tv(seg_a[:N // 2], seg_a[N // 2:])[2]
     return GridHistogram(d, bins_per_axis, ranges, counts_a, counts_b, tv, null)
 
 

@@ -98,7 +98,7 @@ def sample_sphere(m: int, radius: float, s: StreamLike) -> np.ndarray:
     if not radius > 0:
         raise InvalidDimensionError(f"sphere radius must be positive, got {radius}")
     rng = ensure_generator(s)
-    return radius * _unit_rows(rng, 1, m, _SPHERE_TINY)[0]
+    return radius * _unit_rows(rng, 1, m)[0]
 
 
 def sample_frame2(n: int, kind: str, s: StreamLike) -> Frame2:
@@ -162,8 +162,8 @@ def _tail_factor(rng: np.random.Generator, count: int, m: int, kind: str):
     return np.stack([c1, np.zeros(count)], axis=1), np.stack([z, c2], axis=1)
 
 
-def _unit_rows(rng: np.random.Generator, count: int, m: int, tiny: float = _RESIDUAL_TINY,
-               kind: str = "real", head: Optional[int] = None) -> np.ndarray:
+def _unit_rows(rng: np.random.Generator, count: int, m: int, kind: str = "real",
+               head: Optional[int] = None) -> np.ndarray:
     """Leading ``head`` coordinates (default all m) of uniform unit m-vectors.
 
     With head < m the other m - head coordinates are never drawn: the
@@ -182,8 +182,8 @@ def _unit_rows(rng: np.random.Generator, count: int, m: int, tiny: float = _RESI
 
     g = draw(count)
     norms = np.linalg.norm(g, axis=1)
-    while np.any(norms < tiny):
-        bad = norms < tiny
+    while np.any(norms < _SPHERE_TINY):
+        bad = norms < _SPHERE_TINY
         g[bad] = draw(int(bad.sum()))
         norms[bad] = np.linalg.norm(g[bad], axis=1)
     return g[:, :head] / norms[:, None]

@@ -49,7 +49,16 @@ def _parse_record(obj, lineno: int) -> Polygon:
                        for e in edges)):
         raise ParseError(f"line {lineno}: edges must be a nonempty list of "
                          f"length-{dim} coordinate rows")
-    return Polygon(dim=dim, closed=closed, edges=np.asarray(edges, dtype=float))
+    # Python's json reads NaN, Infinity and -Infinity, which JSON does not
+    # have, and 1e999 as inf; an integer too large for a double overflows.
+    try:
+        coords = np.asarray(edges, dtype=float)
+        finite = bool(np.isfinite(coords).all())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParseError(f"line {lineno}: edge coordinates must be finite numbers")
+    return Polygon(dim=dim, closed=closed, edges=coords)
 
 
 def read_ensemble(path: PathOrFile) -> List[Polygon]:

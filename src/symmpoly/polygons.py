@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidSizeError
-from .haar import (SeedStream, StreamLike, _SPHERE_TINY, _frame2_batch,
-                   _unit_rows, ensure_generator)
+from .haar import (SeedStream, StreamLike, _frame2_batch, _unit_rows,
+                   ensure_generator)
 
 SPACES = ("arm2", "pol2", "arm3", "pol3")
 
@@ -98,10 +98,10 @@ def arm_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
     shape (count, k, dim)."""
     k = n if k is None else k
     if dim == 2:
-        pts = math.sqrt(2.0) * _unit_rows(rng, count, 2 * n, _SPHERE_TINY, head=2 * k)
+        pts = math.sqrt(2.0) * _unit_rows(rng, count, 2 * n, head=2 * k)
         zc = pts.reshape(count, k, 2)
         return square_map(zc[..., 0] + 1j * zc[..., 1])
-    pts = math.sqrt(2.0) * _unit_rows(rng, count, 4 * n, _SPHERE_TINY, head=4 * k)
+    pts = math.sqrt(2.0) * _unit_rows(rng, count, 4 * n, head=4 * k)
     return hopf_map(pts.reshape(count, k, 4))
 
 

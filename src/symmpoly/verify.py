@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 from scipy import integrate, stats
@@ -22,10 +22,10 @@ from scipy import integrate, stats
 from . import bounds, densities
 # covariance_partition and _haar_unitary_batch have no caller here; they stay
 # importable from this module because benchmark tracers wrap them by name.
-from .ensembles import (_chunk_counts, _worker_pool, assemble_partition,
-                        bootstrap_se, bootstrap_stat_se, chebyshev_coverage,
-                        covariance_partition, estimate_tv, functional_samples,
-                        ks_distance)
+from .ensembles import (_chunk_counts, _moments, _worker_pool,
+                        assemble_partition, bootstrap_se, bootstrap_stat_se,
+                        chebyshev_coverage, covariance_partition, estimate_tv,
+                        functional_samples, ks_distance)
 from .haar import SeedStream, _haar_unitary_batch, _unit_rows
 from .io import format_cell, write_csv
 from .polygons import space_dim
@@ -114,12 +114,6 @@ def _structural_checks(space: str, n: int, N: int, seed: int, workers: int,
     out.append(_check(1, f"structural_{space}_perimeter", perim_gap, "<=", 1e-10))
 
 
-def _moments(arr: np.ndarray) -> Tuple[float, float, float]:
-    mean = float(arr.mean())
-    var = float(arr.var(ddof=1))
-    return mean, var, math.sqrt(var / arr.size)
-
-
 def run_verify(level: str = "desk", seed: int = 7,
                workers: int = 1) -> List[CheckResult]:
     """Run the full check suite; deep level scales sample counts by 10."""
@@ -135,23 +129,24 @@ def _run_checks(scale: int, seed: int, workers: int) -> List[CheckResult]:
     N_struct = DESK_N_STRUCT * scale
     results: List[CheckResult] = []
 
+    def draw(space: str, n: int, functionals: List[str]) -> Dict[str, np.ndarray]:
+        return functional_samples(space, n, N, functionals, seed,
+                                  stream_id=STREAM_IDS[f"{space}_{n}"],
+                                  workers=workers)[0]
+
     # Criterion 1: every closed sample closes and has perimeter 2.
     _structural_checks("pol2", 50, N_struct, seed, workers, results)
     _structural_checks("pol3", 50, N_struct, seed, workers, results)
 
     # Criterion 2: open-chain angle moments.
-    arm2_vals, _ = functional_samples("arm2", 100, N, ["theta1", "theta1^2"],
-                                      seed, stream_id=STREAM_IDS["arm2_100"],
-                                      workers=workers)
+    arm2_vals = draw("arm2", 100, ["theta1", "theta1^2"])
     t1_mean, _, t1_se = _moments(arm2_vals["theta1"])
     t1sq_mean, _, t1sq_se = _moments(arm2_vals["theta1^2"])
     results.append(_check(2, "arm_turning_mean",
                           abs(t1_mean - math.pi / 2), "<=", 4 * t1_se))
     results.append(_check(2, "arm_turning_second_moment",
                           abs(t1sq_mean - math.pi**2 / 3), "<=", 4 * t1sq_se))
-    arm3_vals, _ = functional_samples("arm3", 50, N, ["tau1", "tau3"], seed,
-                                      stream_id=STREAM_IDS["arm3_50"],
-                                      workers=workers)
+    arm3_vals = draw("arm3", 50, ["tau1", "tau3"])
     tau1 = arm3_vals["tau1"]
     tau3 = arm3_vals["tau3"]
     tau1_mean, tau1_var, tau1_se = _moments(tau1)
@@ -164,16 +159,12 @@ def _run_checks(scale: int, seed: int, workers: int) -> List[CheckResult]:
                           abs(rho), "<=", 4 / math.sqrt(tau1.size)))
 
     # Criterion 3: closed-polygon curvature means.
-    pol3_50_vals, _ = functional_samples("pol3", 50, N, ["total_curvature"],
-                                         seed, stream_id=STREAM_IDS["pol3_50"],
-                                         workers=workers)
+    pol3_50_vals = draw("pol3", 50, ["total_curvature"])
     k50_mean, _, k50_se = _moments(pol3_50_vals["total_curvature"])
     expected = 25 * math.pi + (math.pi / 4) * (100 / 97)
     results.append(_check(3, "closed_curvature_mean_spatial",
                           abs(k50_mean - expected), "<=", 4 * k50_se))
-    pol2_100_vals, _ = functional_samples(
-        "pol2", 100, N, ["theta1", "theta2", "theta3", "total_curvature"],
-        seed, stream_id=STREAM_IDS["pol2_100"], workers=workers)
+    pol2_100_vals = draw("pol2", 100, ["theta1", "theta2", "theta3", "total_curvature"])
     kappa100 = pol2_100_vals["total_curvature"]
     k100_mean, k100_var, k100_se = _moments(kappa100)
     excess = k100_mean - 50 * math.pi
@@ -185,20 +176,16 @@ def _run_checks(scale: int, seed: int, workers: int) -> List[CheckResult]:
     p_t1_mean, _, p_t1_se = _moments(pol2_100_vals["theta1"])
     results.append(_check(4, "transfer_turning",
                           abs(p_t1_mean - t1_mean), "<=",
-                          math.pi * bounds.b2(2, 100) + 4 * (p_t1_se + t1_se)))
-    pol3_100_vals, _ = functional_samples("pol3", 100, N,
-                                          ["tau1", "total_torsion"], seed,
-                                          stream_id=STREAM_IDS["pol3_100"],
-                                          workers=workers)
-    arm3_100_vals, _ = functional_samples("arm3", 100, N,
-                                          ["tau1", "total_torsion"], seed,
-                                          stream_id=STREAM_IDS["arm3_100"],
-                                          workers=workers)
+                          bounds.expectation_transfer_gap(math.pi, 2, 2, 100)
+                          + 4 * (p_t1_se + t1_se)))
+    pol3_100_vals = draw("pol3", 100, ["tau1", "total_torsion"])
+    arm3_100_vals = draw("arm3", 100, ["tau1", "total_torsion"])
     p_tau_mean, _, p_tau_se = _moments(pol3_100_vals["tau1"])
     a_tau_mean, _, a_tau_se = _moments(arm3_100_vals["tau1"])
     results.append(_check(4, "transfer_torsion",
                           abs(p_tau_mean - a_tau_mean), "<=",
-                          math.pi * bounds.b3(3, 100) + 4 * (p_tau_se + a_tau_se)))
+                          bounds.expectation_transfer_gap(math.pi, 3, 3, 100)
+                          + 4 * (p_tau_se + a_tau_se)))
 
     # Criterion 5: binned TV against the closed-form bounds.
     tv_planar = estimate_tv("pol2", "arm2", 100, 1, N_tv, 12, seed,
@@ -227,9 +214,7 @@ def _run_checks(scale: int, seed: int, workers: int) -> List[CheckResult]:
     results.extend(formula_checks())
 
     # Criterion 7: variance bounds with bootstrap slack.
-    pol2_200_vals, _ = functional_samples("pol2", 200, N, ["total_curvature"],
-                                          seed, stream_id=STREAM_IDS["pol2_200"],
-                                          workers=workers)
+    pol2_200_vals = draw("pol2", 200, ["total_curvature"])
     kappa200 = pol2_200_vals["total_curvature"]
     var200 = float(kappa200.var(ddof=1))
     se_var200 = bootstrap_se(kappa200, lambda a: a.var(ddof=1),

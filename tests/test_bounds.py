@@ -5,6 +5,7 @@ integer fractions and frozen here.
 """
 import math
 
+import numpy as np
 import pytest
 
 from symmpoly import (BoundUndefinedError, DomainError, InvalidDimensionError,
@@ -280,3 +281,27 @@ def test_evaluate_invalid_params():
         evaluate("nonsense", k=1, n=10)
     with pytest.raises(DomainError):
         evaluate("b2", k=1)
+
+
+def test_numpy_integers_give_the_int_values():
+    # same value and type for numpy integer arguments, n = 10**6 included,
+    # where n**4 would overflow int64
+    i = np.int64
+    cases = [
+        (b2, (1, 100)), (b2, (3, 10**6)), (b3, (1, 100)), (b3, (2, 10**6)),
+        (ortho_block_bound, (2, 2, 100)), (sphere_marginal_bound, (2, 200)),
+        (unitary_block_bound, (1, 2, 10**6)), (asymptotic_slope, (2, 3)),
+        (asymptotic_slope, (3, 3)), (curvature_variance_bound, (10**6,)),
+        (torsion_variance_bound, (10**6,)),
+        (expectation_transfer_gap, (math.pi, 3, 3, 10**6)),
+    ]
+    for fn, args in cases:
+        want = fn(*args)
+        got = fn(*(i(a) if isinstance(a, int) else a for a in args))
+        assert got == want and type(got) is float, (fn.__name__, args)
+    for family, params in (("b2", dict(k=1, n=100)), ("b3", dict(k=2, n=10**6)),
+                           ("torsion_var", dict(n=100))):
+        got = evaluate(family, **{k: i(v) for k, v in params.items()})
+        want = evaluate(family, **params)
+        assert got.valid and got.value == want.value
+        assert got.asymptote_coeff == want.asymptote_coeff

@@ -190,3 +190,17 @@ def test_ratio_profile_domain():
         ratio_profile(1, 4, 10**5)  # needs r + 3 < n
     with pytest.raises(DomainError):
         ratio_profile(1, 20, 999)
+
+
+def test_numpy_integers_give_the_int_values():
+    i = np.int64
+    assert ln_multigamma(i(2), 3.0) == ln_multigamma(2, 3.0)
+    assert block_density(0.1, i(10)) == block_density(0.1, 10)
+    assert block_density(0.1, i(10**6)) == block_density(0.1, 10**6)
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    assert wishart_density(a, i(2), i(5), np.eye(2)) \
+        == wishart_density(a, 2, 5, np.eye(2))
+    assert cbi_density(0.3, i(1), 2.0, 8.0) == cbi_density(0.3, 1, 2.0, 8.0)
+    assert ratio_profile(1, i(20), 100_000) == ratio_profile(1, 20, 100_000)
+    assert ratio_profile(i(2), i(10**6), i(1000)) \
+        == ratio_profile(2, 10**6, 1000)

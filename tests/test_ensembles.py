@@ -114,6 +114,11 @@ def test_plan_validation():
     functional_samples("pol3", 10, 100, ["tau10"], SEED, stream_id=7)
     with pytest.raises(InvalidSizeError):
         functional_samples("arm3", 10, 100, ["tau9"], SEED)
+    # a window is a whole number of edges
+    for k in (2.0, 0, 11):
+        wide = LocalFunctional(k=k, bound_M=1.0, eval=_first_edge_length, name="w")
+        with pytest.raises(InvalidSizeError, match="needs a window"):
+            functional_samples("arm2", 10, 100, [wide, "total_curvature"], SEED)
 
 
 def test_run_ensemble_summary_fields():
@@ -273,6 +278,39 @@ def test_window_plan_matches_full_plan_in_law(space, n):
         assert p > WINDOW_KS_P_FLOOR, (space, n, name, p)
 
 
+def _plan_reference(fns, edges, closed, space):
+    # every op kind, read off the kernels directly
+    angles = _batch_turning(edges, closed)[0]
+    taus = _batch_torsion(edges, closed)[0] if space.endswith("3") else None
+    out = {}
+    for f in fns:
+        if isinstance(f, LocalFunctional):
+            out[f.name] = np.array([f.eval(w[:f.k]) for w in edges])
+        elif f == "total_curvature":
+            out[f] = angles.sum(axis=1)
+        elif f == "total_torsion":
+            out[f] = taus.sum(axis=1)
+        elif f == "theta1^2":
+            out[f] = angles[:, 0] ** 2
+        elif f == "theta1*theta2":
+            out[f] = angles[:, 0] * angles[:, 1]
+        elif f.startswith("theta"):
+            out[f] = angles[:, int(f[5:]) - 1]
+        else:
+            out[f] = taus[:, int(f[3:]) - 1]
+    return out
+
+
+def _chunked_reference(space, n, N, chunk_size, sid, fns, k, closed):
+    stream = SeedStream(SEED, sid)
+    parts = []
+    for c, start in enumerate(range(0, N, chunk_size)):
+        edges = space_edges_batch(stream.chunk_generator(c),
+                                  min(chunk_size, N - start), space, n, k=k)
+        parts.append(_plan_reference(fns, edges, closed, space))
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
 @pytest.mark.parametrize("space,n,fns", [
     ("pol2", 10, ["theta10"]),
     ("pol2", 12, ["theta1", "total_curvature"]),
@@ -280,6 +318,8 @@ def test_window_plan_matches_full_plan_in_law(space, n):
     ("pol3", 10, ["tau9", "theta2"]),
     ("pol3", 10, ["tau10"]),
     ("arm3", 10, ["tau1", "total_torsion"]),
+    ("pol2", 12, ["theta1*theta2", EDGE_LENGTH, "theta12"]),
+    ("arm3", 10, [EDGE_LENGTH, "theta1*theta2", "total_curvature"]),
 ])
 def test_full_plans_keep_full_draws(space, n, fns):
     # bit for bit the kernels on whole polygons from each chunk's generator
@@ -287,44 +327,24 @@ def test_full_plans_keep_full_draws(space, n, fns):
     vals, excluded = functional_samples(space, n, N, fns, SEED, stream_id=sid,
                                         chunk_size=chunk_size)
     assert excluded == 0
-    stream = SeedStream(SEED, sid)
-    closed = space.startswith("pol")
-    parts = {name: [] for name in fns}
-    for c, start in enumerate(range(0, N, chunk_size)):
-        edges = space_edges_batch(stream.chunk_generator(c),
-                                  min(chunk_size, N - start), space, n)
-        angles = _batch_turning(edges, closed)[0]
-        taus = _batch_torsion(edges, closed)[0] if space.endswith("3") else None
-        for name in fns:
-            if name == "total_curvature":
-                parts[name].append(angles.sum(axis=1))
-            elif name == "total_torsion":
-                parts[name].append(taus.sum(axis=1))
-            elif name == "theta1^2":
-                parts[name].append(angles[:, 0] ** 2)
-            elif name.startswith("theta"):
-                parts[name].append(angles[:, int(name[5:]) - 1])
-            else:
-                parts[name].append(taus[:, int(name[3:]) - 1])
-    for name in fns:
-        assert np.array_equal(vals[name], np.concatenate(parts[name])), name
+    ref = _chunked_reference(space, n, N, chunk_size, sid, fns, None,
+                             space.startswith("pol"))
+    assert list(vals) == list(ref)
+    for name in ref:
+        assert np.array_equal(vals[name], ref[name]), name
 
 
 def test_window_plan_reads_open_kernels_on_heads():
     # pol3 theta2 and tau2 read four leading edges: the open-chain kernels
     # on a four-edge head from each chunk's generator, bit for bit
     N, chunk_size, sid = 300, 128, 61
-    vals, _ = functional_samples("pol3", 30, N, ["theta2", "tau2"], SEED,
-                                 stream_id=sid, chunk_size=chunk_size)
-    stream = SeedStream(SEED, sid)
-    theta, tau = [], []
-    for c, start in enumerate(range(0, N, chunk_size)):
-        head = space_edges_batch(stream.chunk_generator(c),
-                                 min(chunk_size, N - start), "pol3", 30, k=4)
-        theta.append(_batch_turning(head, False)[0][:, 1])
-        tau.append(_batch_torsion(head, False)[0][:, 1])
-    assert np.array_equal(vals["theta2"], np.concatenate(theta))
-    assert np.array_equal(vals["tau2"], np.concatenate(tau))
+    fns = ["theta2", "tau2", "theta1*theta2", EDGE_LENGTH]
+    vals, _ = functional_samples("pol3", 30, N, fns, SEED, stream_id=sid,
+                                 chunk_size=chunk_size)
+    ref = _chunked_reference("pol3", 30, N, chunk_size, sid, fns, 4, False)
+    assert list(vals) == list(ref)
+    for name in ref:
+        assert np.array_equal(vals[name], ref[name]), name
 
 
 def _count_pools(monkeypatch):

@@ -83,6 +83,17 @@ def test_non_integer_dim_is_rejected():
             read_ensemble(io.StringIO(good + "\n" + record + "\n"))
 
 
+def test_non_finite_coordinates_are_rejected():
+    # NaN and +-Infinity are not JSON; 1e999 and a 400-digit integer
+    # overflow a double
+    good = '{"dim": 2, "closed": false, "edges": [[1, 0]]}'
+    for bad in ("NaN", "Infinity", "-Infinity", "1e999", "9" * 400):
+        record = ('{"dim": 2, "closed": false, "edges": [[%s, 1], [0, 0]]}'
+                  % bad)
+        with pytest.raises(ParseError, match="line 2: edge coordinates"):
+            read_ensemble(io.StringIO(good + "\n" + record + "\n"))
+
+
 def test_format_cell():
     assert format_cell(None) == ""
     assert format_cell(True) == "true"
