@@ -8,11 +8,11 @@ the open and closed laws, matrix-variate densities behind those bounds,
 and a seeded Monte Carlo harness that verifies every quantitative claim.
 """
 from . import bounds, densities, ensembles, io, verify
-from .bounds import (BoundEvaluation, alpha_limit, alpha_threshold,
-                     asymptotic_slope, b2, b3, chebyshev_interval,
-                     curvature_variance_bound, expectation_transfer_gap,
-                     ortho_block_bound, sphere_marginal_bound,
-                     torsion_variance_bound, unitary_block_bound)
+from .bounds import (alpha_limit, alpha_threshold, asymptotic_slope, b2, b3,
+                     chebyshev_interval, curvature_variance_bound,
+                     expectation_transfer_gap, ortho_block_bound,
+                     sphere_marginal_bound, torsion_variance_bound,
+                     unitary_block_bound)
 from .cli import DEFAULT_SEED
 from .densities import (block_density, cbi_density, ensure_hermitian,
                         hermitian_logdet, ln_multigamma, ratio_profile,
@@ -30,8 +30,7 @@ from .errors import (BoundUndefinedError, DegenerateEdgeError,
 from .functionals import (LocalFunctional, sliding_window_apply,
                           torsion_angle, torsion_angles, total_curvature,
                           total_torsion, turning_angle, turning_angles)
-from .haar import (Frame2, SeedStream, ensure_generator, sample_frame2,
-                   sample_sphere)
+from .haar import SeedStream, ensure_generator
 from .io import (polygon_record_line, read_ensemble, write_csv,
                  write_ensemble)
 from .polygons import (SPACES, Polygon, closure_residual, hopf_map,

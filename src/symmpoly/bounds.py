@@ -12,7 +12,8 @@ Gaussian or open-chain counterparts:
   open-chain segment, assembled from the block and sphere bounds.
 
 All distances use the integral convention ``tv = |mu - nu|(whole space)``
-with maximum 2, so every bound is also exposed clipped at 2.
+with maximum 2, so a bound above 2 carries no information; ``symmpoly
+bounds`` prints each segment bound next to its value clipped at 2.
 
 Integer-heavy subexpressions are evaluated in exact integer arithmetic and
 divided once, which keeps the large-n asymptote checks accurate.
@@ -21,29 +22,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import BoundUndefinedError, DomainError, InvalidDimensionError
-
-FAMILIES = ("ortho_block", "sphere_marginal", "unitary_block", "b2", "b3",
-            "curvature_var", "torsion_var")
-
-
-@dataclass(frozen=True)
-class BoundEvaluation:
-    """A bound value with its parameters and validity flag."""
-
-    family: str
-    params: dict
-    value: Optional[float]
-    valid: bool
-    asymptote_coeff: Optional[float] = None
-
-    @property
-    def clipped(self) -> Optional[float]:
-        """Value clipped at 2, the maximum total-variation distance."""
-        return None if self.value is None else min(self.value, 2.0)
 
 
 def _check_positive_int(name: str, v) -> int:
@@ -216,35 +197,3 @@ def chebyshev_interval(center: float, var_bound: float, lam: float
         raise DomainError(f"lambda must be positive, got {lam}")
     half = lam * math.sqrt(var_bound)
     return (center - half, center + half, max(0.0, 1.0 - 1.0 / (lam * lam)))
-
-
-def evaluate(family: str, **params) -> BoundEvaluation:
-    """Evaluate a bound family, reporting validity instead of raising.
-
-    Returns a BoundEvaluation whose ``valid`` flag is False (with no value)
-    when the parameters fall outside the family's range.
-    """
-    if family not in FAMILIES:
-        raise DomainError(f"unknown bound family {family!r}; expected one of {FAMILIES}")
-    fns = {
-        "ortho_block": lambda: ortho_block_bound(params["r"], params["s"], params["n"]),
-        "sphere_marginal": lambda: sphere_marginal_bound(params["k"], params["m"]),
-        "unitary_block": lambda: unitary_block_bound(params["r"], params["s"], params["n"]),
-        "b2": lambda: b2(params["k"], params["n"]),
-        "b3": lambda: b3(params["k"], params["n"]),
-        "curvature_var": lambda: curvature_variance_bound(
-            params["n"], params.get("refined", False), params.get("eps")),
-        "torsion_var": lambda: torsion_variance_bound(params["n"]),
-    }
-    coeff = None
-    try:
-        if family == "b2":
-            coeff = asymptotic_slope(2, params["k"])
-        elif family == "b3" and params.get("k", 0) >= 2:
-            coeff = asymptotic_slope(3, params["k"])
-        value = fns[family]()
-    except KeyError as exc:
-        raise DomainError(f"missing parameter {exc} for family {family!r}") from exc
-    except (BoundUndefinedError, DomainError):
-        return BoundEvaluation(family, dict(params), None, False, coeff)
-    return BoundEvaluation(family, dict(params), float(value), True, coeff)

@@ -6,7 +6,8 @@ check suite), density-check (matrix-density checks CSV).
 
 Every command takes --seed (default 7) and is byte-deterministic given its
 flags; --workers only changes scheduling. Exit codes: 0 success, 1 failed
-verification checks, 2 usage or domain errors.
+verification checks, 2 usage or domain errors and output files that cannot
+be written.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import bounds
-from .errors import SymmpolyError
+from .errors import BoundUndefinedError, SymmpolyError
 from .ensembles import estimate_tv, run_ensemble, segment_samples
 from .io import write_csv, write_ensemble
 from .polygons import SPACES, Polygon, space_dim
@@ -187,12 +188,14 @@ def _cmd_bounds(args) -> int:
         ks = list(range(1, top + 1))
     rows = []
     for k in ks:
-        ev = bounds.evaluate(family, k=k, n=args.n)
-        if not ev.valid:
+        try:
+            value = getattr(bounds, family)(k, args.n)
+        except BoundUndefinedError as exc:
             raise SymmpolyError(
-                f"{family}(k={k}, n={args.n}) is outside the bound's validity range")
-        rows.append((ev.family, k, args.n, ev.value, ev.clipped,
-                     ev.asymptote_coeff))
+                f"{family}(k={k}, n={args.n}) is outside the bound's validity range") from exc
+        # b3 at k = 1 is the assembly form, which has no c/n asymptote
+        coeff = bounds.asymptotic_slope(args.dim, k) if args.dim == 2 or k >= 2 else None
+        rows.append((family, k, args.n, value, min(value, 2.0), coeff))
     with _out_stream(args.out) as fh:
         write_csv(fh, BOUNDS_HEADER, rows)
     return 0
@@ -225,10 +228,7 @@ def run(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except SymmpolyError as exc:
-        print(f"symmpoly: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+    except (SymmpolyError, RuntimeError, OSError) as exc:
         print(f"symmpoly: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,9 @@ Sampling is split into fixed-size chunks; chunk c of logical stream
 (stream_id, c), and per-chunk results are concatenated in chunk order
 before any statistic is computed. Worker processes only change how chunks
 are scheduled, never which generator produced which sample, so every
-estimate here is bit-identical for a fixed (seed, N, CHUNK_SIZE)
-regardless of the worker count.
+estimate here is bit-identical for a fixed (seed, N) regardless of the
+worker count. CHUNK_SIZE is a fixed constant, and the chunk layout is part
+of the output contract: another size would draw other samples.
 
 Functionals are named builtins, listed with their values and the leading
 edges each reads in the README table "Builtin functionals" and parsed only
@@ -230,8 +231,12 @@ def _eval_chunk(args):
     return space_edges_batch(rng, count, space, n, task[1]).reshape(count, -1), 0
 
 
-def _chunk_counts(N: int, chunk_size: int) -> List[int]:
-    return [min(chunk_size, N - start) for start in range(0, N, chunk_size)]
+def _chunk_counts(N: int) -> List[int]:
+    """Sample counts of the chunks of an N-sample stream. CHUNK_SIZE is
+    looked up at call time: tests shrink it to get multi-chunk runs cheaply."""
+    _check_positive("sample count", N)
+    N = int(N)
+    return [min(CHUNK_SIZE, N - start) for start in range(0, N, CHUNK_SIZE)]
 
 
 def _is_int(value) -> bool:
@@ -272,12 +277,10 @@ def _worker_pool(workers: int) -> Iterator:
 
 
 def _run_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
-                workers: int, chunk_size: int) -> list:
-    for what, value in (("sample count", N), ("chunk size", chunk_size),
-                        ("worker count", workers)):
-        _check_positive(what, value)
+                workers: int) -> list:
     args = [(space, n, seed, stream_id, chunk, count, task)
-            for chunk, count in enumerate(_chunk_counts(int(N), int(chunk_size)))]
+            for chunk, count in enumerate(_chunk_counts(N))]
+    _check_positive("worker count", workers)
     if workers == 1 or len(args) == 1:
         return [_eval_chunk(a) for a in args]
     with _worker_pool(workers) as pool:
@@ -286,8 +289,7 @@ def _run_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
 
 def functional_samples(space: str, n: int, N: int,
                        functionals: Sequence[FunctionalSpec], seed: int, *,
-                       stream_id: int = 0, workers: int = 1,
-                       chunk_size: int = CHUNK_SIZE
+                       stream_id: int = 0, workers: int = 1
                        ) -> Tuple[Dict[str, np.ndarray], int]:
     """Per-sample functional values over a seeded ensemble.
 
@@ -304,7 +306,7 @@ def functional_samples(space: str, n: int, N: int,
     """
     plan = _build_plan(space, n, functionals)
     results = _run_chunks(space, n, N, seed, stream_id,
-                          ("functionals", tuple(functionals)), workers, chunk_size)
+                          ("functionals", tuple(functionals)), workers)
     values = {op.name: np.concatenate([chunk[0][op.name] for chunk in results])
               for op in plan.ops}
     excluded = sum(chunk[1] for chunk in results)
@@ -317,18 +319,16 @@ def functional_samples(space: str, n: int, N: int,
 
 def run_ensemble(space: str, n: int, N: int,
                  functionals: Sequence[FunctionalSpec], seed: int, *,
-                 stream_id: int = 0, workers: int = 1,
-                 chunk_size: int = CHUNK_SIZE) -> EnsembleSummary:
+                 stream_id: int = 0, workers: int = 1) -> EnsembleSummary:
     """Sample N polygons and estimate mean/variance/SE of each functional.
 
-    Deterministic for fixed (seed, stream_id, N, chunk_size): the worker
-    count never changes any output value.
+    Deterministic for fixed (seed, stream_id, N): the worker count never
+    changes any output value.
     """
     if not _is_int(N) or N < 2:
         raise DomainError(f"moment estimation needs N >= 2 samples, got {N!r}")
     values, excluded = functional_samples(space, n, N, functionals, seed,
-                                          stream_id=stream_id, workers=workers,
-                                          chunk_size=chunk_size)
+                                          stream_id=stream_id, workers=workers)
     records = tuple(FunctionalStats(name, *_moments(arr)) for name, arr in values.items())
     return EnsembleSummary(space, n, N, seed, records, excluded)
 
@@ -341,8 +341,7 @@ def _moments(arr: np.ndarray) -> Tuple[float, float, float]:
 
 
 def segment_samples(space: str, n: int, k: int, N: int, seed: int, *,
-                    stream_id: int = 0, workers: int = 1,
-                    chunk_size: int = CHUNK_SIZE) -> np.ndarray:
+                    stream_id: int = 0, workers: int = 1) -> np.ndarray:
     """N flattened k-edge segments (shape (N, dim*k)) from a seeded ensemble.
 
     Each sample is the first k edges of an n-edge polygon, drawn at O(k)
@@ -355,15 +354,14 @@ def segment_samples(space: str, n: int, k: int, N: int, seed: int, *,
         raise DomainError(f"unknown space {space!r}; expected one of {SPACES}")
     if not _is_int(k) or not 1 <= k <= n:
         raise InvalidSizeError(f"segment length must satisfy 1 <= k <= n, got k={k!r}")
-    results = _run_chunks(space, n, N, seed, stream_id, ("segments", k),
-                          workers, chunk_size)
+    results = _run_chunks(space, n, N, seed, stream_id, ("segments", k), workers)
     return np.concatenate([chunk[0] for chunk in results], axis=0)
 
 
 def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
                 bins_per_axis: int, seed: int, *,
-                stream_ids: Tuple[int, int] = (0, 1), workers: int = 1,
-                chunk_size: int = CHUNK_SIZE) -> GridHistogram:
+                stream_ids: Tuple[int, int] = (0, 1), workers: int = 1
+                ) -> GridHistogram:
     """Binned total-variation estimate between k-segment marginals.
 
     Draws N k-segments from each space, bins both on a shared grid spanning
@@ -388,9 +386,9 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
         raise DomainError("same-law comparison needs distinct stream ids")
     with _worker_pool(workers):
         seg_a = segment_samples(space_a, n, k, N, seed, stream_id=stream_ids[0],
-                                workers=workers, chunk_size=chunk_size)
+                                workers=workers)
         seg_b = segment_samples(space_b, n, k, N, seed, stream_id=stream_ids[1],
-                                workers=workers, chunk_size=chunk_size)
+                                workers=workers)
     lo = np.minimum(seg_a.min(axis=0), seg_b.min(axis=0))
     hi = np.maximum(seg_a.max(axis=0), seg_b.max(axis=0))
     pad = np.maximum(0.005 * (hi - lo), 1e-12)
@@ -408,8 +406,8 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
 
 
 def covariance_partition(space: str, n: int, N: int, seed: int, *,
-                         stream_id: int = 0, workers: int = 1,
-                         chunk_size: int = CHUNK_SIZE) -> CovariancePartition:
+                         stream_id: int = 0, workers: int = 1
+                         ) -> CovariancePartition:
     """Partition the variance of total curvature by angle separation.
 
     Draws theta1, theta2, theta3 as a window plan (four leading edges per
@@ -420,8 +418,7 @@ def covariance_partition(space: str, n: int, N: int, seed: int, *,
     if not _is_int(n) or n < 7:
         raise InvalidSizeError(f"covariance partition needs n >= 7, got {n!r}")
     values, _ = functional_samples(space, n, N, ["theta1", "theta2", "theta3"],
-                                   seed, stream_id=stream_id, workers=workers,
-                                   chunk_size=chunk_size)
+                                   seed, stream_id=stream_id, workers=workers)
     return assemble_partition(n, values["theta1"], values["theta2"], values["theta3"])
 
 

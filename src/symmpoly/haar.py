@@ -1,9 +1,13 @@
-"""Seeded Haar sampling: spheres, Stiefel 2-frames, and unitary matrices.
+"""Seeded randomness and the Haar draws behind the polygon samplers.
 
-All samplers draw from a ``SeedStream`` (or an existing numpy Generator).
-Streams are value-like: the same (seed, stream_id) reproduces the same
-draws, and distinct stream_ids are statistically independent, so parallel
-workers can each own a stream without coordination.
+``SeedStream`` names a position in the seeded randomness. Streams are
+value-like: the same (seed, stream_id) reproduces the same draws, and
+distinct stream_ids are statistically independent, so parallel workers can
+each own a stream without coordination.
+
+The batch internals draw uniform unit vectors (``_unit_rows``), orthonormal
+2-frames (``_frame2_batch``) and Haar unitaries from an explicit Generator;
+the samplers in ``polygons`` are built on the first two.
 """
 from __future__ import annotations
 
@@ -72,66 +76,10 @@ def ensure_generator(s: StreamLike) -> np.random.Generator:
     raise TypeError(f"expected SeedStream or numpy Generator, got {type(s).__name__}")
 
 
-@dataclass(frozen=True)
-class Frame2:
-    """Two orthonormal columns of a Haar orthogonal/unitary matrix.
-
-    ``col_a`` and ``col_b`` are unit n-vectors (real or complex according
-    to ``scalar_kind``) with vanishing inner product.
-    """
-
-    n: int
-    scalar_kind: str  # "real" | "complex"
-    col_a: np.ndarray
-    col_b: np.ndarray
-
-
-def sample_sphere(m: int, radius: float, s: StreamLike) -> np.ndarray:
-    """Uniform point on the sphere of the given radius in R^m.
-
-    Realized by normalizing a standard Gaussian m-vector; the Gaussian law
-    is rotation invariant, so the result carries the uniform surface
-    measure.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidDimensionError(f"sphere dimension m must be >= 1, got {m}")
-    if not radius > 0:
-        raise InvalidDimensionError(f"sphere radius must be positive, got {radius}")
-    rng = ensure_generator(s)
-    return radius * _unit_rows(rng, 1, m)[0]
-
-
-def sample_frame2(n: int, kind: str, s: StreamLike) -> Frame2:
-    """Uniform orthonormal 2-frame in R^n or C^n.
-
-    Gram-Schmidt on two independent Gaussian vectors; equal in law to the
-    first two columns of a Haar orthogonal (real) or unitary (complex)
-    matrix, at O(n) cost per sample.
-
-    Parameters
-    ----------
-    n : int
-        Ambient dimension, at least 2.
-    kind : str
-        "real" or "complex".
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidDimensionError(f"frame dimension n must be >= 2, got {n}")
-    rng = ensure_generator(s)
-    pair = _frame2_batch(rng, 1, n, _validated_kind(kind))[0]
-    return Frame2(n=int(n), scalar_kind=kind, col_a=pair[0], col_b=pair[1])
-
-
 # ---------------------------------------------------------------------------
 # Batch internals shared with the ensemble engine. All take an explicit
 # Generator and consume a draw count that depends only on (count, n) except
 # for probability-zero redraws, which stay inside the same generator.
-
-def _validated_kind(kind: str) -> str:
-    if kind not in ("real", "complex"):
-        raise InvalidDimensionError(f"frame kind must be 'real' or 'complex', got {kind!r}")
-    return kind
-
 
 def _gaussian_rows(rng: np.random.Generator, count: int, m: int, kind: str = "real") -> np.ndarray:
     if kind == "real":

@@ -308,8 +308,8 @@ def formula_checks() -> List[CheckResult]:
     return out
 
 
-def _block_gram_scalars(seed: int, stream_id: int, N: int, n: int,
-                        chunk_size: int = 4096) -> Dict[int, np.ndarray]:
+def _block_gram_scalars(seed: int, stream_id: int, N: int,
+                        n: int) -> Dict[int, np.ndarray]:
     """Delta* Delta for the leading p x 1 blocks (p = 1, 2) of N Haar
     unitaries of size n, sampled with the chunked scheme.
 
@@ -319,7 +319,7 @@ def _block_gram_scalars(seed: int, stream_id: int, N: int, n: int,
     """
     stream = SeedStream(seed, stream_id)
     parts = {1: [], 2: []}
-    for chunk, count in enumerate(_chunk_counts(N, chunk_size)):
+    for chunk, count in enumerate(_chunk_counts(N)):
         rng = stream.chunk_generator(chunk)
         col_sq = np.abs(_unit_rows(rng, count, n, kind="complex", head=2)) ** 2
         parts[1].append(col_sq[:, 0])

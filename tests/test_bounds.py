@@ -14,7 +14,6 @@ from symmpoly import (BoundUndefinedError, DomainError, InvalidDimensionError,
                       expectation_transfer_gap, ortho_block_bound,
                       sphere_marginal_bound, torsion_variance_bound,
                       unitary_block_bound)
-from symmpoly.bounds import FAMILIES, evaluate
 
 REL = 1e-12
 
@@ -83,6 +82,7 @@ def test_b2_values():
     assert b2(2, 100) == pytest.approx(0.33600649251648346, rel=REL)
     assert b2(4, 200) == pytest.approx(25397 / 112032, rel=REL)
     assert b2(4, 200) == pytest.approx(0.22669415881176808, rel=REL)
+    assert b2(1, 10) == pytest.approx(20 / 3, rel=REL)
 
 
 def test_b3_values():
@@ -255,34 +255,6 @@ def test_chebyshev_curvature_interval_clears_two_pi():
     assert lower_end(362) <= 2 * math.pi < lower_end(363)
 
 
-def test_evaluate_dispatch():
-    ev = evaluate("b2", k=2, n=100)
-    assert ev.valid and ev.value == pytest.approx(143252 / 426337, rel=REL)
-    assert ev.asymptote_coeff == 31.0
-    assert ev.clipped == ev.value
-    assert set(FAMILIES) >= {"b2", "b3", "ortho_block", "sphere_marginal",
-                             "unitary_block", "curvature_var", "torsion_var"}
-
-
-def test_evaluate_clips_at_two():
-    ev = evaluate("b2", k=1, n=10)
-    assert ev.value == pytest.approx(20 / 3, rel=REL)
-    assert ev.clipped == 2.0
-
-
-def test_evaluate_invalid_params():
-    ev = evaluate("b2", k=96, n=100)
-    assert not ev.valid
-    assert ev.value is None and ev.clipped is None
-    assert evaluate("torsion_var", n=5).valid is False
-    assert evaluate("b3", k=1, n=100).asymptote_coeff is None
-    assert evaluate("b3", k=3, n=100).asymptote_coeff == 47.5
-    with pytest.raises(DomainError):
-        evaluate("nonsense", k=1, n=10)
-    with pytest.raises(DomainError):
-        evaluate("b2", k=1)
-
-
 def test_numpy_integers_give_the_int_values():
     # same value and type for numpy integer arguments, n = 10**6 included,
     # where n**4 would overflow int64
@@ -299,9 +271,3 @@ def test_numpy_integers_give_the_int_values():
         want = fn(*args)
         got = fn(*(i(a) if isinstance(a, int) else a for a in args))
         assert got == want and type(got) is float, (fn.__name__, args)
-    for family, params in (("b2", dict(k=1, n=100)), ("b3", dict(k=2, n=10**6)),
-                           ("torsion_var", dict(n=100))):
-        got = evaluate(family, **{k: i(v) for k, v in params.items()})
-        want = evaluate(family, **params)
-        assert got.valid and got.value == want.value
-        assert got.asymptote_coeff == want.asymptote_coeff

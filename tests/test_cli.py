@@ -155,6 +155,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["sample", "--space", "arm2"]) == 2
     assert run(["bounds", "--dim", "2", "--n", "abc"]) == 2
     capsys.readouterr()
+    # an output path that cannot be opened is reported, not raised
+    missing = tmp_path / "missing" / "x.csv"
+    assert run(["bounds", "--dim", "2", "--n", "100", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("symmpoly: ")
+    assert not missing.parent.exists()
 
 
 def test_domain_errors_exit_two(tmp_path, capsys):
@@ -173,6 +178,9 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     # no workers to run on
     assert run(["tv", "--space", "pol2", "--n", "20", "--count", "20000",
                 "--workers", "0", *SEED_ARGS]) == 2
+    # no samples to check the matrix laws on
+    for count in ("0", "-5"):
+        assert run(["density-check", "--count", count, *SEED_ARGS]) == 2
     err = capsys.readouterr().err
     assert "symmpoly:" in err
 

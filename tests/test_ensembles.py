@@ -15,6 +15,7 @@ from symmpoly import (CHUNK_SIZE, DegenerateEdgeError, DomainError,
                       bootstrap_stat_se, chebyshev_coverage,
                       covariance_partition, estimate_tv, functional_samples,
                       ks_distance, run_ensemble, segment_samples)
+from symmpoly import ensembles
 from symmpoly.ensembles import _build_plan, _worker_pool
 from symmpoly.functionals import _batch_torsion, _batch_turning
 from symmpoly.polygons import SPACES, space_edges_batch
@@ -44,8 +45,15 @@ def test_run_ensemble_repeats_exactly():
     assert c.record("theta1").mean != a.record("theta1").mean
 
 
-def test_worker_count_never_changes_values():
-    kwargs = dict(seed=SEED, stream_id=2, chunk_size=1024)
+def _chunk_size(monkeypatch, size):
+    # chunked draws read ensembles.CHUNK_SIZE at call time; a small size
+    # gives multi-chunk runs at a small N
+    monkeypatch.setattr(ensembles, "CHUNK_SIZE", size)
+
+
+def test_worker_count_never_changes_values(monkeypatch):
+    _chunk_size(monkeypatch, 1024)
+    kwargs = dict(seed=SEED, stream_id=2)
     v1, _ = functional_samples("pol3", 20, 5000, ["tau1", "total_curvature"],
                                workers=1, **kwargs)
     v2, _ = functional_samples("pol3", 20, 5000, ["tau1", "total_curvature"],
@@ -54,25 +62,25 @@ def test_worker_count_never_changes_values():
     assert np.array_equal(v1["total_curvature"], v2["total_curvature"])
 
 
-def test_worker_count_never_changes_segments():
-    s1 = segment_samples("pol2", 15, 2, 3000, SEED, stream_id=3, workers=1,
-                         chunk_size=512)
-    s2 = segment_samples("pol2", 15, 2, 3000, SEED, stream_id=3, workers=3,
-                         chunk_size=512)
+def test_worker_count_never_changes_segments(monkeypatch):
+    _chunk_size(monkeypatch, 512)
+    s1 = segment_samples("pol2", 15, 2, 3000, SEED, stream_id=3, workers=1)
+    s2 = segment_samples("pol2", 15, 2, 3000, SEED, stream_id=3, workers=3)
     assert np.array_equal(s1, s2)
 
 
-def test_chunk_size_partitions_not_values():
+def test_chunk_size_partitions_not_values(monkeypatch):
     # values depend on the chunk layout only through the documented scheme:
-    # same chunk_size means same values even across worker counts, and the
-    # layout is part of the contract, so a different chunk_size is a
-    # different (equally valid) ensemble.
-    base = segment_samples("arm2", 10, 1, 2000, SEED, stream_id=4,
-                           chunk_size=256)
-    again = segment_samples("arm2", 10, 1, 2000, SEED, stream_id=4,
-                            chunk_size=256)
+    # the same layout gives the same values, and the layout is part of the
+    # output contract, so another chunk size is another (equally valid)
+    # ensemble. The size is the constant CHUNK_SIZE.
+    assert CHUNK_SIZE == ensembles.CHUNK_SIZE == 4096
+    fixed = segment_samples("arm2", 10, 1, 5000, SEED, stream_id=4)
+    _chunk_size(monkeypatch, 256)
+    base = segment_samples("arm2", 10, 1, 5000, SEED, stream_id=4)
+    again = segment_samples("arm2", 10, 1, 5000, SEED, stream_id=4)
     assert np.array_equal(base, again)
-    assert CHUNK_SIZE == 4096
+    assert not np.array_equal(base, fixed)
 
 
 def test_custom_functional_with_workers():
@@ -205,14 +213,13 @@ def test_segment_samples_shapes():
         segment_samples("blob", 10, 1, 100, SEED)
     with pytest.raises(DomainError):
         segment_samples("arm2", 10, 1, 0, SEED)
-    with pytest.raises(DomainError):
-        segment_samples("arm2", 10, 1, 100, SEED, chunk_size=0)
 
 
-def test_sample_counts_accept_numpy_integers():
+def test_sample_counts_accept_numpy_integers(monkeypatch):
+    _chunk_size(monkeypatch, 128)
     a = segment_samples("arm2", 10, np.int64(2), np.int64(300), SEED,
-                        stream_id=18, chunk_size=np.int64(128))
-    b = segment_samples("arm2", 10, 2, 300, SEED, stream_id=18, chunk_size=128)
+                        stream_id=18)
+    b = segment_samples("arm2", 10, 2, 300, SEED, stream_id=18)
     assert np.array_equal(a, b)
     v, _ = functional_samples("pol2", 10, np.int32(300), ["theta1"], SEED,
                               stream_id=18, workers=np.int64(1))
@@ -321,11 +328,11 @@ def _chunked_reference(space, n, N, chunk_size, sid, fns, k, closed):
     ("pol2", 12, ["theta1*theta2", EDGE_LENGTH, "theta12"]),
     ("arm3", 10, [EDGE_LENGTH, "theta1*theta2", "total_curvature"]),
 ])
-def test_full_plans_keep_full_draws(space, n, fns):
+def test_full_plans_keep_full_draws(monkeypatch, space, n, fns):
     # bit for bit the kernels on whole polygons from each chunk's generator
     N, chunk_size, sid = 300, 128, 60
-    vals, excluded = functional_samples(space, n, N, fns, SEED, stream_id=sid,
-                                        chunk_size=chunk_size)
+    _chunk_size(monkeypatch, chunk_size)
+    vals, excluded = functional_samples(space, n, N, fns, SEED, stream_id=sid)
     assert excluded == 0
     ref = _chunked_reference(space, n, N, chunk_size, sid, fns, None,
                              space.startswith("pol"))
@@ -334,13 +341,13 @@ def test_full_plans_keep_full_draws(space, n, fns):
         assert np.array_equal(vals[name], ref[name]), name
 
 
-def test_window_plan_reads_open_kernels_on_heads():
+def test_window_plan_reads_open_kernels_on_heads(monkeypatch):
     # pol3 theta2 and tau2 read four leading edges: the open-chain kernels
     # on a four-edge head from each chunk's generator, bit for bit
     N, chunk_size, sid = 300, 128, 61
+    _chunk_size(monkeypatch, chunk_size)
     fns = ["theta2", "tau2", "theta1*theta2", EDGE_LENGTH]
-    vals, _ = functional_samples("pol3", 30, N, fns, SEED, stream_id=sid,
-                                 chunk_size=chunk_size)
+    vals, _ = functional_samples("pol3", 30, N, fns, SEED, stream_id=sid)
     ref = _chunked_reference("pol3", 30, N, chunk_size, sid, fns, 4, False)
     assert list(vals) == list(ref)
     for name in ref:
@@ -373,7 +380,8 @@ def test_estimate_tv_opens_one_pool(monkeypatch):
 
 def test_worker_pool_is_shared_by_nested_blocks(monkeypatch):
     opened = _count_pools(monkeypatch)
-    kwargs = dict(stream_id=2, chunk_size=1024)
+    _chunk_size(monkeypatch, 1024)
+    kwargs = dict(stream_id=2)
     with _worker_pool(2):
         v2, _ = functional_samples("pol2", 20, 5000, ["total_curvature"],
                                    SEED, workers=2, **kwargs)
@@ -390,6 +398,32 @@ def test_worker_pool_is_shared_by_nested_blocks(monkeypatch):
     with pytest.raises(DomainError):
         with _worker_pool(0):
             pass
+
+
+def test_spawned_workers_give_the_same_bytes(monkeypatch):
+    # spawned workers start from a fresh import and share no state with the
+    # parent, so the bytes may depend only on the chunk -> generator map
+    _chunk_size(monkeypatch, 512)
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        multiprocessing.get_context("spawn").Pool)
+    opened = _count_pools(monkeypatch)
+
+    def draws(workers):
+        seg = segment_samples("pol3", 30, 2, 1500, SEED, stream_id=9,
+                              workers=workers)
+        vals, _ = functional_samples("pol3", 30, 1500,
+                                     ["theta1", "tau2", "total_curvature"],
+                                     SEED, stream_id=10, workers=workers)
+        return seg, vals
+
+    seg1, vals1 = draws(1)
+    with _worker_pool(2):
+        seg2, vals2 = draws(2)
+    assert opened == [2]
+    assert np.array_equal(seg1, seg2)
+    assert list(vals1) == list(vals2)
+    for name in vals1:
+        assert np.array_equal(vals1[name], vals2[name]), name
 
 
 def test_estimate_tv_same_law_is_null_sized():

@@ -1,14 +1,13 @@
-"""Seeded sphere, frame, and unitary samplers."""
+"""Seed streams and the batch sphere, frame, and unitary draws."""
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from symmpoly import (Frame2, InvalidDimensionError, SeedStream,
-                      ensure_generator, ks_distance, sample_frame2,
-                      sample_sphere)
-from symmpoly.haar import _haar_unitary_batch
+from symmpoly import (InvalidDimensionError, SeedStream, ensure_generator,
+                      ks_distance)
+from symmpoly.haar import _frame2_batch, _haar_unitary_batch, _unit_rows
 
 SEED = 7
 
@@ -54,80 +53,50 @@ def test_ensure_generator_accepts_both():
 
 
 def test_sphere_zero_dimensional_is_sign():
-    rng = SeedStream(SEED, 0).generator()
-    pts = [sample_sphere(1, 2.0, rng)[0] for _ in range(50)]
-    assert all(abs(abs(x) - 2.0) < 1e-12 for x in pts)
-    assert any(x > 0 for x in pts) and any(x < 0 for x in pts)
+    pts = _unit_rows(SeedStream(SEED, 0).generator(), 50, 1)[:, 0]
+    assert np.max(np.abs(np.abs(pts) - 1.0)) < 1e-12
+    assert np.any(pts > 0) and np.any(pts < 0)
 
 
 def test_sphere_norm_and_coordinate_moments():
-    rng = SeedStream(SEED, 1).generator()
     n = 20_000
-    g = rng.standard_normal((n, 3))
-    pts = 1.5 * g / np.linalg.norm(g, axis=1)[:, None]
-    # direct draws for norm check
-    one = sample_sphere(3, 1.5, rng)
-    assert abs(np.linalg.norm(one) - 1.5) < 1e-12
-    se = 1.5 / math.sqrt(3 * n)
+    pts = _unit_rows(SeedStream(SEED, 1).generator(), n, 3)
+    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-12
+    se = 1.0 / math.sqrt(3 * n)
     assert np.max(np.abs(pts.mean(axis=0))) < 4 * se
 
 
 def test_sphere_squared_coordinate_mean():
-    # E[xi_1^2] = r^2/m; at m = 4, r = sqrt(2) that is 0.5.
-    rng = SeedStream(SEED, 2).generator()
+    # E[xi_1^2] = 1/m on the unit sphere; at m = 4 that is 0.25.
     n = 20_000
-    sq = np.array([sample_sphere(4, math.sqrt(2.0), rng)[0] ** 2
-                   for _ in range(n)])
+    sq = _unit_rows(SeedStream(SEED, 2).generator(), n, 4)[:, 0] ** 2
     se = sq.std(ddof=1) / math.sqrt(n)
-    assert abs(sq.mean() - 0.5) < 4 * se
-
-
-def test_sphere_validation():
-    with pytest.raises(InvalidDimensionError):
-        sample_sphere(0, 1.0, SeedStream(SEED, 0))
-    with pytest.raises(InvalidDimensionError):
-        sample_sphere(3, 0.0, SeedStream(SEED, 0))
+    assert abs(sq.mean() - 0.25) < 4 * se
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_frame2_orthonormal(kind):
-    rng = SeedStream(SEED, 3).generator()
-    for _ in range(25):
-        fr = sample_frame2(10, kind, rng)
-        assert isinstance(fr, Frame2)
-        assert abs(np.linalg.norm(fr.col_a) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(fr.col_b) - 1.0) < 1e-12
-        assert abs(np.vdot(fr.col_a, fr.col_b)) < 1e-12
+    fr = _frame2_batch(SeedStream(SEED, 3).generator(), 25, 10, kind)
+    assert fr.shape == (25, 2, 10)
+    assert np.max(np.abs(np.linalg.norm(fr, axis=2) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.einsum("ij,ij->i", fr[:, 0].conj(), fr[:, 1]))) < 1e-12
 
 
 def test_frame2_two_dimensional_real_is_rotation():
-    rng = SeedStream(SEED, 4).generator()
-    for _ in range(25):
-        fr = sample_frame2(2, "real", rng)
-        det = fr.col_a[0] * fr.col_b[1] - fr.col_a[1] * fr.col_b[0]
-        assert abs(abs(det) - 1.0) < 1e-12
+    fr = _frame2_batch(SeedStream(SEED, 4).generator(), 25, 2, "real")
+    det = fr[:, 0, 0] * fr[:, 1, 1] - fr[:, 0, 1] * fr[:, 1, 0]
+    assert np.max(np.abs(np.abs(det) - 1.0)) < 1e-12
 
 
 def test_frame2_coordinate_second_moment():
     # Each coordinate of a uniform unit vector has E[a_i^2] = 1/n,
     # identically over slots by permutation invariance.
-    rng = SeedStream(SEED, 5).generator()
     n = 20_000
-    sq = np.empty((n, 2))
-    for i in range(n):
-        fr = sample_frame2(10, "real", rng)
-        sq[i, 0] = fr.col_a[0] ** 2
-        sq[i, 1] = fr.col_a[-1] ** 2
+    fr = _frame2_batch(SeedStream(SEED, 5).generator(), n, 10, "real")
+    sq = fr[:, 0, [0, -1]] ** 2
     se = sq.std(axis=0, ddof=1) / math.sqrt(n)
     assert abs(sq[:, 0].mean() - 0.1) < 4 * se[0]
     assert abs(sq[:, 1].mean() - 0.1) < 4 * se[1]
-
-
-def test_frame2_validation():
-    with pytest.raises(InvalidDimensionError):
-        sample_frame2(1, "real", SeedStream(SEED, 0))
-    with pytest.raises(InvalidDimensionError):
-        sample_frame2(5, "quaternion", SeedStream(SEED, 0))
 
 
 def test_unitary_one_dimensional_is_phase():
