@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import sys
 
 import numpy as np
 
 from . import bounds
 from .errors import BoundUndefinedError, SymmpolyError
-from .ensembles import estimate_tv, run_ensemble, segment_samples
+# segment_samples has no caller here; it stays importable from this module
+# because benchmark tracers wrap it by name.
+from .ensembles import _iter_chunks, estimate_tv, run_ensemble, segment_samples
 from .io import write_csv, write_ensemble
 from .polygons import SPACES, Polygon, space_dim
 from .verify import (extended_density_checks, format_check_line, run_verify,
@@ -131,13 +134,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_sample(args) -> int:
     dim = space_dim(args.space)
     closed = args.space.startswith("pol")
-    flat = segment_samples(args.space, args.n, args.n, args.count, args.seed,
-                           workers=args.workers)
-    polygons = [Polygon(dim=dim, closed=closed,
-                        edges=flat[i].reshape(args.n, dim))
-                for i in range(args.count)]
-    with _out_stream(args.out) as fh:
-        write_ensemble(fh, polygons)
+    # Whole polygons are the length-n segments of stream 0, drawn chunk by
+    # chunk with at most 2 * workers chunks in flight and written as each
+    # chunk arrives, so memory does not grow with --count.
+    chunks = _iter_chunks(args.space, args.n, args.count, args.seed, 0,
+                          ("segments", args.n), args.workers,
+                          in_flight=2 * args.workers)
+    with contextlib.closing(chunks):
+        # The first chunk is drawn before the output is opened, so that a bad
+        # argument fails before it truncates an existing file.
+        first = next(chunks)
+        with _out_stream(args.out) as fh:
+            for flat, _ in itertools.chain([first], chunks):
+                write_ensemble(fh, (Polygon(dim=dim, closed=closed,
+                                            edges=row.reshape(args.n, dim))
+                                    for row in flat))
     return 0
 
 
@@ -163,17 +174,20 @@ def _cmd_tv(args) -> int:
     row = (args.space, space_b, args.n, args.k, args.count,
            hist.bins_per_axis, args.seed, hist.tv_estimate,
            hist.null_calibration)
-    with _out_stream(args.out) as fh:
-        write_csv(fh, TV_HEADER, [row])
-    if args.cells_out is not None:
-        header = (["cell"] + [f"axis{i}" for i in range(hist.dim)]
-                  + ["count_a", "count_b"])
-        flat_a = hist.counts_a.ravel()
-        flat_b = hist.counts_b.ravel()
-        rows = [[cell] + list(idx) + [int(flat_a[cell]), int(flat_b[cell])]
-                for cell, idx in enumerate(np.ndindex(hist.counts_a.shape))]
-        with _out_stream(args.cells_out) as fh:
-            write_csv(fh, header, rows)
+    # Both outputs are opened before either is written, the grid cells first,
+    # so that a path that cannot be opened leaves no complete CSV behind.
+    cells = (_out_stream(args.cells_out) if args.cells_out is not None
+             else contextlib.nullcontext())
+    with cells as cells_fh, _out_stream(args.out) as out_fh:
+        write_csv(out_fh, TV_HEADER, [row])
+        if cells_fh is not None:
+            header = (["cell"] + [f"axis{i}" for i in range(hist.dim)]
+                      + ["count_a", "count_b"])
+            flat_a = hist.counts_a.ravel()
+            flat_b = hist.counts_b.ravel()
+            rows = [[cell] + list(idx) + [int(flat_a[cell]), int(flat_b[cell])]
+                    for cell, idx in enumerate(np.ndindex(hist.counts_a.shape))]
+            write_csv(cells_fh, header, rows)
     return 0
 
 
@@ -202,12 +216,18 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_verify(args.level, args.seed, args.workers)
-    for r in results:
-        print(format_check_line(r))
-    failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    write_results_csv(args.out, results)
+    # The CSV is opened before the run, so that a path that cannot be written
+    # fails at once rather than after every check has run. It is opened for
+    # appending and emptied only once there are results, so a run that fails
+    # leaves an earlier CSV as it was.
+    with open(args.out, "a", encoding="utf-8", newline="") as fh:
+        results = run_verify(args.level, args.seed, args.workers)
+        for r in results:
+            print(format_check_line(r))
+        failed = [r for r in results if not r.passed]
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+        fh.truncate(0)
+        write_results_csv(fh, results)
     return 1 if failed else 0
 
 

@@ -25,17 +25,23 @@ are drawn the same way at O(k) cost, so their samples are not those of a
 full plan on the same stream. Plans that read a total or a closed angle
 that wraps around, and full-length segments (k = n), draw whole polygons.
 
-Chunk runs inside ``_worker_pool(workers)`` share its one process pool.
+Every chunk run goes through one ordered generator, ``_iter_chunks``,
+which yields the chunk results in chunk order. The estimators take them as
+a list (``_run_chunks``, which hands every chunk to the pool at once);
+``symmpoly sample`` consumes the generator directly with a bounded number
+of chunks in flight and writes each chunk as it arrives. Chunk runs inside
+``_worker_pool(workers)`` share its one process pool.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import math
 import multiprocessing
 import re
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -276,15 +282,40 @@ def _worker_pool(workers: int) -> Iterator:
                 _ACTIVE_POOL = outer
 
 
-def _run_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
-                workers: int) -> list:
+def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
+                 workers: int, in_flight: Optional[int] = None) -> Iterator:
+    """The results of the chunks of one stream, in chunk order.
+
+    At one worker, or for a single chunk, each chunk is evaluated in-process
+    when it is asked for. Otherwise chunks go to the pool: all at once by
+    default, batched by ``pool.map``, or one by one with at most
+    ``in_flight`` submitted and not yet yielded, which bounds the memory of
+    a consumer that writes each result as it comes. The list callers keep
+    ``pool.map``: a window idles the workers between small chunks.
+    """
     args = [(space, n, seed, stream_id, chunk, count, task)
             for chunk, count in enumerate(_chunk_counts(N))]
     _check_positive("worker count", workers)
     if workers == 1 or len(args) == 1:
-        return [_eval_chunk(a) for a in args]
+        for a in args:
+            yield _eval_chunk(a)
+        return
     with _worker_pool(workers) as pool:
-        return pool.map(_eval_chunk, args)
+        if in_flight is None:
+            yield from pool.map(_eval_chunk, args)
+            return
+        pending = collections.deque()
+        for a in args:
+            if len(pending) == in_flight:
+                yield pending.popleft().get()
+            pending.append(pool.apply_async(_eval_chunk, (a,)))
+        while pending:
+            yield pending.popleft().get()
+
+
+def _run_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
+                workers: int) -> list:
+    return list(_iter_chunks(space, n, N, seed, stream_id, task, workers))
 
 
 def functional_samples(space: str, n: int, N: int,

@@ -9,6 +9,7 @@ so a fixed-seed run produces byte-identical files on every platform.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from typing import IO, Iterable, List, Sequence, Union
 
@@ -19,14 +20,21 @@ from .polygons import Polygon
 
 PathOrFile = Union[str, IO[str]]
 
+_WRITE_BATCH = 64
+
+
+@functools.lru_cache(maxsize=32)
+def _record_template(dim: int, closed: bool, n: int) -> str:
+    """The record of an n-edge polygon as one %-template of dim*n floats."""
+    edge = "[" + ", ".join(["%.17g"] * dim) + "]"
+    head = '{"dim": %d, "closed": %s, "edges": [' % (dim, "true" if closed else "false")
+    return head + ", ".join([edge] * n) + "]}"
+
 
 def polygon_record_line(p: Polygon) -> str:
     """The single-line JSON record for one polygon (no trailing newline)."""
-    rows = ", ".join(
-        "[" + ", ".join(f"{float(x):.17g}" for x in edge) + "]"
-        for edge in p.edges)
-    closed = "true" if p.closed else "false"
-    return f'{{"dim": {p.dim}, "closed": {closed}, "edges": [{rows}]}}'
+    return (_record_template(int(p.dim), bool(p.closed), p.n)
+            % tuple(p.edges.ravel().tolist()))
 
 
 def _parse_record(obj, lineno: int) -> Polygon:
@@ -85,8 +93,16 @@ def write_ensemble(path: PathOrFile, polygons: Iterable[Polygon]) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             write_ensemble(handle, polygons)
         return
+    # Lines go out in pieces of at most _WRITE_BATCH records: one write per
+    # record is slow, and one per ensemble holds the whole text in memory.
+    lines = []
     for p in polygons:
-        path.write(polygon_record_line(p) + "\n")
+        lines.append(polygon_record_line(p))
+        if len(lines) == _WRITE_BATCH:
+            path.write("\n".join(lines) + "\n")
+            lines.clear()
+    if lines:
+        path.write("\n".join(lines) + "\n")
 
 
 def format_cell(value) -> str:

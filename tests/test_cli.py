@@ -1,13 +1,19 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 import csv
 import io
+import multiprocessing
 import subprocess
 import sys
+import types
 
 import pytest
 
-from symmpoly import b2, closure_residual, perimeter, read_ensemble
+from symmpoly import (Polygon, b2, closure_residual, perimeter, read_ensemble,
+                      segment_samples, write_ensemble)
+from symmpoly import cli, ensembles
 from symmpoly.cli import run
+from symmpoly.polygons import space_dim
+from symmpoly.verify import CheckResult, write_results_csv
 
 SEED_ARGS = ["--seed", "7"]
 
@@ -52,6 +58,72 @@ def test_sample_worker_count_is_invisible(tmp_path):
         assert run(["sample", "--space", "pol3", "--n", "8", "--count", "20",
                     "--workers", workers, "--out", str(path), *SEED_ARGS]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("space", ["arm2", "pol2", "arm3", "pol3"])
+def test_sample_streams_chunks_in_order(space, tmp_path, monkeypatch):
+    # 20 samples in chunks of 7 are three chunks, the last one short; the
+    # file must be the whole ensemble, as one segment_samples draw gives it
+    monkeypatch.setattr(ensembles, "CHUNK_SIZE", 7)
+    n = 6
+    outs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"w{workers}.jsonl"
+        assert run(["sample", "--space", space, "--n", str(n), "--count", "20",
+                    "--workers", workers, "--out", str(path), *SEED_ARGS]) == 0
+        outs.append(path.read_bytes())
+    dim = space_dim(space)
+    flat = segment_samples(space, n, n, 20, 7)
+    buf = io.StringIO()
+    write_ensemble(buf, [Polygon(dim=dim, closed=space.startswith("pol"),
+                                 edges=row.reshape(n, dim)) for row in flat])
+    assert outs[0] == outs[1] == buf.getvalue().encode()
+
+
+def test_sample_errors_leave_the_output_alone(tmp_path, capsys):
+    out = tmp_path / "keep.jsonl"
+    out.write_text("earlier contents\n")
+    for bad in (["--count", "0"], ["--n", "2"], ["--workers", "0"]):
+        argv = ["sample", "--space", "arm2", "--n", "10", "--count", "5",
+                "--out", str(out), *SEED_ARGS]
+        # later flags win over the defaults above
+        assert run(argv + bad) == 2, bad
+        assert out.read_text() == "earlier contents\n", bad
+    assert "symmpoly:" in capsys.readouterr().err
+
+
+def test_sample_write_error_closes_the_stream(monkeypatch, capsys):
+    # a failed write ends the run with exit 2 and terminates the pool that
+    # the chunk stream opened
+    monkeypatch.setattr(ensembles, "CHUNK_SIZE", 7)
+    pools = []
+
+    class Pool:
+        def __init__(self, processes):
+            self.terminated = False
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.terminated = True
+
+        def apply_async(self, fn, args):
+            result = fn(*args)
+            return types.SimpleNamespace(get=lambda: result)
+
+    class Broken:
+        def write(self, text):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(sys, "stdout", Broken())
+    assert run(["sample", "--space", "pol2", "--n", "5", "--count", "40",
+                "--workers", "2", *SEED_ARGS]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert len(pools) == 1 and pools[0].terminated
+    assert ensembles._ACTIVE_POOL is None
 
 
 def test_stats_csv(tmp_path):
@@ -160,6 +232,40 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert run(["bounds", "--dim", "2", "--n", "100", "--out", str(missing)]) == 2
     assert capsys.readouterr().err.startswith("symmpoly: ")
     assert not missing.parent.exists()
+
+
+def test_verify_checks_its_output_path_first(tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("run_verify called before --out was opened")
+
+    monkeypatch.setattr(cli, "run_verify", must_not_run)
+    missing = tmp_path / "missing" / "v.csv"
+    assert run(["verify", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("symmpoly: ")
+
+
+def test_verify_keeps_an_earlier_csv_until_it_has_results(tmp_path, monkeypatch,
+                                                         capsys):
+    out = tmp_path / "v.csv"
+    out.write_text("an earlier, longer results file\n" * 20)
+    assert run(["verify", "--workers", "0", "--out", str(out)]) == 2
+    assert out.read_text() == "an earlier, longer results file\n" * 20
+    results = [CheckResult(1, "fake_check", 0.5, 1.0, "<=", True)]
+    monkeypatch.setattr(cli, "run_verify", lambda level, seed, workers: results)
+    assert run(["verify", "--out", str(out)]) == 0
+    buf = io.StringIO()
+    write_results_csv(buf, results)
+    assert out.read_text() == buf.getvalue()
+    capsys.readouterr()
+
+
+def test_tv_opens_both_outputs_before_writing(tmp_path, capsys):
+    out = tmp_path / "tv.csv"
+    cells = tmp_path / "missing" / "cells.csv"
+    assert run(["tv", "--space", "pol2", "--n", "20", "--count", "20000",
+                "--out", str(out), "--cells-out", str(cells), *SEED_ARGS]) == 2
+    assert capsys.readouterr().err.startswith("symmpoly: ")
+    assert not out.exists()
 
 
 def test_domain_errors_exit_two(tmp_path, capsys):

@@ -15,7 +15,7 @@ from symmpoly import (CHUNK_SIZE, DegenerateEdgeError, DomainError,
                       bootstrap_stat_se, chebyshev_coverage,
                       covariance_partition, estimate_tv, functional_samples,
                       ks_distance, run_ensemble, segment_samples)
-from symmpoly import ensembles
+from symmpoly import cli, ensembles
 from symmpoly.ensembles import _build_plan, _worker_pool
 from symmpoly.functionals import _batch_torsion, _batch_turning
 from symmpoly.polygons import SPACES, space_edges_batch
@@ -400,7 +400,7 @@ def test_worker_pool_is_shared_by_nested_blocks(monkeypatch):
             pass
 
 
-def test_spawned_workers_give_the_same_bytes(monkeypatch):
+def test_spawned_workers_give_the_same_bytes(monkeypatch, tmp_path):
     # spawned workers start from a fresh import and share no state with the
     # parent, so the bytes may depend only on the chunk -> generator map
     _chunk_size(monkeypatch, 512)
@@ -414,16 +414,87 @@ def test_spawned_workers_give_the_same_bytes(monkeypatch):
         vals, _ = functional_samples("pol3", 30, 1500,
                                      ["theta1", "tau2", "total_curvature"],
                                      SEED, stream_id=10, workers=workers)
-        return seg, vals
+        # the streaming path: four chunks, at most 4 in flight at 2 workers
+        out = tmp_path / f"w{workers}.jsonl"
+        assert cli.run(["sample", "--space", "pol3", "--n", "30", "--count",
+                        "1800", "--seed", str(SEED), "--workers", str(workers),
+                        "--out", str(out)]) == 0
+        return seg, vals, out.read_bytes()
 
-    seg1, vals1 = draws(1)
+    seg1, vals1, text1 = draws(1)
     with _worker_pool(2):
-        seg2, vals2 = draws(2)
+        seg2, vals2, text2 = draws(2)
     assert opened == [2]
     assert np.array_equal(seg1, seg2)
+    assert text1 == text2
     assert list(vals1) == list(vals2)
     for name in vals1:
         assert np.array_equal(vals1[name], vals2[name]), name
+
+
+class _RecordingPool:
+    """A pool that runs each submitted chunk at once, in-process, and logs
+    every submission and every result handed out."""
+
+    def __init__(self):
+        self.log = []
+
+    def map(self, fn, iterable):
+        self.log.extend("submit" for _ in iterable)
+        return [fn(a) for a in iterable]
+
+    def apply_async(self, fn, args):
+        self.log.append("submit")
+        result = fn(*args)
+        log = self.log
+
+        class Done:
+            def get(self):
+                log.append("get")
+                return result
+
+        return Done()
+
+
+def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch):
+    _chunk_size(monkeypatch, 100)
+    pool = _RecordingPool()
+    monkeypatch.setattr(ensembles, "_ACTIVE_POOL", (2, pool))
+    task = ("segments", 3)
+    stream = ensembles._iter_chunks("arm3", 10, 1050, SEED, 4, task, 2,
+                                    in_flight=4)
+    got = []
+    for result in stream:
+        # the consumer logs when it is done with each result
+        got.append(result[0])
+        pool.log.append("used")
+    assert len(got) == 11
+    assert pool.log.count("submit") == 11
+    # submitted and not yet consumed never exceeds 2 x workers
+    submitted = consumed = worst = 0
+    for event in pool.log:
+        submitted += event == "submit"
+        consumed += event == "used"
+        worst = max(worst, submitted - consumed)
+    assert worst == 4
+    expected = segment_samples("arm3", 10, 3, 1050, SEED, stream_id=4)
+    assert np.array_equal(np.concatenate(got), expected)
+
+
+def test_chunk_list_submits_every_chunk_first(monkeypatch):
+    _chunk_size(monkeypatch, 100)
+    pool = _RecordingPool()
+    monkeypatch.setattr(ensembles, "_ACTIVE_POOL", (2, pool))
+    for result in ensembles._iter_chunks("pol2", 10, 1050, SEED, 4,
+                                         ("segments", 2), 2):
+        pool.log.append("used")
+    assert pool.log == ["submit"] * 11 + ["used"] * 11
+    results = ensembles._run_chunks("pol2", 10, 1050, SEED, 4,
+                                    ("segments", 2), 2)
+    assert isinstance(results, list) and len(results) == 11
+    monkeypatch.setattr(ensembles, "_ACTIVE_POOL", None)
+    expected = segment_samples("pol2", 10, 2, 1050, SEED, stream_id=4)
+    assert np.array_equal(np.concatenate([r[0] for r in results]), expected)
 
 
 def test_estimate_tv_same_law_is_null_sized():

@@ -20,6 +20,47 @@ def test_record_line_shape():
     assert obj == {"dim": 2, "closed": False, "edges": [[1, 0.5]]}
 
 
+def _reference_record_line(p):
+    # the per-float f-string formatter that the record template replaced
+    rows = ", ".join(
+        "[" + ", ".join(f"{float(x):.17g}" for x in edge) + "]"
+        for edge in p.edges)
+    closed = "true" if p.closed else "false"
+    return f'{{"dim": {p.dim}, "closed": {closed}, "edges": [{rows}]}}'
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("n", [1, 7])
+def test_record_template_matches_reference_formatter(dim, closed, n):
+    values = [-0.0, 5e-324, 1e-300, 0.1, 1.0, 2.0 ** 53 + 1, -1e22]
+    # every value lands in every coordinate slot across the rotations
+    for shift in range(len(values)):
+        coords = [values[(shift + i) % len(values)] for i in range(n * dim)]
+        p = Polygon(dim=dim, closed=closed,
+                    edges=np.array(coords).reshape(n, dim))
+        line = polygon_record_line(p)
+        assert line == _reference_record_line(p)
+        back = read_ensemble(io.StringIO(line))[0]
+        assert np.array_equal(back.edges, p.edges)
+
+
+def test_write_ensemble_writes_in_pieces():
+    # more records than one write piece, and a remainder
+    rng = SeedStream(SEED, 1).generator()
+    polygons = [sample_pol(2, 5, rng) for _ in range(150)]
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    write_ensemble(Recorder(), iter(polygons))
+    assert "".join(writes) == "".join(
+        _reference_record_line(p) + "\n" for p in polygons)
+    assert [w.count("\n") for w in writes] == [64, 64, 22]
+
+
 def test_round_trip_is_exact():
     rng = SeedStream(SEED, 0).generator()
     polygons = [sample_pol(3, 7, rng) for _ in range(100)]
