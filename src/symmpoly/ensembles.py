@@ -29,8 +29,13 @@ Every chunk run goes through one ordered generator, ``_iter_chunks``,
 which yields the chunk results in chunk order. The estimators take them as
 a list (``_run_chunks``, which hands every chunk to the pool at once);
 ``symmpoly sample`` consumes the generator directly with a bounded number
-of chunks in flight and writes each chunk as it arrives. Chunk runs inside
-``_worker_pool(workers)`` share its one process pool.
+of chunks in flight and writes each chunk as it arrives. A list run of at
+most ``_IN_PROCESS_EDGES`` drawn edges (N x window) runs in-process at any
+worker count: a pool costs more than such a draw, and head draws for the
+TV estimate and window plans are this small. The streaming path always
+dispatches, so that its memory stays in the chunks in flight. Chunk runs
+inside ``_worker_pool(workers)`` share one process pool, forked when the
+first of them dispatches.
 """
 from __future__ import annotations
 
@@ -53,6 +58,12 @@ from .haar import SeedStream, StreamLike, ensure_generator
 from .polygons import SPACES, space_dim, space_edges_batch
 
 CHUNK_SIZE = 4096
+
+# List runs that draw at most this many edges (N x window) run in-process
+# at any worker count. On 2 cores, head draws of up to 200k edges took
+# 0.8-1.04x their time on an open 2-worker pool in-process, and
+# whole-polygon draws of 410k edges and more took 1.7-2x theirs.
+_IN_PROCESS_EDGES = 2 ** 18
 
 FunctionalSpec = Union[str, LocalFunctional]
 
@@ -254,53 +265,82 @@ def _check_positive(what: str, value) -> None:
         raise DomainError(f"{what} must be a positive integer, got {value!r}")
 
 
-# (workers, pool) of the innermost open _worker_pool block, if any.
+# (workers, pool) of the innermost open _worker_pool block, if any, and the
+# exit stack that closes its pool. The pool is None until a chunk run in
+# the block first dispatches.
 _ACTIVE_POOL = None
+_ACTIVE_EXITS = None
 
 
 @contextlib.contextmanager
-def _worker_pool(workers: int) -> Iterator:
-    """A process pool of ``workers`` processes for the chunk runs in the block.
+def _worker_pool(workers: int) -> Iterator[None]:
+    """A block whose chunk runs share one pool of ``workers`` processes.
 
-    A block inside another at the same worker count reuses the outer pool,
-    so a caller that wraps many sampling calls in one block starts its
-    workers once. One worker needs no pool and yields None.
+    The pool is lazy: it is forked when the first chunk run in the block
+    dispatches, and a block whose runs all stay in-process (one worker, one
+    chunk, or a small list run) forks none. Later runs reuse it, and the
+    block terminates it on exit. A block inside another at the same worker
+    count is the outer block, so a caller that wraps many sampling calls in
+    one block starts its workers at most once.
     """
-    global _ACTIVE_POOL
+    global _ACTIVE_POOL, _ACTIVE_EXITS
     _check_positive("worker count", workers)
-    if workers == 1:
-        yield None
-    elif _ACTIVE_POOL is not None and _ACTIVE_POOL[0] == workers:
-        yield _ACTIVE_POOL[1]
-    else:
-        outer = _ACTIVE_POOL
-        with multiprocessing.Pool(processes=int(workers)) as pool:
-            _ACTIVE_POOL = (workers, pool)
-            try:
-                yield pool
-            finally:
-                _ACTIVE_POOL = outer
+    if workers == 1 or (_ACTIVE_POOL is not None and _ACTIVE_POOL[0] == workers):
+        yield
+        return
+    outer = _ACTIVE_POOL, _ACTIVE_EXITS
+    with contextlib.ExitStack() as exits:
+        _ACTIVE_POOL, _ACTIVE_EXITS = (workers, None), exits
+        try:
+            yield
+        finally:
+            _ACTIVE_POOL, _ACTIVE_EXITS = outer
+
+
+def _block_pool():
+    """The pool of the innermost _worker_pool block, forked on first use."""
+    global _ACTIVE_POOL
+    workers, pool = _ACTIVE_POOL
+    if pool is None:
+        pool = _ACTIVE_EXITS.enter_context(
+            multiprocessing.Pool(processes=int(workers)))
+        _ACTIVE_POOL = (workers, pool)
+    return pool
+
+
+def _task_window(space: str, n: int, task) -> int:
+    """Leading edges each sample of a chunk task draws."""
+    if task[0] == "functionals":
+        return _build_plan(space, n, task[1]).window
+    return task[1]
 
 
 def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
                  workers: int, in_flight: Optional[int] = None) -> Iterator:
     """The results of the chunks of one stream, in chunk order.
 
-    At one worker, or for a single chunk, each chunk is evaluated in-process
-    when it is asked for. Otherwise chunks go to the pool: all at once by
-    default, batched by ``pool.map``, or one by one with at most
-    ``in_flight`` submitted and not yet yielded, which bounds the memory of
-    a consumer that writes each result as it comes. The list callers keep
-    ``pool.map``: a window idles the workers between small chunks.
+    Chunks are evaluated in-process, each when it is asked for, at one
+    worker, for a single chunk, or for a list run (``in_flight`` None) of
+    at most ``_IN_PROCESS_EDGES`` drawn edges. Otherwise chunks go to the
+    pool of the enclosing ``_worker_pool`` block: all at once for a list
+    run, batched by ``pool.map``, or one by one with at most ``in_flight``
+    submitted and not yet yielded, which bounds the memory of a consumer
+    that writes each result as it comes. The streaming path dispatches at
+    any size: in-process, its whole draws raised the peak memory of
+    ``symmpoly sample``. The list runs keep ``pool.map``: a window idles
+    the workers between small chunks.
     """
     args = [(space, n, seed, stream_id, chunk, count, task)
             for chunk, count in enumerate(_chunk_counts(N))]
     _check_positive("worker count", workers)
-    if workers == 1 or len(args) == 1:
+    if (workers == 1 or len(args) == 1 or (
+            in_flight is None
+            and N * _task_window(space, n, task) <= _IN_PROCESS_EDGES)):
         for a in args:
             yield _eval_chunk(a)
         return
-    with _worker_pool(workers) as pool:
+    with _worker_pool(workers):
+        pool = _block_pool()
         if in_flight is None:
             yield from pool.map(_eval_chunk, args)
             return
@@ -415,6 +455,7 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
             f"need N >= {50 * cells} (50 samples per cell on average)")
     if stream_ids[0] == stream_ids[1] and space_a == space_b:
         raise DomainError("same-law comparison needs distinct stream ids")
+    # Two draws above the in-process cut share one pool; small ones fork none.
     with _worker_pool(workers):
         seg_a = segment_samples(space_a, n, k, N, seed, stream_id=stream_ids[0],
                                 workers=workers)

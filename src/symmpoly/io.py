@@ -69,6 +69,11 @@ def _parse_record(obj, lineno: int) -> Polygon:
     return Polygon(dim=dim, closed=closed, edges=coords)
 
 
+def _parse_int(text: str) -> Union[int, float]:
+    # The template writes -0.0 as "-0", which json would read as the int 0.
+    return -0.0 if text == "-0" else int(text)
+
+
 def read_ensemble(path: PathOrFile) -> List[Polygon]:
     """Parse a JSONL polygon file; malformed input names the offending line."""
     if isinstance(path, str):
@@ -80,7 +85,7 @@ def read_ensemble(path: PathOrFile) -> List[Polygon]:
         if not stripped:
             continue
         try:
-            obj = json.loads(stripped)
+            obj = json.loads(stripped, parse_int=_parse_int)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         polygons.append(_parse_record(obj, lineno))

@@ -51,7 +51,7 @@ def _chunk_size(monkeypatch, size):
     monkeypatch.setattr(ensembles, "CHUNK_SIZE", size)
 
 
-def test_worker_count_never_changes_values(monkeypatch):
+def test_worker_count_never_changes_values(monkeypatch, dispatch_every_run):
     _chunk_size(monkeypatch, 1024)
     kwargs = dict(seed=SEED, stream_id=2)
     v1, _ = functional_samples("pol3", 20, 5000, ["tau1", "total_curvature"],
@@ -62,7 +62,7 @@ def test_worker_count_never_changes_values(monkeypatch):
     assert np.array_equal(v1["total_curvature"], v2["total_curvature"])
 
 
-def test_worker_count_never_changes_segments(monkeypatch):
+def test_worker_count_never_changes_segments(monkeypatch, dispatch_every_run):
     _chunk_size(monkeypatch, 512)
     s1 = segment_samples("pol2", 15, 2, 3000, SEED, stream_id=3, workers=1)
     s2 = segment_samples("pol2", 15, 2, 3000, SEED, stream_id=3, workers=3)
@@ -83,7 +83,7 @@ def test_chunk_size_partitions_not_values(monkeypatch):
     assert not np.array_equal(base, fixed)
 
 
-def test_custom_functional_with_workers():
+def test_custom_functional_with_workers(dispatch_every_run):
     vals, excluded = functional_samples("pol2", 12, 3000, [EDGE_LENGTH], SEED,
                                         stream_id=5, workers=2)
     assert excluded == 0
@@ -366,7 +366,7 @@ def _count_pools(monkeypatch):
     return opened
 
 
-def test_estimate_tv_opens_one_pool(monkeypatch):
+def test_estimate_tv_opens_one_pool(monkeypatch, dispatch_every_run):
     opened = _count_pools(monkeypatch)
     a = estimate_tv("pol2", "arm2", 20, 1, 20_000, 8, SEED,
                     stream_ids=(24, 25), workers=2)
@@ -378,7 +378,8 @@ def test_estimate_tv_opens_one_pool(monkeypatch):
     assert np.array_equal(a.counts_b, b.counts_b)
 
 
-def test_worker_pool_is_shared_by_nested_blocks(monkeypatch):
+def test_worker_pool_is_shared_by_nested_blocks(monkeypatch,
+                                                 dispatch_every_run):
     opened = _count_pools(monkeypatch)
     _chunk_size(monkeypatch, 1024)
     kwargs = dict(stream_id=2)
@@ -400,7 +401,64 @@ def test_worker_pool_is_shared_by_nested_blocks(monkeypatch):
             pass
 
 
-def test_spawned_workers_give_the_same_bytes(monkeypatch, tmp_path):
+def test_small_list_runs_fork_no_pool(monkeypatch):
+    # at the default cut a head TV estimate and a window plan, each several
+    # chunks long, run in-process at two workers, in a block or not
+    opened = _count_pools(monkeypatch)
+    tv_args = ("pol2", "arm2", 20, 1, 20_000, 8, SEED)
+    fns = ["theta1", "tau2"]  # a four-edge window: 80k edges
+
+    def draws(workers):
+        hist = estimate_tv(*tv_args, stream_ids=(24, 25), workers=workers)
+        vals, _ = functional_samples("pol3", 30, 20_000, fns, SEED,
+                                     stream_id=10, workers=workers)
+        return hist, vals
+
+    hist2, vals2 = draws(2)
+    with _worker_pool(2):
+        again = draws(2)
+    assert opened == []
+    hist1, vals1 = draws(1)
+    for hist in (hist2, again[0]):
+        assert hist.tv_estimate == hist1.tv_estimate
+        assert hist.null_calibration == hist1.null_calibration
+        assert np.array_equal(hist.counts_a, hist1.counts_a)
+        assert np.array_equal(hist.counts_b, hist1.counts_b)
+    for vals in (vals2, again[1]):
+        for name in fns:
+            assert np.array_equal(vals[name], vals1[name]), name
+
+
+def test_worker_pool_forks_on_first_dispatch(monkeypatch):
+    opened = _count_pools(monkeypatch)
+    kwargs = dict(stream_id=2)
+    with _worker_pool(2):
+        head2 = segment_samples("arm2", 20, 1, 20_000, SEED, workers=2,
+                                **kwargs)
+        assert opened == []
+        # whole 20-gons: 400k drawn edges, above the cut
+        v2, _ = functional_samples("pol2", 20, 20_000, ["total_curvature"],
+                                   SEED, workers=2, **kwargs)
+        assert opened == [2]
+        full2 = segment_samples("arm2", 20, 20, 20_000, SEED, workers=2,
+                                **kwargs)
+    assert opened == [2]
+    # outside a block, a run above the cut opens a pool of its own
+    assert np.array_equal(
+        full2, segment_samples("arm2", 20, 20, 20_000, SEED, workers=2,
+                               **kwargs))
+    assert opened == [2, 2]
+    v1, _ = functional_samples("pol2", 20, 20_000, ["total_curvature"], SEED,
+                               workers=1, **kwargs)
+    assert np.array_equal(v1["total_curvature"], v2["total_curvature"])
+    assert np.array_equal(head2, segment_samples("arm2", 20, 1, 20_000, SEED,
+                                                 **kwargs))
+    assert np.array_equal(full2, segment_samples("arm2", 20, 20, 20_000, SEED,
+                                                 **kwargs))
+
+
+def test_spawned_workers_give_the_same_bytes(monkeypatch, tmp_path,
+                                             dispatch_every_run):
     # spawned workers start from a fresh import and share no state with the
     # parent, so the bytes may depend only on the chunk -> generator map
     _chunk_size(monkeypatch, 512)
@@ -481,7 +539,7 @@ def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch):
     assert np.array_equal(np.concatenate(got), expected)
 
 
-def test_chunk_list_submits_every_chunk_first(monkeypatch):
+def test_chunk_list_submits_every_chunk_first(monkeypatch, dispatch_every_run):
     _chunk_size(monkeypatch, 100)
     pool = _RecordingPool()
     monkeypatch.setattr(ensembles, "_ACTIVE_POOL", (2, pool))
@@ -495,6 +553,27 @@ def test_chunk_list_submits_every_chunk_first(monkeypatch):
     monkeypatch.setattr(ensembles, "_ACTIVE_POOL", None)
     expected = segment_samples("pol2", 10, 2, 1050, SEED, stream_id=4)
     assert np.array_equal(np.concatenate([r[0] for r in results]), expected)
+
+
+def test_list_runs_dispatch_above_the_cut(monkeypatch):
+    # a list run of exactly _IN_PROCESS_EDGES drawn edges stays in-process;
+    # a run two edges longer goes to the pool, all chunks at once
+    cut = ensembles._IN_PROCESS_EDGES
+    pool = _RecordingPool()
+    monkeypatch.setattr(ensembles, "_ACTIVE_POOL", (2, pool))
+    at_cut = ensembles._run_chunks("arm2", 10, cut, SEED, 4, ("segments", 1), 2)
+    assert len(at_cut) > 1 and pool.log == []
+    above = ensembles._run_chunks("arm2", 10, cut // 2 + 1, SEED, 4,
+                                  ("segments", 2), 2)
+    assert pool.log == ["submit"] * len(above)
+    # a window plan counts its window, not n: two edges for theta1
+    pool.log.clear()
+    ensembles._run_chunks("pol2", 10, cut // 2, SEED, 4,
+                          ("functionals", ("theta1",)), 2)
+    assert pool.log == []
+    ensembles._run_chunks("pol2", 10, cut // 2 + 1, SEED, 4,
+                          ("functionals", ("theta1",)), 2)
+    assert pool.log != []
 
 
 def test_estimate_tv_same_law_is_null_sized():
@@ -525,7 +604,7 @@ def test_estimate_tv_separates_distinct_laws():
     assert excess <= 2.0  # the universal TV ceiling in this convention
 
 
-def test_estimate_tv_deterministic_across_workers():
+def test_estimate_tv_deterministic_across_workers(dispatch_every_run):
     a = estimate_tv("pol2", "arm2", 20, 1, 20_000, 8, SEED,
                     stream_ids=(24, 25), workers=1)
     b = estimate_tv("pol2", "arm2", 20, 1, 20_000, 8, SEED,

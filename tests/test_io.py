@@ -77,6 +77,27 @@ def test_round_trip_is_exact():
         assert np.array_equal(rec.edges, orig.edges)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_round_trip_keeps_the_sign_of_zero(dim):
+    # -0.0 is written as "-0"; reading it back must give -0.0, not 0
+    n = 3
+    polygons = [Polygon(dim=dim, closed=False,
+                        edges=np.full((n, dim), -0.0))]
+    for slot in range(n * dim):
+        coords = np.full(n * dim, 0.25)
+        coords[slot] = -0.0
+        polygons.append(Polygon(dim=dim, closed=True,
+                                edges=coords.reshape(n, dim)))
+    buf = io.StringIO()
+    write_ensemble(buf, polygons)
+    assert "[-0, -0" in buf.getvalue()
+    back = read_ensemble(io.StringIO(buf.getvalue()))
+    assert len(back) == len(polygons)
+    for orig, rec in zip(polygons, back):
+        assert np.array_equal(np.signbit(rec.edges), np.signbit(orig.edges))
+        assert np.array_equal(rec.edges, orig.edges)
+
+
 def test_read_skips_blank_lines():
     text = ('\n{"dim": 2, "closed": false, "edges": [[1, 0]]}\n\n'
             '{"dim": 2, "closed": false, "edges": [[0, 1]]}\n')
