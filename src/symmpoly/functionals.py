@@ -16,6 +16,12 @@ Both angles are invariant under global rotations and positive scalings.
 Degenerate inputs (near-zero edges or projections) raise instead of
 returning silent zeros: they have probability zero under the sampled
 measures, so an occurrence signals a caller bug.
+
+The batch kernels take a batch in blocks of ``_BLOCK`` rows, so that each
+pass (norms, cross products, dot products) reads a block that fits in
+cache, and they compute each norm once. Their outputs are bit-equal to the
+unblocked formulas (``np.linalg.norm``, ``np.cross``, ``np.roll`` and
+``np.einsum`` over the whole batch), which the tests keep as references.
 """
 from __future__ import annotations
 
@@ -31,6 +37,8 @@ from .polygons import Polygon
 
 _EDGE_TINY = 1e-14
 _PROJ_TINY = 1e-12
+# Rows per block in the batch kernels: a block's temporaries fit in cache.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -78,21 +86,44 @@ def torsion_angle(a, b, c) -> float:
     return float(taus[0, 0])
 
 
+def _cyclic(edges: np.ndarray, extra: int) -> np.ndarray:
+    """A closed edge block with its first ``extra`` edges appended (wrapping
+    as often as needed), so that its open-chain windows are the cyclic ones."""
+    return np.pad(edges, ((0, 0), (0, extra), (0, 0)), mode="wrap")
+
+
+def _components(v: np.ndarray) -> np.ndarray:
+    """A component-major copy (dim, B, m) of a vector block (B, m, dim).
+
+    ``np.linalg.norm(_components(v), axis=0)`` equals
+    ``np.linalg.norm(v, axis=-1)`` bit for bit (both add the squared
+    components in order), but adds whole component planes instead of making
+    one short reduction per vector, which is several times faster.
+    """
+    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
+
+
 def _batch_turning(edges: np.ndarray, closed: bool):
     """Angles and validity mask for an edge batch of shape (C, n, dim).
 
     Returns (angles, ok) with angles of shape (C, n) for closed input and
     (C, n-1) for open input; ok flags rows whose edges are all nondegenerate.
     """
-    norms = np.linalg.norm(edges, axis=-1)
-    ok = np.all(norms > _EDGE_TINY, axis=-1)
-    unit = edges / np.where(norms > _EDGE_TINY, norms, 1.0)[..., None]
-    if closed:
-        nxt = np.roll(unit, -1, axis=1)
-        dots = np.einsum("cij,cij->ci", unit, nxt)
-    else:
+    count, n = edges.shape[:2]
+    angles = np.empty((count, n if closed else n - 1))
+    ok = np.empty(count, dtype=bool)
+    for start in range(0, count, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        e = _cyclic(edges[rows], 1) if closed else edges[rows]
+        norms = np.linalg.norm(_components(e), axis=0)
+        long = norms > _EDGE_TINY
+        ok[rows] = long.all(axis=-1)
+        if not ok[rows].all():
+            norms[~long] = 1.0
+        unit = e / norms[..., None]
         dots = np.einsum("cij,cij->ci", unit[:, :-1], unit[:, 1:])
-    return np.arccos(np.clip(dots, -1.0, 1.0)), ok
+        np.arccos(np.clip(dots, -1.0, 1.0, out=dots), out=angles[rows])
+    return angles, ok
 
 
 def _batch_torsion(edges: np.ndarray, closed: bool):
@@ -103,20 +134,37 @@ def _batch_torsion(edges: np.ndarray, closed: bool):
     A window is valid when |b| > _EDGE_TINY and |a x b|, |b x c| >
     _PROJ_TINY |b|: both neighbors project normal to b longer than _PROJ_TINY.
     """
-    if closed:
-        b = np.roll(edges, -1, axis=1)
-        ab = np.cross(edges, b)
-        a, bc = edges, np.roll(ab, -1, axis=1)
-    else:
-        cross = np.cross(edges[:, :-1], edges[:, 1:])
-        a, b, ab, bc = edges[:, :-2], edges[:, 1:-1], cross[:, :-1], cross[:, 1:]
-    nb = np.linalg.norm(b, axis=-1)
-    ok = np.all(nb > _EDGE_TINY, axis=-1)
-    ok &= np.all(np.linalg.norm(ab, axis=-1) > _PROJ_TINY * nb, axis=-1)
-    ok &= np.all(np.linalg.norm(bc, axis=-1) > _PROJ_TINY * nb, axis=-1)
-    tau = -np.arctan2(nb * np.einsum("cij,cij->ci", a, bc),
-                      np.einsum("cij,cij->ci", ab, bc))
-    tau[tau == -math.pi] = math.pi
+    count, n = edges.shape[:2]
+    tau = np.empty((count, n if closed else n - 2))
+    ok = np.empty(count, dtype=bool)
+    for start in range(0, count, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        e = _cyclic(edges[rows], 2) if closed else edges[rows]
+        comp = _components(e)
+        lo, hi = comp[..., :-1], comp[..., 1:]
+        # cross[:, :, i] = e_i x e_{i+1}, np.cross's formula component by
+        # component: a x b of window i and b x c of window i-1, so each norm
+        # below is taken once
+        cross = np.empty(lo.shape)
+        tmp = np.empty(lo.shape[1:])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(lo[j], hi[k], out=cross[i])
+            cross[i] -= np.multiply(lo[k], hi[j], out=tmp)
+        nb = np.linalg.norm(comp[..., 1:-1], axis=0)
+        ncross = np.linalg.norm(cross, axis=0)
+        floor = _PROJ_TINY * nb
+        ok[rows] = (np.all(nb > _EDGE_TINY, axis=-1)
+                    & np.all(ncross[:, :-1] > floor, axis=-1)
+                    & np.all(ncross[:, 1:] > floor, axis=-1))
+        # einsum adds the three products of a (B, m, 3) block as it does on a
+        # whole batch; on the component-major layout its sums can differ in
+        # the last bit
+        cross3 = np.ascontiguousarray(np.moveaxis(cross, 0, -1))
+        a, ab, bc = e[:, :-2], cross3[:, :-1], cross3[:, 1:]
+        y = nb * np.einsum("cij,cij->ci", a, bc)
+        t = np.arctan2(y, np.einsum("cij,cij->ci", ab, bc), out=tau[rows])
+        np.negative(t, out=t)
+        t[t == -math.pi] = math.pi
     return tau, ok
 
 

@@ -7,7 +7,10 @@ each own a stream without coordination.
 
 The batch internals draw uniform unit vectors (``_unit_rows``), orthonormal
 2-frames (``_frame2_batch``) and Haar unitaries from an explicit Generator;
-the samplers in ``polygons`` are built on the first two.
+the samplers in ``polygons`` are built on the first two. A frame row whose
+Gaussian draw is (near) degenerate is rejected and redrawn in a masked
+loop; almost surely every row is accepted on the first pass, and then the
+frames are divided and written without masks or index arrays.
 """
 from __future__ import annotations
 
@@ -157,16 +160,26 @@ def _frame2_batch(rng: np.random.Generator, count: int, n: int, kind: str,
             t1, t2 = _tail_factor(rng, todo.size, n - head, kind)
             g1 = np.concatenate([g1, t1], axis=1)
             g2 = np.concatenate([g2, t2], axis=1)
+        # A rejected row divides by 1 instead; every row is accepted almost
+        # surely, and then no mask is applied.
         n1 = np.linalg.norm(g1, axis=1)
         ok1 = n1 >= _RESIDUAL_TINY
-        a = np.where(ok1[:, None], g1, 1.0) / np.where(ok1, n1, 1.0)[:, None]
+        if not ok1.all():
+            g1, n1 = np.where(ok1[:, None], g1, 1.0), np.where(ok1, n1, 1.0)
+        a = g1 / n1[:, None]
         ip = np.einsum("ij,ij->i", a.conj(), g2)
         resid = g2 - ip[:, None] * a
         n2 = np.linalg.norm(resid, axis=1)
         ok = ok1 & (n2 >= _RESIDUAL_TINY)
-        b = np.where(ok[:, None], resid, 1.0) / np.where(ok, n2, 1.0)[:, None]
+        accepted = ok.all()
+        if not accepted:
+            resid, n2 = np.where(ok[:, None], resid, 1.0), np.where(ok, n2, 1.0)
+        b = resid[:, :head] / n2[:, None]
+        if accepted and todo.size == count:
+            out[:, 0], out[:, 1] = a[:, :head], b
+            break
         out[todo[ok], 0] = a[ok, :head]
-        out[todo[ok], 1] = b[ok, :head]
+        out[todo[ok], 1] = b[ok]
         todo = todo[~ok]
     return out
 

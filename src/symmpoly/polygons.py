@@ -64,8 +64,10 @@ class Polygon:
 def square_map(z: Sequence[complex]) -> np.ndarray:
     """Square each complex coordinate and read the results as R^2 edges."""
     z = np.asarray(z, dtype=complex)
-    e = z * z
-    return np.stack([e.real, e.imag], axis=-1)
+    out = np.empty(z.shape + (2,))
+    # the (..., 2) rows are the real and imaginary parts of z * z
+    np.multiply(z, z, out=out.view(complex)[..., 0])
+    return out
 
 
 def hopf_map(comp) -> np.ndarray:
@@ -79,10 +81,27 @@ def hopf_map(comp) -> np.ndarray:
     if comp.ndim < 1 or comp.shape[-1] != 4:
         raise InvalidDimensionError(
             f"expected quaternions as shape (..., 4) (w, x, y, z), got {comp.shape}")
-    w, x, y, z = comp[..., 0], comp[..., 1], comp[..., 2], comp[..., 3]
-    return np.stack([w * w + x * x - y * y - z * z,
-                     2.0 * (x * y - w * z),
-                     2.0 * (w * y + x * z)], axis=-1)
+    return _hopf(comp[..., 0], comp[..., 1], comp[..., 2], comp[..., 3])
+
+
+def _hopf(w, x, y, z) -> np.ndarray:
+    """``hopf_map`` on the four coordinate arrays of a quaternion batch:
+    (w^2 + x^2 - y^2 - z^2, 2 (x y - w z), 2 (w y + x z)), evaluated in
+    that order into one (..., 3) array."""
+    out = np.empty(w.shape + (3,))
+    tmp = np.empty(w.shape)
+    e0, e1, e2 = out[..., 0], out[..., 1], out[..., 2]
+    np.multiply(w, w, out=e0)
+    e0 += np.multiply(x, x, out=tmp)
+    e0 -= np.multiply(y, y, out=tmp)
+    e0 -= np.multiply(z, z, out=tmp)
+    np.multiply(x, y, out=e1)
+    e1 -= np.multiply(w, z, out=tmp)
+    e1 *= 2.0
+    np.multiply(w, y, out=e2)
+    e2 += np.multiply(x, z, out=tmp)
+    e2 *= 2.0
+    return out
 
 
 def _check_space_args(dim: int, n: int) -> None:
@@ -114,7 +133,7 @@ def pol_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
         return square_map(fr[:, 0] + 1j * fr[:, 1])
     fr = _frame2_batch(rng, count, n, "complex", head=k)
     a, b = fr[:, 0], fr[:, 1]
-    return hopf_map(np.stack([a.real, a.imag, b.real, b.imag], axis=-1))
+    return _hopf(a.real, a.imag, b.real, b.imag)
 
 
 def space_dim(space: str) -> int:

@@ -83,14 +83,21 @@ def test_chunk_size_partitions_not_values(monkeypatch):
     assert not np.array_equal(base, fixed)
 
 
-def test_custom_functional_with_workers(dispatch_every_run):
+def test_custom_functional_with_workers(monkeypatch, dispatch_every_run):
+    # three chunks, so the LocalFunctional is pickled to a worker
+    _chunk_size(monkeypatch, 1024)
+    opened = _count_pools(monkeypatch)
     vals, excluded = functional_samples("pol2", 12, 3000, [EDGE_LENGTH], SEED,
                                         stream_id=5, workers=2)
+    assert opened == [2]
     assert excluded == 0
     lengths = vals["edge_length"]
     assert lengths.shape == (3000,)
     se = lengths.std(ddof=1) / math.sqrt(lengths.size)
     assert abs(lengths.mean() - 2.0 / 12.0) < 4 * se
+    single, _ = functional_samples("pol2", 12, 3000, [EDGE_LENGTH], SEED,
+                                   stream_id=5, workers=1)
+    assert lengths.tobytes() == single["edge_length"].tobytes()
 
 
 def test_degenerate_exclusion_gate():

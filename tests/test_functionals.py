@@ -12,8 +12,8 @@ from symmpoly import (DegenerateEdgeError, DegenerateTorsionError,
                       total_curvature, total_torsion, turning_angle,
                       turning_angles)
 from symmpoly.ensembles import functional_samples
-from symmpoly.functionals import (_EDGE_TINY, _PROJ_TINY, _batch_torsion,
-                                  _batch_turning)
+from symmpoly.functionals import (_BLOCK, _EDGE_TINY, _PROJ_TINY,
+                                  _batch_torsion, _batch_turning)
 from symmpoly.polygons import space_edges_batch
 
 SEED = 7
@@ -130,6 +130,77 @@ def test_torsion_mask_near_degenerate_windows():
     _, ref_ok = _projection_torsion(edges, False)
     assert np.array_equal(ok, expect)
     assert np.array_equal(ref_ok, expect)
+
+
+def _reference_turning(edges, closed):
+    """The turning kernel in its unblocked form: whole-batch norms, np.where
+    masks and np.roll."""
+    norms = np.linalg.norm(edges, axis=-1)
+    ok = np.all(norms > _EDGE_TINY, axis=-1)
+    unit = edges / np.where(norms > _EDGE_TINY, norms, 1.0)[..., None]
+    if closed:
+        dots = np.einsum("cij,cij->ci", unit, np.roll(unit, -1, axis=1))
+    else:
+        dots = np.einsum("cij,cij->ci", unit[:, :-1], unit[:, 1:])
+    return np.arccos(np.clip(dots, -1.0, 1.0)), ok
+
+
+def _reference_torsion(edges, closed):
+    """The torsion kernel in its unblocked form: np.cross, np.roll and a
+    norm for each of b, a x b and b x c."""
+    if closed:
+        b = np.roll(edges, -1, axis=1)
+        ab = np.cross(edges, b)
+        a, bc = edges, np.roll(ab, -1, axis=1)
+    else:
+        cross = np.cross(edges[:, :-1], edges[:, 1:])
+        a, b, ab, bc = edges[:, :-2], edges[:, 1:-1], cross[:, :-1], cross[:, 1:]
+    nb = np.linalg.norm(b, axis=-1)
+    ok = np.all(nb > _EDGE_TINY, axis=-1)
+    ok &= np.all(np.linalg.norm(ab, axis=-1) > _PROJ_TINY * nb, axis=-1)
+    ok &= np.all(np.linalg.norm(bc, axis=-1) > _PROJ_TINY * nb, axis=-1)
+    tau = -np.arctan2(nb * np.einsum("cij,cij->ci", a, bc),
+                      np.einsum("cij,cij->ci", ab, bc))
+    tau[tau == -math.pi] = math.pi
+    return tau, ok
+
+
+@pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 4096])
+def test_blocked_kernels_match_reference_formulas(count):
+    # Bit for bit, on sampled edges with defects in the last row block: a
+    # zero edge, a neighbor parallel to b, and a last edge parallel to the
+    # first, which only the closed (wrapping) windows see.
+    n = 24
+    last = count - 1
+    zero_row = max(last - 1, last // _BLOCK * _BLOCK)
+    rows = np.arange(count)
+    for space in ("arm2", "arm3"):
+        edges = space_edges_batch(SeedStream(SEED, 4).generator(), count,
+                                  space, n)
+        edges[zero_row, 5] = 0.0
+        edges[last, 9] = 0.5 * edges[last, 10]
+        edges[last, -1] = 2.0 * edges[last, 0]
+        for closed in (True, False):
+            angles, ok = _batch_turning(edges, closed)
+            ref, ref_ok = _reference_turning(edges, closed)
+            assert np.array_equal(angles, ref) and np.array_equal(ok, ref_ok)
+            assert np.array_equal(ok, rows != zero_row)
+            if space == "arm3":
+                tau, ok = _batch_torsion(edges, closed)
+                ref, ref_ok = _reference_torsion(edges, closed)
+                assert np.array_equal(tau, ref) and np.array_equal(ok, ref_ok)
+                assert np.array_equal(ok, (rows != zero_row) & (rows != last))
+
+
+def test_blocked_kernels_on_short_polygons():
+    # a closed window wraps more than once when n is below its width
+    edges = SeedStream(SEED, 5).generator().standard_normal((300, 3, 3))
+    for n in (1, 2, 3):
+        for kernel, reference in ((_batch_turning, _reference_turning),
+                                  (_batch_torsion, _reference_torsion)):
+            got, ok = kernel(edges[:, :n], True)
+            ref, ref_ok = reference(edges[:, :n], True)
+            assert np.array_equal(got, ref) and np.array_equal(ok, ref_ok)
 
 
 def test_square_total_curvature():
