@@ -14,17 +14,20 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
 from . import bounds
 from .errors import BoundUndefinedError, SymmpolyError
-# segment_samples has no caller here; it stays importable from this module
-# because benchmark tracers wrap it by name.
+# segment_samples and write_ensemble have no caller here; they stay
+# importable from this module because benchmark tracers wrap them by name.
 from .ensembles import _iter_chunks, estimate_tv, run_ensemble, segment_samples
 from .io import write_csv, write_ensemble
-from .polygons import SPACES, Polygon, space_dim
+from .polygons import SPACES, space_dim
 from .verify import (extended_density_checks, format_check_line, run_verify,
                      write_results_csv)
 
@@ -132,23 +135,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    dim = space_dim(args.space)
-    closed = args.space.startswith("pol")
-    # Whole polygons are the length-n segments of stream 0, drawn chunk by
-    # chunk with at most 2 * workers chunks in flight and written as each
-    # chunk arrives, so memory does not grow with --count.
-    chunks = _iter_chunks(args.space, args.n, args.count, args.seed, 0,
-                          ("segments", args.n), args.workers,
-                          in_flight=2 * args.workers)
-    with contextlib.closing(chunks):
-        # The first chunk is drawn before the output is opened, so that a bad
-        # argument fails before it truncates an existing file.
-        first = next(chunks)
-        with _out_stream(args.out) as fh:
-            for flat, _ in itertools.chain([first], chunks):
-                write_ensemble(fh, (Polygon(dim=dim, closed=closed,
-                                            edges=row.reshape(args.n, dim))
-                                    for row in flat))
+    # The whole polygons of stream 0 are drawn and formatted chunk by chunk in
+    # the workers, with at most 2 * workers chunks in flight. Each chunk's
+    # records go to a spill file, which is copied into the output in chunk
+    # order and deleted, so memory does not grow with --count and no chunk's
+    # text or arrays pass through this process.
+    with tempfile.TemporaryDirectory(prefix="symmpoly-") as spill_dir:
+        chunks = _iter_chunks(args.space, args.n, args.count, args.seed, 0,
+                              ("jsonl", spill_dir), args.workers,
+                              in_flight=2 * args.workers)
+        # Closing the chunks terminates the pool before the directory goes,
+        # so that no worker still writes into it.
+        with contextlib.closing(chunks):
+            # The first chunk is drawn before the output is opened, so that a
+            # bad argument fails before it truncates an existing file.
+            first = next(chunks)
+            with _out_stream(args.out) as fh:
+                for path, _ in itertools.chain([first], chunks):
+                    with open(path, encoding="utf-8", newline="") as spill:
+                        shutil.copyfileobj(spill, fh, 1 << 20)
+                    os.remove(path)
     return 0
 
 

@@ -29,13 +29,16 @@ Every chunk run goes through one ordered generator, ``_iter_chunks``,
 which yields the chunk results in chunk order. The estimators take them as
 a list (``_run_chunks``, which hands every chunk to the pool at once);
 ``symmpoly sample`` consumes the generator directly with a bounded number
-of chunks in flight and writes each chunk as it arrives. A list run of at
-most ``_IN_PROCESS_EDGES`` drawn edges (N x window) runs in-process at any
-worker count: a pool costs more than such a draw, and head draws for the
-TV estimate and window plans are this small. The streaming path always
-dispatches, so that its memory stays in the chunks in flight. Chunk runs
-inside ``_worker_pool(workers)`` share one process pool, forked when the
-first of them dispatches.
+of chunks in flight. Its chunk task, ``("jsonl", spill_dir)``, draws whole
+polygons and writes their records with ``io.write_ensemble`` to the spill
+file ``spill_dir/<chunk>.jsonl`` in the process that drew them; only the
+file's path returns, and the caller copies the files into its output in
+chunk order. A list run of at most ``_IN_PROCESS_EDGES`` drawn edges
+(N x window) runs in-process at any worker count: a pool costs more than
+such a draw, and head draws for the TV estimate and window plans are this
+small. The streaming path always dispatches, so that its memory stays in
+the chunks in flight. Chunk runs inside ``_worker_pool(workers)`` share one
+process pool, forked when the first of them dispatches.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ import collections
 import contextlib
 import math
 import multiprocessing
+import os
 import re
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
@@ -50,12 +54,13 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
+from . import io
 from .errors import (DegenerateEdgeError, DegenerateTorsionError, DomainError,
                      InvalidDimensionError, InvalidSizeError, ReliabilityError,
                      ResolutionError)
 from .functionals import LocalFunctional, _batch_torsion, _batch_turning
 from .haar import SeedStream, StreamLike, ensure_generator
-from .polygons import SPACES, space_dim, space_edges_batch
+from .polygons import SPACES, Polygon, space_dim, space_edges_batch
 
 CHUNK_SIZE = 4096
 
@@ -245,6 +250,14 @@ def _eval_chunk(args):
         plan = _build_plan(space, n, task[1])
         return _chunk_functionals(space, n, count, stream, chunk, plan)
     rng = stream.chunk_generator(chunk)
+    if task[0] == "jsonl":
+        dim, closed = space_dim(space), space.startswith("pol")
+        edges = space_edges_batch(rng, count, space, n)
+        path = os.path.join(task[1], f"{chunk}.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            io.write_ensemble(fh, (Polygon(dim=dim, closed=closed, edges=e)
+                                   for e in edges))
+        return path, 0
     return space_edges_batch(rng, count, space, n, task[1]).reshape(count, -1), 0
 
 
@@ -312,6 +325,8 @@ def _task_window(space: str, n: int, task) -> int:
     """Leading edges each sample of a chunk task draws."""
     if task[0] == "functionals":
         return _build_plan(space, n, task[1]).window
+    if task[0] == "jsonl":
+        return n
     return task[1]
 
 
@@ -319,6 +334,9 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
                  workers: int, in_flight: Optional[int] = None) -> Iterator:
     """The results of the chunks of one stream, in chunk order.
 
+    ``task`` is ``("functionals", specs)``, ``("segments", k)`` or
+    ``("jsonl", spill_dir)``; the last yields (spill file path, 0) per
+    chunk and leaves the file for the caller to copy and delete.
     Chunks are evaluated in-process, each when it is asked for, at one
     worker, for a single chunk, or for a list run (``in_flight`` None) of
     at most ``_IN_PROCESS_EDGES`` drawn edges. Otherwise chunks go to the

@@ -46,7 +46,9 @@ class Polygon:
     edges: np.ndarray  # shape (n, dim)
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
+        # C order: the angle kernels' sums, and so their last bits, depend on
+        # the memory layout of the edges.
+        edges = np.ascontiguousarray(self.edges, dtype=float)
         if edges.ndim != 2 or edges.shape[1] != self.dim:
             raise InvalidDimensionError(
                 f"edges must have shape (n, {self.dim}), got {edges.shape}")

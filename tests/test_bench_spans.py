@@ -56,6 +56,27 @@ def test_traced_torsion_moments_sees_the_kernels(tmp_path):
     assert tracer.counts["chunks"] == 6
 
 
+def test_traced_sample_jsonl_sees_the_writer(tmp_path):
+    # The records are formatted where the chunk is drawn; a formatter bound
+    # where the wrappers cannot reach it drops the io layer from the trace.
+    spans = _load("spans")
+    workloads = _load("workloads")
+    wl = workloads.WORKLOADS["sample-jsonl"]
+    size = wl.sizes["tiny"]
+    tracer = spans.Tracer("t")
+    try:
+        spans.install(tracer, symmpoly)
+        out = tracer.root(lambda: wl.run(symmpoly, 7, 1, size, tmp_path))
+    finally:
+        tracer.restore()
+    checked = wl.check(symmpoly, out, size)
+    assert all(op.ok for op in checked.ops)
+    layers = {layer for _, layer, _, _, _ in tracer.spans}
+    assert {"polygons", "io"} <= layers
+    assert checked.counts["records"] == size["count"] == 300
+    assert tracer.counts["edges_drawn"] == 300 * 20
+
+
 def test_bench_selftest_passes():
     # about 5 s; writes only under the benchmark's output directory
     done = subprocess.run([sys.executable, str(BENCH / "selftest.py")],

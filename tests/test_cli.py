@@ -2,8 +2,11 @@
 import csv
 import io
 import multiprocessing
+import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import types
 
 import pytest
@@ -21,6 +24,15 @@ SEED_ARGS = ["--seed", "7"]
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.fixture
+def spill_root(tmp_path, monkeypatch):
+    """The temp dir that `sample` makes its spill directory in."""
+    root = tmp_path / "spill"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
 
 
 def test_sample_writes_valid_closed_polygons(tmp_path, capsys):
@@ -61,17 +73,31 @@ def test_sample_worker_count_is_invisible(tmp_path):
 
 
 @pytest.mark.parametrize("space", ["arm2", "pol2", "arm3", "pol3"])
-def test_sample_streams_chunks_in_order(space, tmp_path, monkeypatch):
+def test_sample_streams_chunks_in_order(space, tmp_path, monkeypatch,
+                                        spill_root):
     # 20 samples in chunks of 7 are three chunks, the last one short; the
     # file must be the whole ensemble, as one segment_samples draw gives it
     monkeypatch.setattr(ensembles, "CHUNK_SIZE", 7)
+    copy = shutil.copyfileobj
+    spilled = []
+
+    def counting_copy(src, dst, length):
+        spilled.append(len(os.listdir(os.path.dirname(src.name))))
+        copy(src, dst, length)
+
+    monkeypatch.setattr(shutil, "copyfileobj", counting_copy)
     n = 6
     outs = []
     for workers in ("1", "2"):
         path = tmp_path / f"w{workers}.jsonl"
+        spilled.clear()
         assert run(["sample", "--space", space, "--n", str(n), "--count", "20",
                     "--workers", workers, "--out", str(path), *SEED_ARGS]) == 0
         outs.append(path.read_bytes())
+        # one spill file per chunk, at most 2 * workers of them at once, and
+        # none left afterwards
+        assert len(spilled) == 3 and max(spilled) <= 2 * int(workers)
+        assert not any(spill_root.iterdir())
     dim = space_dim(space)
     flat = segment_samples(space, n, n, 20, 7)
     buf = io.StringIO()
@@ -80,7 +106,7 @@ def test_sample_streams_chunks_in_order(space, tmp_path, monkeypatch):
     assert outs[0] == outs[1] == buf.getvalue().encode()
 
 
-def test_sample_errors_leave_the_output_alone(tmp_path, capsys):
+def test_sample_errors_leave_the_output_alone(tmp_path, capsys, spill_root):
     out = tmp_path / "keep.jsonl"
     out.write_text("earlier contents\n")
     for bad in (["--count", "0"], ["--n", "2"], ["--workers", "0"]):
@@ -89,12 +115,24 @@ def test_sample_errors_leave_the_output_alone(tmp_path, capsys):
         # later flags win over the defaults above
         assert run(argv + bad) == 2, bad
         assert out.read_text() == "earlier contents\n", bad
+        assert not any(spill_root.iterdir()), bad
     assert "symmpoly:" in capsys.readouterr().err
 
 
-def test_sample_write_error_closes_the_stream(monkeypatch, capsys):
-    # a failed write ends the run with exit 2 and terminates the pool that
-    # the chunk stream opened
+def test_sample_without_a_spill_directory_leaves_the_output_alone(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "keep.jsonl"
+    out.write_text("earlier contents\n")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert run(["sample", "--space", "arm2", "--n", "10", "--count", "5",
+                "--out", str(out), *SEED_ARGS]) == 2
+    assert out.read_text() == "earlier contents\n"
+    assert capsys.readouterr().err.startswith("symmpoly: ")
+
+
+def test_sample_write_error_closes_the_stream(monkeypatch, capsys, spill_root):
+    # a failed write ends the run with exit 2, terminates the pool that the
+    # chunk stream opened, and then removes the spill directory
     monkeypatch.setattr(ensembles, "CHUNK_SIZE", 7)
     pools = []
 
@@ -107,7 +145,8 @@ def test_sample_write_error_closes_the_stream(monkeypatch, capsys):
             return self
 
         def __exit__(self, *exc):
-            self.terminated = True
+            # the pool ends while its workers' spill directory still exists
+            self.terminated = any(spill_root.iterdir())
 
         def apply_async(self, fn, args):
             result = fn(*args)
@@ -124,6 +163,7 @@ def test_sample_write_error_closes_the_stream(monkeypatch, capsys):
     assert "disk full" in capsys.readouterr().err
     assert len(pools) == 1 and pools[0].terminated
     assert ensembles._ACTIVE_POOL is None
+    assert not any(spill_root.iterdir())
 
 
 def test_stats_csv(tmp_path):

@@ -73,6 +73,21 @@ def test_scalar_angles_wrap_batch_kernels():
         turning_angle([1, 0], [1, 0, 0])
 
 
+def test_angles_do_not_depend_on_the_edge_layout():
+    # the kernels' sums depend, in the last bit, on the memory layout of the
+    # edges; C-ordered, Fortran-ordered and strided copies give equal bits
+    edges = space_edges_batch(SeedStream(SEED, 2).generator(), 200, "arm3", 50)
+    padded = np.zeros((200, 50, 6))
+    padded[..., ::2] = edges
+    for e, strided in zip(edges, padded[..., ::2]):
+        polys = [Polygon(dim=3, closed=False, edges=x)
+                 for x in (e, np.asfortranarray(e), strided)]
+        for angles in (turning_angles, torsion_angles):
+            first, *rest = (angles(p) for p in polys)
+            for other in rest:
+                assert np.array_equal(first, other)
+
+
 def _projection_torsion(edges, closed):
     """The torsion kernel as first written: project a and c onto the plane
     normal to b and take the signed angle between the projections."""
