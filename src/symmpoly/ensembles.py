@@ -13,7 +13,8 @@ Functionals are named builtins, listed with their values and the leading
 edges each reads in the README table "Builtin functionals" and parsed only
 by ``_build_plan``, or LocalFunctional instances, which are evaluated on
 the first k-edge window. Custom functionals must be picklable (module-level
-callables) when workers > 1.
+callables) when workers > 1; ``functional_samples`` checks that before any
+chunk runs and raises DomainError otherwise.
 
 Segment draws (``segment_samples``, hence ``estimate_tv``) cost O(k) per
 sample for a length-k segment of an n-edge polygon: only the k leading
@@ -113,6 +114,10 @@ class GridHistogram:
     the TV of the underlying laws in the same convention.
     null_calibration is the identical statistic between the two halves of
     sample A and gauges the finite-N positive bias.
+
+    The bounds in ``bounds`` (``b2``, ``b3``) use the integral convention
+    |mu - nu|(whole space), maximum 2, which is twice this one: compare
+    2 * (tv_estimate - null_calibration) with them.
     """
 
     dim: int
@@ -376,6 +381,24 @@ def _run_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
     return list(_iter_chunks(space, n, N, seed, stream_id, task, workers))
 
 
+def _check_picklable(functionals: Sequence[FunctionalSpec]) -> None:
+    """Raise DomainError for a custom functional that cannot be sent to a
+    worker process. It is checked at any N, so that a call with workers > 1
+    does not pass or fail by whether its run is small enough to stay
+    in-process."""
+    import pickle
+
+    for f in functionals:
+        if isinstance(f, LocalFunctional):
+            try:
+                pickle.dumps(f)
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise DomainError(
+                    f"functional {f.name!r} does not pickle, so it cannot run in "
+                    f"worker processes: its eval must be a module-level callable "
+                    f"(or use workers=1); {exc}") from exc
+
+
 def functional_samples(space: str, n: int, N: int,
                        functionals: Sequence[FunctionalSpec], seed: int, *,
                        stream_id: int = 0, workers: int = 1
@@ -394,6 +417,9 @@ def functional_samples(space: str, n: int, N: int,
     same.
     """
     plan = _build_plan(space, n, functionals)
+    _check_positive("worker count", workers)
+    if workers > 1:
+        _check_picklable(functionals)
     results = _run_chunks(space, n, N, seed, stream_id,
                           ("functionals", tuple(functionals)), workers)
     values = {op.name: np.concatenate([chunk[0][op.name] for chunk in results])

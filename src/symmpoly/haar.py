@@ -7,15 +7,22 @@ each own a stream without coordination.
 
 The batch internals draw uniform unit vectors (``_unit_rows``), orthonormal
 2-frames (``_frame2_batch``) and Haar unitaries from an explicit Generator;
-the samplers in ``polygons`` are built on the first two. A frame row whose
-Gaussian draw is (near) degenerate is rejected and redrawn in a masked
-loop; almost surely every row is accepted on the first pass, and then the
-frames are divided and written without masks or index arrays.
+the samplers in ``polygons`` are built on the first two, through their
+block forms ``_unit_blocks`` and ``_frame2_blocks``. Each batch makes its
+random draws for all rows at once, exactly as an unblocked sampler would,
+and then normalises and orthonormalises them block by block of about
+``_BLOCK_COORDS`` coordinates, so that the temporaries stay in cache; the
+samplers in ``polygons`` map each block to edges before the next one. Every
+row's arithmetic is the same whatever the block, so the bits do not depend
+on the block size. A row whose Gaussian draw is (near) degenerate is
+rejected and redrawn after the first pass, with masks only in the blocks
+that hold such a row; almost surely every row is accepted on the first
+pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -25,6 +32,13 @@ from .errors import InvalidDimensionError
 # Degenerate draws have probability zero; resampling keeps samplers total.
 _SPHERE_TINY = 1e-300
 _RESIDUAL_TINY = 1e-12
+
+# Real coordinates per row block of the sphere and frame arithmetic: 163
+# rows of a 100-edge spatial draw (4 coordinates per edge), 327 of a planar
+# one (2 per edge). Of the sizes from 12 800 to 327 680 timed on full
+# 4096-sample chunks at n = 100 (2 cores), 2**16 was the fastest. A
+# 4096-sample head draw of up to 4 spatial or 8 planar edges is one block.
+_BLOCK_COORDS = 2 ** 16
 
 _MAX_U64 = 2**64
 
@@ -84,11 +98,28 @@ def ensure_generator(s: StreamLike) -> np.random.Generator:
 # Generator and consume a draw count that depends only on (count, n) except
 # for probability-zero redraws, which stay inside the same generator.
 
+def _normals(rng: np.random.Generator, count: int, m: int, kind: str) -> np.ndarray:
+    """The raw Gaussian draw behind ``count`` rows of m real or complex
+    coordinates: shape (count, m), or (count, 2, m) of real and imaginary
+    parts."""
+    return rng.standard_normal((count, m) if kind == "real" else (count, 2, m))
+
+
+def _as_rows(g: np.ndarray, kind: str) -> np.ndarray:
+    """Rows of a ``_normals`` draw (or of a block of one), complex assembled."""
+    return g if kind == "real" else _complex(g[:, 0], g[:, 1])
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + 1j * im in one pass; the bits are equal up to the sign of a zero
+    part."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
 def _gaussian_rows(rng: np.random.Generator, count: int, m: int, kind: str = "real") -> np.ndarray:
-    if kind == "real":
-        return rng.standard_normal((count, m))
-    g = rng.standard_normal((count, 2, m))
-    return g[:, 0] + 1j * g[:, 1]
+    return _as_rows(_normals(rng, count, m, kind), kind)
 
 
 def _chi2(rng: np.random.Generator, dof: float, count: int) -> np.ndarray:
@@ -113,6 +144,61 @@ def _tail_factor(rng: np.random.Generator, count: int, m: int, kind: str):
     return np.stack([c1, np.zeros(count)], axis=1), np.stack([z, c2], axis=1)
 
 
+def _row_blocks(count: int, coords: int) -> List[slice]:
+    """Row blocks of a draw whose rows hold ``coords`` real coordinates."""
+    step = max(1, _BLOCK_COORDS // coords)
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
+def _accepted_blocks(count: int, coords: int, draw, rows) -> Iterator:
+    """The draw-and-redraw loop of a batch sampler, block by block.
+
+    ``draw(c)`` makes every random draw of c rows; ``rows(draws, sl)``
+    turns rows ``sl`` of them into (values, ok), values a tuple of arrays
+    over those rows. The first pass draws all ``count`` rows and yields
+    (slice of output rows, values) per block of ``_row_blocks``, rejected
+    rows included; each redraw pass draws the rows still rejected, in one
+    block, and yields every accepted one as a one-row slice, which writes
+    over its rejected value. The draws are those of one whole-count pass
+    followed by the redraws, whatever the block size.
+    """
+    draws = draw(count)
+    todo = []
+    for sl in _row_blocks(count, coords):
+        values, ok = rows(draws, sl)
+        yield sl, values
+        todo.extend(sl.start + np.flatnonzero(~ok))
+    todo = np.array(todo, dtype=np.intp)
+    while todo.size:
+        values, ok = rows(draw(todo.size), slice(None))
+        for j in np.flatnonzero(ok):
+            yield slice(todo[j], todo[j] + 1), tuple(v[j:j + 1] for v in values)
+        todo = todo[~ok]
+
+
+def _unit_blocks(rng: np.random.Generator, count: int, m: int, kind: str,
+                 head: int) -> Iterator:
+    """``_unit_rows`` as (rows, (unit rows,)) blocks of ``_accepted_blocks``."""
+    f = 2 if kind == "complex" else 1
+
+    def draw(c):
+        g = _normals(rng, c, head, kind)
+        return g, (np.sqrt(_chi2(rng, f * (m - head), c)) if head < m else None)
+
+    def rows(draws, sl):
+        g, tail = draws
+        g = _as_rows(g[sl], kind)
+        if tail is not None:
+            g = np.concatenate([g, tail[sl, None]], axis=1)
+        norms = np.linalg.norm(g, axis=1)
+        ok = norms >= _SPHERE_TINY
+        if not ok.all():
+            norms = np.where(ok, norms, 1.0)
+        return (g[:, :head] / norms[:, None],), ok
+
+    return _accepted_blocks(count, f * head, draw, rows)
+
+
 def _unit_rows(rng: np.random.Generator, count: int, m: int, kind: str = "real",
                head: Optional[int] = None) -> np.ndarray:
     """Leading ``head`` coordinates (default all m) of uniform unit m-vectors.
@@ -122,22 +208,43 @@ def _unit_rows(rng: np.random.Generator, count: int, m: int, kind: str = "real",
     per row, so the cost is O(head).
     """
     head = m if head is None else head
+    out = np.empty((count, head), dtype=complex if kind == "complex" else float)
+    for sl, (u,) in _unit_blocks(rng, count, m, kind, head):
+        out[sl] = u
+    return out
+
+
+def _frame2_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
+                   head: int) -> Iterator:
+    """``_frame2_batch`` as (rows, (a, b)) blocks of ``_accepted_blocks``,
+    a and b the leading ``head`` coordinates of the two frame vectors."""
 
     def draw(c):
-        g = _gaussian_rows(rng, c, head, kind)
-        if head < m:
-            f = 2 if kind == "complex" else 1
-            tail = np.sqrt(_chi2(rng, f * (m - head), c))
-            g = np.concatenate([g, tail[:, None]], axis=1)
-        return g
+        g1, g2 = _normals(rng, c, head, kind), _normals(rng, c, head, kind)
+        return g1, g2, (_tail_factor(rng, c, n - head, kind) if head < n else None)
 
-    g = draw(count)
-    norms = np.linalg.norm(g, axis=1)
-    while np.any(norms < _SPHERE_TINY):
-        bad = norms < _SPHERE_TINY
-        g[bad] = draw(int(bad.sum()))
-        norms[bad] = np.linalg.norm(g[bad], axis=1)
-    return g[:, :head] / norms[:, None]
+    def rows(draws, sl):
+        g1, g2, tails = draws
+        g1, g2 = _as_rows(g1[sl], kind), _as_rows(g2[sl], kind)
+        if tails is not None:
+            g1 = np.concatenate([g1, tails[0][sl]], axis=1)
+            g2 = np.concatenate([g2, tails[1][sl]], axis=1)
+        # A rejected row divides by 1 instead; every row is accepted almost
+        # surely, and then no mask is applied.
+        n1 = np.linalg.norm(g1, axis=1)
+        ok1 = n1 >= _RESIDUAL_TINY
+        if not ok1.all():
+            g1, n1 = np.where(ok1[:, None], g1, 1.0), np.where(ok1, n1, 1.0)
+        a = g1 / n1[:, None]
+        ip = np.einsum("ij,ij->i", a.conj(), g2)
+        resid = g2 - ip[:, None] * a
+        n2 = np.linalg.norm(resid, axis=1)
+        ok = ok1 & (n2 >= _RESIDUAL_TINY)
+        if not ok.all():
+            resid, n2 = np.where(ok[:, None], resid, 1.0), np.where(ok, n2, 1.0)
+        return (a[:, :head], resid[:, :head] / n2[:, None]), ok
+
+    return _accepted_blocks(count, (4 if kind == "complex" else 2) * head, draw, rows)
 
 
 def _frame2_batch(rng: np.random.Generator, count: int, n: int, kind: str,
@@ -152,35 +259,8 @@ def _frame2_batch(rng: np.random.Generator, count: int, n: int, kind: str,
     """
     head = n if head is None else head
     out = np.empty((count, 2, head), dtype=complex if kind == "complex" else float)
-    todo = np.arange(count)
-    while todo.size:
-        g1 = _gaussian_rows(rng, todo.size, head, kind)
-        g2 = _gaussian_rows(rng, todo.size, head, kind)
-        if head < n:
-            t1, t2 = _tail_factor(rng, todo.size, n - head, kind)
-            g1 = np.concatenate([g1, t1], axis=1)
-            g2 = np.concatenate([g2, t2], axis=1)
-        # A rejected row divides by 1 instead; every row is accepted almost
-        # surely, and then no mask is applied.
-        n1 = np.linalg.norm(g1, axis=1)
-        ok1 = n1 >= _RESIDUAL_TINY
-        if not ok1.all():
-            g1, n1 = np.where(ok1[:, None], g1, 1.0), np.where(ok1, n1, 1.0)
-        a = g1 / n1[:, None]
-        ip = np.einsum("ij,ij->i", a.conj(), g2)
-        resid = g2 - ip[:, None] * a
-        n2 = np.linalg.norm(resid, axis=1)
-        ok = ok1 & (n2 >= _RESIDUAL_TINY)
-        accepted = ok.all()
-        if not accepted:
-            resid, n2 = np.where(ok[:, None], resid, 1.0), np.where(ok, n2, 1.0)
-        b = resid[:, :head] / n2[:, None]
-        if accepted and todo.size == count:
-            out[:, 0], out[:, 1] = a[:, :head], b
-            break
-        out[todo[ok], 0] = a[ok, :head]
-        out[todo[ok], 1] = b[ok]
-        todo = todo[~ok]
+    for sl, (a, b) in _frame2_blocks(rng, count, n, kind, head):
+        out[sl, 0], out[sl, 1] = a, b
     return out
 
 

@@ -17,6 +17,12 @@ Both maps take whole batches: ``square_map`` complex arrays (...) to edges
 Closure of the pol spaces is the frame orthonormality: the squared/Hopf
 images sum to zero exactly when the two vectors are orthonormal, which also
 pins the perimeter to 2 without any rescaling.
+
+The batch samplers make each batch's random draws at once and then run the
+frame or sphere arithmetic and the map to edges per row block (see
+``haar``), writing each block into one preallocated (count, k, dim) array.
+The draws and the output bits are those of the same arithmetic on the
+whole batch.
 """
 from __future__ import annotations
 
@@ -27,8 +33,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidSizeError
-from .haar import (SeedStream, StreamLike, _frame2_batch, _unit_rows,
-                   ensure_generator)
+from .haar import (SeedStream, StreamLike, _complex, _frame2_blocks,
+                   _unit_blocks, ensure_generator)
 
 SPACES = ("arm2", "pol2", "arm3", "pol3")
 
@@ -66,7 +72,11 @@ class Polygon:
 def square_map(z: Sequence[complex]) -> np.ndarray:
     """Square each complex coordinate and read the results as R^2 edges."""
     z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape + (2,))
+    return _square(z, np.empty(z.shape + (2,)))
+
+
+def _square(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``square_map`` of a complex array into a C-ordered float ``out``."""
     # the (..., 2) rows are the real and imaginary parts of z * z
     np.multiply(z, z, out=out.view(complex)[..., 0])
     return out
@@ -86,11 +96,11 @@ def hopf_map(comp) -> np.ndarray:
     return _hopf(comp[..., 0], comp[..., 1], comp[..., 2], comp[..., 3])
 
 
-def _hopf(w, x, y, z) -> np.ndarray:
+def _hopf(w, x, y, z, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``hopf_map`` on the four coordinate arrays of a quaternion batch:
     (w^2 + x^2 - y^2 - z^2, 2 (x y - w z), 2 (w y + x z)), evaluated in
-    that order into one (..., 3) array."""
-    out = np.empty(w.shape + (3,))
+    that order into one (..., 3) array, ``out`` if given."""
+    out = np.empty(w.shape + (3,)) if out is None else out
     tmp = np.empty(w.shape)
     e0, e1, e2 = out[..., 0], out[..., 1], out[..., 2]
     np.multiply(w, w, out=e0)
@@ -118,24 +128,29 @@ def arm_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
     """Leading k edges (default all n) of ``count`` open-arm samples,
     shape (count, k, dim)."""
     k = n if k is None else k
-    if dim == 2:
-        pts = math.sqrt(2.0) * _unit_rows(rng, count, 2 * n, head=2 * k)
-        zc = pts.reshape(count, k, 2)
-        return square_map(zc[..., 0] + 1j * zc[..., 1])
-    pts = math.sqrt(2.0) * _unit_rows(rng, count, 4 * n, head=4 * k)
-    return hopf_map(pts.reshape(count, k, 4))
+    c = 2 if dim == 2 else 4  # real coordinates per edge
+    out = np.empty((count, k, dim))
+    for sl, (u,) in _unit_blocks(rng, count, c * n, "real", c * k):
+        pts = (math.sqrt(2.0) * u).reshape(-1, k, c)
+        if dim == 2:
+            _square(_complex(pts[..., 0], pts[..., 1]), out[sl])
+        else:
+            _hopf(pts[..., 0], pts[..., 1], pts[..., 2], pts[..., 3], out[sl])
+    return out
 
 
 def pol_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
                     k: Optional[int] = None) -> np.ndarray:
     """Leading k edges (default all n) of ``count`` closed-polygon samples,
     shape (count, k, dim)."""
-    if dim == 2:
-        fr = _frame2_batch(rng, count, n, "real", head=k)
-        return square_map(fr[:, 0] + 1j * fr[:, 1])
-    fr = _frame2_batch(rng, count, n, "complex", head=k)
-    a, b = fr[:, 0], fr[:, 1]
-    return _hopf(a.real, a.imag, b.real, b.imag)
+    k = n if k is None else k
+    out = np.empty((count, k, dim))
+    for sl, (a, b) in _frame2_blocks(rng, count, n, "real" if dim == 2 else "complex", k):
+        if dim == 2:
+            _square(_complex(a, b), out[sl])
+        else:
+            _hopf(a.real, a.imag, b.real, b.imag, out[sl])
+    return out
 
 
 def space_dim(space: str) -> int:

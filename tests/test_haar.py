@@ -6,9 +6,10 @@ import pytest
 from scipy import stats
 
 from symmpoly import (InvalidDimensionError, SeedStream, ensure_generator,
-                      ks_distance, space_dim)
-from symmpoly.haar import (_RESIDUAL_TINY, _frame2_batch, _gaussian_rows,
-                           _haar_unitary_batch, _tail_factor, _unit_rows)
+                      haar, ks_distance, space_dim)
+from symmpoly.haar import (_RESIDUAL_TINY, _SPHERE_TINY, _chi2, _frame2_batch,
+                           _gaussian_rows, _haar_unitary_batch, _tail_factor,
+                           _unit_rows)
 from symmpoly.polygons import SPACES, space_edges_batch
 
 SEED = 7
@@ -101,9 +102,32 @@ def test_frame2_coordinate_second_moment():
     assert abs(sq[:, 1].mean() - 0.1) < 4 * se[1]
 
 
+def _reference_unit_rows(rng, count, m, kind="real", head=None):
+    """``_unit_rows`` unblocked: the whole draw, redrawn row by row until
+    every norm clears _SPHERE_TINY, then divided at once."""
+    head = m if head is None else head
+
+    def draw(c):
+        g = _gaussian_rows(rng, c, head, kind)
+        if head < m:
+            f = 2 if kind == "complex" else 1
+            tail = np.sqrt(_chi2(rng, f * (m - head), c))
+            g = np.concatenate([g, tail[:, None]], axis=1)
+        return g
+
+    g = draw(count)
+    norms = np.linalg.norm(g, axis=1)
+    while np.any(norms < _SPHERE_TINY):
+        bad = norms < _SPHERE_TINY
+        g[bad] = draw(int(bad.sum()))
+        norms[bad] = np.linalg.norm(g[bad], axis=1)
+    return g[:, :head] / norms[:, None]
+
+
 def _reference_frame2(rng, count, n, kind, head=None):
-    """``_frame2_batch`` in its masked form: every pass divides through
-    np.where masks and writes the accepted rows by fancy index."""
+    """``_frame2_batch`` unblocked and in its masked form: every pass
+    divides through np.where masks and writes the accepted rows by fancy
+    index."""
     head = n if head is None else head
     out = np.empty((count, 2, head), dtype=complex if kind == "complex" else float)
     todo = np.arange(count)
@@ -129,17 +153,18 @@ def _reference_frame2(rng, count, n, kind, head=None):
 
 
 def _reference_edges(rng, count, space, n, k):
-    """``space_edges_batch`` through ``_reference_frame2``, squaring and
-    Hopf images assembled with np.stack."""
+    """``space_edges_batch`` unblocked, through ``_reference_unit_rows`` and
+    ``_reference_frame2``, squaring and Hopf images assembled with
+    np.stack."""
     if space == "arm2":
-        zc = math.sqrt(2.0) * _unit_rows(rng, count, 2 * n, head=2 * k)
+        zc = math.sqrt(2.0) * _reference_unit_rows(rng, count, 2 * n, head=2 * k)
         zc = zc.reshape(count, k, 2)
         z = zc[..., 0] + 1j * zc[..., 1]
     elif space == "pol2":
         fr = _reference_frame2(rng, count, n, "real", head=k)
         z = fr[:, 0] + 1j * fr[:, 1]
     elif space == "arm3":
-        comp = math.sqrt(2.0) * _unit_rows(rng, count, 4 * n, head=4 * k)
+        comp = math.sqrt(2.0) * _reference_unit_rows(rng, count, 4 * n, head=4 * k)
         comp = comp.reshape(count, k, 4)
     else:
         fr = _reference_frame2(rng, count, n, "complex", head=k)
@@ -152,6 +177,16 @@ def _reference_edges(rng, count, space, n, k):
     return np.stack([w * w + x * x - y * y - z * z,
                      2.0 * (x * y - w * z),
                      2.0 * (w * y + x * z)], axis=-1)
+
+
+def _block_rows(monkeypatch, rows, coords):
+    """Make the sampler's row blocks ``rows`` long for rows of ``coords``
+    real coordinates."""
+    monkeypatch.setattr(haar, "_BLOCK_COORDS", rows * coords)
+
+
+def _coords_per_edge(space):
+    return 2 if space.endswith("2") else 4
 
 
 REDRAW_STREAM = SeedStream(SEED, 11)
@@ -179,36 +214,111 @@ class _ScaledRows:
         return self._scaled(self.rng.standard_gamma(shape, size))
 
 
+# Sample counts around the 256-row blocks that _block_rows sets up: one
+# row, a block short of full, a block and one row over, a short last
+# block, and a whole 4096-sample chunk.
+BLOCK_COUNTS = (1, 255, 257, 1000, 4096)
+
+
 @pytest.mark.parametrize("space", SPACES)
-def test_space_edges_match_reference_sampler(space):
+def test_space_edges_match_reference_sampler(space, monkeypatch):
+    # At the module's block size, then in 256-row blocks at k = n.
     n = 12
-    for k in (n, 5):
-        got = space_edges_batch(SeedStream(SEED, 9).generator(), 300, space, n, k)
-        ref = _reference_edges(SeedStream(SEED, 9).generator(), 300, space, n, k)
-        assert got.shape == (300, k, space_dim(space))
-        assert np.array_equal(got, ref)
+    for blocks in ("module", 256):
+        if blocks != "module":
+            _block_rows(monkeypatch, blocks, _coords_per_edge(space) * n)
+        for count in BLOCK_COUNTS:
+            for k in (n, 5):
+                got = space_edges_batch(SeedStream(SEED, 9).chunk_generator(count),
+                                        count, space, n, k)
+                ref = _reference_edges(SeedStream(SEED, 9).chunk_generator(count),
+                                       count, space, n, k)
+                assert got.shape == (count, k, space_dim(space))
+                assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-def test_frame2_redraws_rejected_rows(kind):
-    # Row 3 of the first Gaussian vector is zero, and row 7 of the second
-    # is so short that its residual falls below _RESIDUAL_TINY: both rows
-    # are rejected and redrawn, and no other row moves. With head < n the
-    # draws are the head, the two chi-square tails and the Bartlett z.
-    count, n, head, bad = 40, 9, 4, [3, 7]
-    keep = np.setdiff1d(np.arange(count), bad)
-    scales = {n: {0: {3: 0.0}, 1: {7: 1e-14}},
-              head: {0: {3: 0.0}, 2: {3: 0.0},
-                     1: {7: 1e-14}, 3: {7: 1e-28}, 4: {7: 1e-14}}}
+def test_unit_rows_match_reference(kind, monkeypatch):
+    f = 2 if kind == "complex" else 1
+    m = 10
+    for head in (m, 3):
+        _block_rows(monkeypatch, 256, f * head)
+        for count in BLOCK_COUNTS:
+            got = _unit_rows(SeedStream(SEED, 10).chunk_generator(count),
+                             count, m, kind, head)
+            ref = _reference_unit_rows(SeedStream(SEED, 10).chunk_generator(count),
+                                       count, m, kind, head)
+            assert got.shape == (count, head)
+            assert np.array_equal(got, ref)
+
+
+# Rejected rows in the first block, in a later one and in the last row of
+# a 1000-row draw in 256-row blocks.
+REDRAW_COUNT = 1000
+REDRAW_BAD = [3, 300, 999]
+
+
+def _check_redraws(sampler, reference, scale, bad, plain):
+    got = sampler(_ScaledRows(scale))
+    assert np.array_equal(got, reference(_ScaledRows(scale)))
+    keep = np.setdiff1d(np.arange(REDRAW_COUNT), bad)
+    assert np.array_equal(got[keep], plain[keep])
+    assert not np.any(got[bad] == plain[bad])
+    return got
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_unit_rows_redraw_rejected_rows(kind, monkeypatch):
+    # Rows 3, 300 and 999 are zero on the first pass. Row 3 is zero again
+    # in its redraw (the first of the three redrawn rows), so it is drawn a
+    # third time, alone. With head < m the draws alternate between the
+    # head's Gaussians and the tail's chi-square norms.
+    count, m = REDRAW_COUNT, 10
+    f = 2 if kind == "complex" else 1
+    zero = {row: 0.0 for row in REDRAW_BAD}
+    scales = {m: {0: zero, 1: {0: 0.0}},
+              4: {0: zero, 1: zero, 2: {0: 0.0}, 3: {0: 0.0}}}
+    for head, scale in scales.items():
+        _block_rows(monkeypatch, 256, f * head)
+        plain = _unit_rows(REDRAW_STREAM.generator(), count, m, kind, head)
+        got = _check_redraws(
+            lambda rng: _unit_rows(rng, count, m, kind, head),
+            lambda rng: _reference_unit_rows(rng, count, m, kind, head),
+            scale, REDRAW_BAD, plain)
+        if head == m:
+            assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) < 1e-12
+    space = "arm2" if kind == "real" else "arm3"
+    for k, scale in ((m, scales[m]), (1, scales[4])):
+        # arm edges read 2 (planar) or 4 (spatial) unit coordinates each
+        c = _coords_per_edge(space)
+        _block_rows(monkeypatch, 256, c * k)
+        edges = space_edges_batch(_ScaledRows(scale), count, space, m, k)
+        ref = _reference_edges(_ScaledRows(scale), count, space, m, k)
+        assert np.array_equal(edges, ref)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_frame2_redraws_rejected_rows(kind, monkeypatch):
+    # Rows 3 and 999 of the first Gaussian vector are zero, and row 300 of
+    # the second is so short that its residual falls below _RESIDUAL_TINY:
+    # all three rows are rejected and redrawn, and no other row moves. Row
+    # 3 (the first redrawn row) is zero again in its redraw, so it is drawn
+    # a third time, alone. With head < n each pass draws the head, the two
+    # chi-square tails and the Bartlett z.
+    count, n, head = REDRAW_COUNT, 9, 4
+    f = 2 if kind == "complex" else 1
+    zero = {3: 0.0, 999: 0.0}
+    scales = {n: {0: zero, 1: {300: 1e-14}, 2: {0: 0.0}},
+              head: {0: zero, 2: zero,
+                     1: {300: 1e-14}, 3: {300: 1e-28}, 4: {300: 1e-14},
+                     5: {0: 0.0}, 7: {0: 0.0}}}
     space = "pol2" if kind == "real" else "pol3"
     for h, scale in scales.items():
-        fr = _frame2_batch(_ScaledRows(scale), count, n, kind, head=h)
-        plain = _frame2_batch(REDRAW_STREAM.generator(), count, n, kind,
-                              head=h)
-        ref = _reference_frame2(_ScaledRows(scale), count, n, kind, h)
-        assert np.array_equal(fr, ref)
-        assert np.array_equal(fr[keep], plain[keep])
-        assert not np.any(fr[bad] == plain[bad])
+        _block_rows(monkeypatch, 256, 2 * f * h)
+        plain = _frame2_batch(REDRAW_STREAM.generator(), count, n, kind, head=h)
+        _check_redraws(lambda rng: _frame2_batch(rng, count, n, kind, head=h),
+                       lambda rng: _reference_frame2(rng, count, n, kind, h),
+                       scale, REDRAW_BAD, plain)
         edges = space_edges_batch(_ScaledRows(scale), count, space, n, h)
         ref = _reference_edges(_ScaledRows(scale), count, space, n, h)
         assert np.array_equal(edges, ref)

@@ -1,4 +1,5 @@
 """Polygon spaces: squaring map, Hopf map, samplers, and accessors."""
+import hashlib
 import math
 
 import numpy as np
@@ -276,3 +277,30 @@ def test_head_sampler_rejects_bad_length():
     for k in (0, -1, 11, 2.0):
         with pytest.raises(InvalidSizeError):
             space_edges_batch(rng, 10, "pol3", 10, k)
+
+
+# sha256 of the bytes of space_edges_batch(SeedStream(7, 13).chunk_generator(2),
+# 4096, space, n): whole polygons, as the ensembles draw them. They pin the
+# README's promise that full-length draws keep their bytes; a change that
+# moves them changes every whole-polygon output of the library.
+FULL_DRAW_SHA256 = {
+    ("arm2", 3): "09ebcf1d8bda05515da7a0126f05108bf1a001780d357175ccc4ca76736325a6",
+    ("arm2", 100): "7a2aa977c6f64f216d29508cdfef11039f9f16879ba607c9567adb98d6a1f53c",
+    ("arm2", 200): "f8a1ed07d0ce43d64d0f603e4e0b8c38629d41674ff9f85f4c7d7ba30a771d9a",
+    ("pol2", 3): "6adeffb80528840781e74477c725973118c16ee187d1cda9d6c2f269f4181e53",
+    ("pol2", 100): "72866df46128846473579201d6a459773355ba0842846d555f871df1a1ae167b",
+    ("pol2", 200): "e8a828fd6297733a4cac7795672dff935cf7dca405c29ac4f0f559928c777a29",
+    ("arm3", 3): "bf435a8ab48d8aef94fa88e8d47c270448bf707ba2ba6c7e9f7b24bebea2838a",
+    ("arm3", 100): "1265d7c2da50487548c6d743ed17987a2faccd22bb063dd09a181751be372dae",
+    ("arm3", 200): "9c0b9c9e24929b4265f1c0cb7e78eab54d23e6aa2e2f6a3746a078edc233f215",
+    ("pol3", 3): "0728cc1ee076398aee11ca8b28ddeb19f1499663d2ac26102e4159f9b67ec6bb",
+    ("pol3", 100): "7cbb2200ecc944cfc3e0b5ad382c6111ce71d2ecea4ad0735e0e2ebcb19555a9",
+    ("pol3", 200): "3c3ef97704a0100cbeafa7cba134789e4f333687af26560820adf3a380f7ec42",
+}
+
+
+@pytest.mark.parametrize("space,n", sorted(FULL_DRAW_SHA256))
+def test_full_draws_match_golden_digests(space, n):
+    edges = space_edges_batch(SeedStream(7, 13).chunk_generator(2), 4096, space, n)
+    assert edges.shape == (4096, n, space_dim(space))
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == FULL_DRAW_SHA256[space, n]

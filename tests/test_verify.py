@@ -3,9 +3,11 @@ test_acceptance.py)."""
 import io
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from symmpoly import verify
+from symmpoly.ensembles import GridHistogram
 from symmpoly.verify import (CheckResult, _check, density_checks,
                              extended_density_checks, format_check_line,
                              formula_checks, run_verify, write_results_csv)
@@ -36,6 +38,14 @@ def test_write_results_csv():
     write_results_csv(buf, [CheckResult(1, "x", 0.25, 1.0, "<=", True)])
     assert buf.getvalue() == ("criterion,check,measured,threshold,op,pass\n"
                               "1,x,0.25,1.0,<=,true\n")
+
+
+def test_tv_excess_is_in_the_integral_convention():
+    # Disjoint histograms are at estimate_tv's ceiling, 1, and at the
+    # ceiling of the bounds' integral convention, 2.
+    hist = GridHistogram(1, 4, ((0.0, 1.0),), np.array([8, 0, 0, 0]),
+                         np.array([0, 0, 0, 8]), 1.0, 0.25)
+    assert verify._tv_excess(hist) == 1.5
 
 
 def test_formula_checks_all_pass():
