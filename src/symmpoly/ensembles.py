@@ -61,7 +61,8 @@ from .errors import (DegenerateEdgeError, DegenerateTorsionError, DomainError,
                      ResolutionError)
 from .functionals import LocalFunctional, _batch_torsion, _batch_turning
 from .haar import SeedStream, StreamLike, ensure_generator
-from .polygons import SPACES, Polygon, space_dim, space_edges_batch
+from .polygons import (SPACES, Polygon, _check_segment_length, space_dim,
+                       space_edges_batch)
 
 CHUNK_SIZE = 4096
 
@@ -467,8 +468,7 @@ def segment_samples(space: str, n: int, k: int, N: int, seed: int, *,
     """
     if space not in SPACES:
         raise DomainError(f"unknown space {space!r}; expected one of {SPACES}")
-    if not _is_int(k) or not 1 <= k <= n:
-        raise InvalidSizeError(f"segment length must satisfy 1 <= k <= n, got k={k!r}")
+    _check_segment_length(n, k)
     results = _run_chunks(space, n, N, seed, stream_id, ("segments", k), workers)
     return np.concatenate([chunk[0] for chunk in results], axis=0)
 
@@ -491,6 +491,8 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
             f"segment grids need one ambient dimension, got {space_a} vs {space_b}")
     if not _is_int(bins_per_axis) or bins_per_axis < 4:
         raise ResolutionError(f"bins_per_axis must be an integer >= 4, got {bins_per_axis!r}")
+    # k first: it sizes the cell count, and 4**(2 * 5000) is too long to print
+    _check_segment_length(n, k)
     d = dim * k
     cells = bins_per_axis ** d
     if cells > N / 50:

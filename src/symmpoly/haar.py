@@ -5,24 +5,23 @@ value-like: the same (seed, stream_id) reproduces the same draws, and
 distinct stream_ids are statistically independent, so parallel workers can
 each own a stream without coordination.
 
-The batch internals draw uniform unit vectors (``_unit_rows``), orthonormal
-2-frames (``_frame2_batch``) and Haar unitaries from an explicit Generator;
-the samplers in ``polygons`` are built on the first two, through their
-block forms ``_unit_blocks`` and ``_frame2_blocks``. Each batch makes its
-random draws for all rows at once, exactly as an unblocked sampler would,
-and then normalises and orthonormalises them block by block of about
-``_BLOCK_COORDS`` coordinates, so that the temporaries stay in cache; the
-samplers in ``polygons`` map each block to edges before the next one. Every
-row's arithmetic is the same whatever the block, so the bits do not depend
-on the block size. A row whose Gaussian draw is (near) degenerate is
-rejected and redrawn after the first pass, with masks only in the blocks
-that hold such a row; almost surely every row is accepted on the first
-pass.
+The batch internals ``_unit_blocks`` (real unit vectors, behind the arm
+spaces) and ``_frame2_blocks`` (real or complex orthonormal 2-frames,
+behind the pol spaces) draw from an explicit Generator for their one
+caller, ``polygons.space_edges_batch``. Each makes its random draws for all
+rows at once, as an unblocked sampler would, then normalises and
+orthonormalises them in blocks of about ``_BLOCK_COORDS`` coordinates, so
+that the temporaries stay in cache. Every row's arithmetic is the same
+whatever the block, so the bits do not depend on the block size. A row
+whose Gaussian draw is (near) degenerate is rejected and redrawn after the
+first pass, with masks only in the blocks that hold such a row; almost
+surely every row is accepted on the first pass. ``_haar_unitary_batch``
+draws whole Haar unitaries; no sampler uses it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Union
 
 import numpy as np
 
@@ -118,10 +117,6 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def _gaussian_rows(rng: np.random.Generator, count: int, m: int, kind: str = "real") -> np.ndarray:
-    return _as_rows(_normals(rng, count, m, kind), kind)
-
-
 def _chi2(rng: np.random.Generator, dof: float, count: int) -> np.ndarray:
     """Chi-square variates with ``dof`` degrees of freedom (0 gives 0)."""
     return 2.0 * rng.standard_gamma(dof / 2.0, count)
@@ -140,7 +135,7 @@ def _tail_factor(rng: np.random.Generator, count: int, m: int, kind: str):
     f = 2 if kind == "complex" else 1
     c1 = np.sqrt(_chi2(rng, f * m, count))
     c2 = np.sqrt(_chi2(rng, f * (m - 1), count))
-    z = _gaussian_rows(rng, count, 1, kind)[:, 0]
+    z = _as_rows(_normals(rng, count, 1, kind), kind)[:, 0]
     return np.stack([c1, np.zeros(count)], axis=1), np.stack([z, c2], axis=1)
 
 
@@ -176,18 +171,23 @@ def _accepted_blocks(count: int, coords: int, draw, rows) -> Iterator:
         todo = todo[~ok]
 
 
-def _unit_blocks(rng: np.random.Generator, count: int, m: int, kind: str,
+def _unit_blocks(rng: np.random.Generator, count: int, m: int,
                  head: int) -> Iterator:
-    """``_unit_rows`` as (rows, (unit rows,)) blocks of ``_accepted_blocks``."""
-    f = 2 if kind == "complex" else 1
+    """Leading ``head`` coordinates of ``count`` uniform unit m-vectors, as
+    (rows, (unit rows,)) blocks of ``_accepted_blocks``.
+
+    With head < m the other m - head coordinates are never drawn: the
+    normalisation sees them only through their norm, one chi-square draw
+    per row, so the cost is O(head).
+    """
 
     def draw(c):
-        g = _normals(rng, c, head, kind)
-        return g, (np.sqrt(_chi2(rng, f * (m - head), c)) if head < m else None)
+        g = rng.standard_normal((c, head))
+        return g, (np.sqrt(_chi2(rng, m - head, c)) if head < m else None)
 
     def rows(draws, sl):
         g, tail = draws
-        g = _as_rows(g[sl], kind)
+        g = g[sl]
         if tail is not None:
             g = np.concatenate([g, tail[sl, None]], axis=1)
         norms = np.linalg.norm(g, axis=1)
@@ -196,28 +196,19 @@ def _unit_blocks(rng: np.random.Generator, count: int, m: int, kind: str,
             norms = np.where(ok, norms, 1.0)
         return (g[:, :head] / norms[:, None],), ok
 
-    return _accepted_blocks(count, f * head, draw, rows)
-
-
-def _unit_rows(rng: np.random.Generator, count: int, m: int, kind: str = "real",
-               head: Optional[int] = None) -> np.ndarray:
-    """Leading ``head`` coordinates (default all m) of uniform unit m-vectors.
-
-    With head < m the other m - head coordinates are never drawn: the
-    normalisation sees them only through their norm, one chi-square draw
-    per row, so the cost is O(head).
-    """
-    head = m if head is None else head
-    out = np.empty((count, head), dtype=complex if kind == "complex" else float)
-    for sl, (u,) in _unit_blocks(rng, count, m, kind, head):
-        out[sl] = u
-    return out
+    return _accepted_blocks(count, head, draw, rows)
 
 
 def _frame2_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
                    head: int) -> Iterator:
-    """``_frame2_batch`` as (rows, (a, b)) blocks of ``_accepted_blocks``,
-    a and b the leading ``head`` coordinates of the two frame vectors."""
+    """Leading ``head`` coordinates (a, b) of ``count`` orthonormal pairs in
+    R^n or C^n (``kind``), as (rows, (a, b)) blocks of ``_accepted_blocks``.
+
+    With head < n the last n - head coordinates of the two Gaussian vectors
+    are replaced by the two columns of ``_tail_factor``, which have the same
+    inner products, so Gram-Schmidt gives the head exactly in law at O(head)
+    cost.
+    """
 
     def draw(c):
         g1, g2 = _normals(rng, c, head, kind), _normals(rng, c, head, kind)
@@ -245,23 +236,6 @@ def _frame2_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
         return (a[:, :head], resid[:, :head] / n2[:, None]), ok
 
     return _accepted_blocks(count, (4 if kind == "complex" else 2) * head, draw, rows)
-
-
-def _frame2_batch(rng: np.random.Generator, count: int, n: int, kind: str,
-                  head: Optional[int] = None) -> np.ndarray:
-    """Leading ``head`` rows (default all n) of orthonormal pairs, shape
-    (count, 2, head).
-
-    With head < n the last n - head coordinates of the two Gaussian vectors
-    are replaced by the two columns of ``_tail_factor``, which have the same
-    inner products, so Gram-Schmidt gives the head exactly in law at O(head)
-    cost.
-    """
-    head = n if head is None else head
-    out = np.empty((count, 2, head), dtype=complex if kind == "complex" else float)
-    for sl, (a, b) in _frame2_blocks(rng, count, n, kind, head):
-        out[sl, 0], out[sl, 1] = a, b
-    return out
 
 
 def _haar_unitary_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -18,11 +18,10 @@ Closure of the pol spaces is the frame orthonormality: the squared/Hopf
 images sum to zero exactly when the two vectors are orthonormal, which also
 pins the perimeter to 2 without any rescaling.
 
-The batch samplers make each batch's random draws at once and then run the
-frame or sphere arithmetic and the map to edges per row block (see
-``haar``), writing each block into one preallocated (count, k, dim) array.
-The draws and the output bits are those of the same arithmetic on the
-whole batch.
+``space_edges_batch`` is the one sampler: ``sample_arm``, ``sample_pol`` and
+every ensemble draw go through it. It makes a batch's random draws at once,
+then maps each row block (see ``haar``) to edges in one (count, k, dim)
+array, with the bits of the same arithmetic on the whole batch.
 """
 from __future__ import annotations
 
@@ -123,34 +122,9 @@ def _check_space_args(dim: int, n: int) -> None:
         raise InvalidSizeError(f"polygon size n must be >= 3, got {n}")
 
 
-def arm_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
-                    k: Optional[int] = None) -> np.ndarray:
-    """Leading k edges (default all n) of ``count`` open-arm samples,
-    shape (count, k, dim)."""
-    k = n if k is None else k
-    c = 2 if dim == 2 else 4  # real coordinates per edge
-    out = np.empty((count, k, dim))
-    for sl, (u,) in _unit_blocks(rng, count, c * n, "real", c * k):
-        pts = (math.sqrt(2.0) * u).reshape(-1, k, c)
-        if dim == 2:
-            _square(_complex(pts[..., 0], pts[..., 1]), out[sl])
-        else:
-            _hopf(pts[..., 0], pts[..., 1], pts[..., 2], pts[..., 3], out[sl])
-    return out
-
-
-def pol_edges_batch(rng: np.random.Generator, count: int, dim: int, n: int,
-                    k: Optional[int] = None) -> np.ndarray:
-    """Leading k edges (default all n) of ``count`` closed-polygon samples,
-    shape (count, k, dim)."""
-    k = n if k is None else k
-    out = np.empty((count, k, dim))
-    for sl, (a, b) in _frame2_blocks(rng, count, n, "real" if dim == 2 else "complex", k):
-        if dim == 2:
-            _square(_complex(a, b), out[sl])
-        else:
-            _hopf(a.real, a.imag, b.real, b.imag, out[sl])
-    return out
+def _check_segment_length(n: int, k) -> None:
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise InvalidSizeError(f"segment length must satisfy 1 <= k <= n, got k={k!r}")
 
 
 def space_dim(space: str) -> int:
@@ -172,26 +146,38 @@ def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int,
     """
     dim = space_dim(space)
     _check_space_args(dim, n)
-    if k is not None and (not isinstance(k, (int, np.integer)) or not 1 <= k <= n):
-        raise InvalidSizeError(f"segment length k={k!r} out of range 1..{n}")
+    k = n if k is None else k
+    _check_segment_length(n, k)
     if space.startswith("arm"):
-        return arm_edges_batch(rng, count, dim, n, k)
-    return pol_edges_batch(rng, count, dim, n, k)
+        c = 2 if dim == 2 else 4  # real coordinates per edge
+        blocks = ((sl, np.moveaxis((math.sqrt(2.0) * u).reshape(-1, k, c), -1, 0))
+                  for sl, (u,) in _unit_blocks(rng, count, c * n, c * k))
+    elif dim == 2:
+        blocks = _frame2_blocks(rng, count, n, "real", k)
+    else:
+        blocks = ((sl, (a.real, a.imag, b.real, b.imag))
+                  for sl, (a, b) in _frame2_blocks(rng, count, n, "complex", k))
+    # each block's coordinates: (re, im) squared, or (w, x, y, z) Hopf-mapped
+    out = np.empty((count, k, dim))
+    for sl, xs in blocks:
+        if dim == 2:
+            _square(_complex(*xs), out[sl])
+        else:
+            _hopf(*xs, out=out[sl])
+    return out
 
 
 def sample_arm(dim: int, n: int, s: StreamLike) -> Polygon:
     """One open chain with independent-direction edges (perimeter 2)."""
     _check_space_args(dim, n)
-    rng = ensure_generator(s)
-    edges = arm_edges_batch(rng, 1, dim, n)[0]
+    edges = space_edges_batch(ensure_generator(s), 1, f"arm{dim}", n)[0]
     return Polygon(dim=dim, closed=False, edges=edges)
 
 
 def sample_pol(dim: int, n: int, s: StreamLike) -> Polygon:
     """One closed polygon (perimeter 2, vanishing edge sum)."""
     _check_space_args(dim, n)
-    rng = ensure_generator(s)
-    edges = pol_edges_batch(rng, 1, dim, n)[0]
+    edges = space_edges_batch(ensure_generator(s), 1, f"pol{dim}", n)[0]
     return Polygon(dim=dim, closed=True, edges=edges)
 
 
@@ -214,6 +200,5 @@ def vertices(p: Polygon) -> np.ndarray:
 
 def segment(p: Polygon, k: int) -> np.ndarray:
     """First k edges flattened to a (dim*k)-vector (the k-segment marginal)."""
-    if not 1 <= k <= p.n:
-        raise InvalidSizeError(f"segment length k={k} out of range 1..{p.n}")
+    _check_segment_length(p.n, k)
     return p.edges[:k].reshape(-1).copy()

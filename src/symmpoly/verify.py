@@ -22,11 +22,11 @@ from scipy import integrate, stats
 from . import bounds, densities
 # covariance_partition and _haar_unitary_batch have no caller here; they stay
 # importable from this module because benchmark tracers wrap them by name.
-from .ensembles import (_chunk_counts, _moments, _worker_pool,
-                        assemble_partition, bootstrap_se, bootstrap_stat_se,
-                        chebyshev_coverage, covariance_partition, estimate_tv,
-                        functional_samples, ks_distance)
-from .haar import SeedStream, _haar_unitary_batch, _unit_rows
+from .ensembles import (_moments, _worker_pool, assemble_partition,
+                        bootstrap_se, bootstrap_stat_se, chebyshev_coverage,
+                        covariance_partition, estimate_tv, functional_samples,
+                        ks_distance)
+from .haar import SeedStream, _haar_unitary_batch
 from .io import format_cell, write_csv
 from .polygons import space_dim
 
@@ -315,20 +315,16 @@ def formula_checks() -> List[CheckResult]:
 def _block_gram_scalars(seed: int, stream_id: int, N: int,
                         n: int) -> Dict[int, np.ndarray]:
     """Delta* Delta for the leading p x 1 blocks (p = 1, 2) of N Haar
-    unitaries of size n, sampled with the chunked scheme.
+    unitaries of size n, read off N two-edge arm2 heads.
 
-    A column of a Haar unitary is uniform on the unit sphere of C^n, so each
-    chunk draws just the two leading coordinates of such a vector, at O(1)
-    cost per sample, in place of whole unitaries.
+    A Haar column u is uniform on the unit sphere of C^n, as in the arm2
+    construction, whose edges are e_j = 2 u_j^2: so |u_j|^2 = |e_j| / 2.
     """
-    stream = SeedStream(seed, stream_id)
-    parts = {1: [], 2: []}
-    for chunk, count in enumerate(_chunk_counts(N)):
-        rng = stream.chunk_generator(chunk)
-        col_sq = np.abs(_unit_rows(rng, count, n, kind="complex", head=2)) ** 2
-        parts[1].append(col_sq[:, 0])
-        parts[2].append(col_sq[:, 0] + col_sq[:, 1])
-    return {p: np.concatenate(chunks) for p, chunks in parts.items()}
+    from .ensembles import segment_samples
+
+    heads = segment_samples("arm2", n, 2, N, seed, stream_id=stream_id)
+    half = np.linalg.norm(heads.reshape(N, 2, 2), axis=2) / 2.0
+    return {1: half[:, 0], 2: half[:, 0] + half[:, 1]}
 
 
 def density_checks(seed: int, N: int) -> List[CheckResult]:

@@ -5,12 +5,14 @@ workers); criterion 10 reruns it through the CLI with one and four workers
 and compares the output files byte for byte. Each test emits one
 CRITERION line summarizing its verdict plus the underlying check lines.
 """
+import hashlib
+import io
 import subprocess
 import sys
 
 import pytest
 
-from symmpoly.verify import format_check_line, run_verify
+from symmpoly.verify import format_check_line, run_verify, write_results_csv
 
 SEED = 7
 
@@ -102,6 +104,17 @@ def test_criterion_08_chebyshev_coverage(verify_results):
 
 def test_criterion_09_matrix_densities(verify_results):
     _assert_criterion(verify_results, 9)
+
+
+# sha256 of the desk CSV at seed 7. It moves whenever a check consumes its
+# stream differently; such a change updates it and says so in CHANGES.md.
+DESK_CSV_SHA256 = "cff41d52d207b21f1f010ea325d7058382d7a22360bf3b021503703aaa8fed0c"
+
+
+def test_desk_csv_digest_is_pinned(verify_results):
+    buf = io.StringIO()
+    write_results_csv(buf, verify_results)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DESK_CSV_SHA256
 
 
 def test_criterion_10_byte_identical_across_workers(tmp_path):

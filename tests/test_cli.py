@@ -324,6 +324,12 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     # no workers to run on
     assert run(["tv", "--space", "pol2", "--n", "20", "--count", "20000",
                 "--workers", "0", *SEED_ARGS]) == 2
+    # a segment longer than the polygon, however many cells it would need
+    for k in ("101", "5000"):
+        assert run(["tv", "--space", "pol2", "--n", "100", "--k", k,
+                    "--bins", "4", "--count", "1000", *SEED_ARGS]) == 2
+        assert ("segment length must satisfy 1 <= k <= n, got k=" + k
+                in capsys.readouterr().err)
     # no samples to check the matrix laws on
     for count in ("0", "-5"):
         assert run(["density-check", "--count", count, *SEED_ARGS]) == 2

@@ -655,6 +655,11 @@ def test_estimate_tv_resolution_guards():
         estimate_tv("pol2", "arm3", 20, 1, 10_000, 8, SEED)
     with pytest.raises(DomainError):
         estimate_tv("arm2", "arm2", 20, 1, 10_000, 8, SEED, stream_ids=(5, 5))
+    # a segment longer than the polygon is the fault, whatever grid it would
+    # size (4**(2 * 5000) cells have more digits than Python formats)
+    for k in (101, 5000):
+        with pytest.raises(InvalidSizeError, match=f"1 <= k <= n, got k={k}"):
+            estimate_tv("pol2", "arm2", 100, k, 1000, 4, SEED)
 
 
 def test_covariance_partition_open_chain_uncorrelated():

@@ -1,4 +1,5 @@
-"""Seed streams and the batch sphere, frame, and unitary draws."""
+"""Seed streams, the sphere and frame draws behind ``space_edges_batch``,
+and the unitary draws."""
 import math
 
 import numpy as np
@@ -7,9 +8,8 @@ from scipy import stats
 
 from symmpoly import (InvalidDimensionError, SeedStream, ensure_generator,
                       haar, ks_distance, space_dim)
-from symmpoly.haar import (_RESIDUAL_TINY, _SPHERE_TINY, _chi2, _frame2_batch,
-                           _gaussian_rows, _haar_unitary_batch, _tail_factor,
-                           _unit_rows)
+from symmpoly.haar import (_RESIDUAL_TINY, _SPHERE_TINY, _as_rows, _chi2,
+                           _haar_unitary_batch, _normals, _tail_factor)
 from symmpoly.polygons import SPACES, space_edges_batch
 
 SEED = 7
@@ -55,63 +55,67 @@ def test_ensure_generator_accepts_both():
         ensure_generator(42)
 
 
-def test_sphere_zero_dimensional_is_sign():
-    pts = _unit_rows(SeedStream(SEED, 0).generator(), 50, 1)[:, 0]
-    assert np.max(np.abs(np.abs(pts) - 1.0)) < 1e-12
-    assert np.any(pts > 0) and np.any(pts < 0)
-
-
 def test_sphere_norm_and_coordinate_moments():
-    n = 20_000
-    pts = _unit_rows(SeedStream(SEED, 1).generator(), n, 3)
-    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-12
-    se = 1.0 / math.sqrt(3 * n)
-    assert np.max(np.abs(pts.mean(axis=0))) < 4 * se
+    # An arm edge is the square (arm2) or Hopf image (arm3) of sqrt(2)
+    # times a complex or quaternion coordinate of u, uniform on the unit
+    # sphere: the perimeter is 2 |u|^2 = 2, and by the sphere's symmetry
+    # every edge coordinate has mean zero.
+    count = 20_000
+    for space in ("arm2", "arm3"):
+        e = space_edges_batch(SeedStream(SEED, 1).generator(), count, space, 3)
+        assert np.max(np.abs(np.linalg.norm(e, axis=2).sum(axis=1) - 2.0)) < 1e-12
+        se = e.std(axis=0, ddof=1) / math.sqrt(count)
+        assert np.all(np.abs(e.mean(axis=0)) < 4 * se)
 
 
 def test_sphere_squared_coordinate_mean():
-    # E[xi_1^2] = 1/m on the unit sphere; at m = 4 that is 0.25.
-    n = 20_000
-    sq = _unit_rows(SeedStream(SEED, 2).generator(), n, 4)[:, 0] ** 2
-    se = sq.std(ddof=1) / math.sqrt(n)
-    assert abs(sq.mean() - 0.25) < 4 * se
+    # |e_1| / 2 = |u_1|^2 sums 2 (arm2) or 4 (arm3) of the 2n or 4n squared
+    # coordinates of a uniform unit vector, each of mean 1/(2n) or 1/(4n):
+    # at n = 4 that is 0.25.
+    count = 20_000
+    for space in ("arm2", "arm3"):
+        e = space_edges_batch(SeedStream(SEED, 2).generator(), count, space, 4, 1)
+        half = np.linalg.norm(e[:, 0], axis=1) / 2.0
+        se = half.std(ddof=1) / math.sqrt(count)
+        assert abs(half.mean() - 0.25) < 4 * se
+
+
+def _assert_closed_with_perimeter_2(edges):
+    """Closure and perimeter 2 of pol edges: under the squaring and Hopf
+    maps, together they say that the frame (a, b) is orthonormal."""
+    assert np.max(np.linalg.norm(edges.sum(axis=1), axis=1)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(edges, axis=2).sum(axis=1) - 2.0)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_frame2_orthonormal(kind):
-    fr = _frame2_batch(SeedStream(SEED, 3).generator(), 25, 10, kind)
-    assert fr.shape == (25, 2, 10)
-    assert np.max(np.abs(np.linalg.norm(fr, axis=2) - 1.0)) < 1e-12
-    assert np.max(np.abs(np.einsum("ij,ij->i", fr[:, 0].conj(), fr[:, 1]))) < 1e-12
-
-
-def test_frame2_two_dimensional_real_is_rotation():
-    fr = _frame2_batch(SeedStream(SEED, 4).generator(), 25, 2, "real")
-    det = fr[:, 0, 0] * fr[:, 1, 1] - fr[:, 0, 1] * fr[:, 1, 0]
-    assert np.max(np.abs(np.abs(det) - 1.0)) < 1e-12
+    space = "pol2" if kind == "real" else "pol3"
+    e = space_edges_batch(SeedStream(SEED, 3).generator(), 25, space, 10)
+    assert e.shape == (25, 10, space_dim(space))
+    _assert_closed_with_perimeter_2(e)
 
 
 def test_frame2_coordinate_second_moment():
     # Each coordinate of a uniform unit vector has E[a_i^2] = 1/n,
-    # identically over slots by permutation invariance.
+    # identically over slots by permutation invariance; a pol2 edge has
+    # length a_i^2 + b_i^2, of mean 2/n.
     n = 20_000
-    fr = _frame2_batch(SeedStream(SEED, 5).generator(), n, 10, "real")
-    sq = fr[:, 0, [0, -1]] ** 2
-    se = sq.std(axis=0, ddof=1) / math.sqrt(n)
-    assert abs(sq[:, 0].mean() - 0.1) < 4 * se[0]
-    assert abs(sq[:, 1].mean() - 0.1) < 4 * se[1]
+    e = space_edges_batch(SeedStream(SEED, 5).generator(), n, "pol2", 10)
+    lengths = np.linalg.norm(e[:, [0, -1]], axis=2)
+    se = lengths.std(axis=0, ddof=1) / math.sqrt(n)
+    assert abs(lengths[:, 0].mean() - 0.2) < 4 * se[0]
+    assert abs(lengths[:, 1].mean() - 0.2) < 4 * se[1]
 
 
-def _reference_unit_rows(rng, count, m, kind="real", head=None):
-    """``_unit_rows`` unblocked: the whole draw, redrawn row by row until
-    every norm clears _SPHERE_TINY, then divided at once."""
-    head = m if head is None else head
+def _reference_unit_rows(rng, count, m, head):
+    """The leading ``head`` coordinates of uniform unit m-vectors,
+    unblocked: the whole draw, redrawn row by row until every norm clears
+    _SPHERE_TINY, then divided at once."""
 
     def draw(c):
-        g = _gaussian_rows(rng, c, head, kind)
+        g = rng.standard_normal((c, head))
         if head < m:
-            f = 2 if kind == "complex" else 1
-            tail = np.sqrt(_chi2(rng, f * (m - head), c))
+            tail = np.sqrt(_chi2(rng, m - head, c))
             g = np.concatenate([g, tail[:, None]], axis=1)
         return g
 
@@ -124,16 +128,15 @@ def _reference_unit_rows(rng, count, m, kind="real", head=None):
     return g[:, :head] / norms[:, None]
 
 
-def _reference_frame2(rng, count, n, kind, head=None):
-    """``_frame2_batch`` unblocked and in its masked form: every pass
-    divides through np.where masks and writes the accepted rows by fancy
-    index."""
-    head = n if head is None else head
+def _reference_frame2(rng, count, n, kind, head):
+    """The leading ``head`` coordinates of orthonormal pairs, shape
+    (count, 2, head), unblocked and in the masked form: every pass divides
+    through np.where masks and writes the accepted rows by fancy index."""
     out = np.empty((count, 2, head), dtype=complex if kind == "complex" else float)
     todo = np.arange(count)
     while todo.size:
-        g1 = _gaussian_rows(rng, todo.size, head, kind)
-        g2 = _gaussian_rows(rng, todo.size, head, kind)
+        g1 = _as_rows(_normals(rng, todo.size, head, kind), kind)
+        g2 = _as_rows(_normals(rng, todo.size, head, kind), kind)
         if head < n:
             t1, t2 = _tail_factor(rng, todo.size, n - head, kind)
             g1 = np.concatenate([g1, t1], axis=1)
@@ -157,17 +160,17 @@ def _reference_edges(rng, count, space, n, k):
     ``_reference_frame2``, squaring and Hopf images assembled with
     np.stack."""
     if space == "arm2":
-        zc = math.sqrt(2.0) * _reference_unit_rows(rng, count, 2 * n, head=2 * k)
+        zc = math.sqrt(2.0) * _reference_unit_rows(rng, count, 2 * n, 2 * k)
         zc = zc.reshape(count, k, 2)
         z = zc[..., 0] + 1j * zc[..., 1]
     elif space == "pol2":
-        fr = _reference_frame2(rng, count, n, "real", head=k)
+        fr = _reference_frame2(rng, count, n, "real", k)
         z = fr[:, 0] + 1j * fr[:, 1]
     elif space == "arm3":
-        comp = math.sqrt(2.0) * _reference_unit_rows(rng, count, 4 * n, head=4 * k)
+        comp = math.sqrt(2.0) * _reference_unit_rows(rng, count, 4 * n, 4 * k)
         comp = comp.reshape(count, k, 4)
     else:
-        fr = _reference_frame2(rng, count, n, "complex", head=k)
+        fr = _reference_frame2(rng, count, n, "complex", k)
         a, b = fr[:, 0], fr[:, 1]
         comp = np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
     if space.endswith("2"):
@@ -237,18 +240,19 @@ def test_space_edges_match_reference_sampler(space, monkeypatch):
                 assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_unit_rows_match_reference(kind, monkeypatch):
-    f = 2 if kind == "complex" else 1
-    m = 10
-    for head in (m, 3):
-        _block_rows(monkeypatch, 256, f * head)
+@pytest.mark.parametrize("space", ["arm2", "arm3"])
+def test_unit_rows_match_reference(space, monkeypatch):
+    # In 256-row blocks of the drawn unit coordinates, for whole arms and
+    # one-edge heads.
+    n = 5
+    for k in (n, 1):
+        _block_rows(monkeypatch, 256, _coords_per_edge(space) * k)
         for count in BLOCK_COUNTS:
-            got = _unit_rows(SeedStream(SEED, 10).chunk_generator(count),
-                             count, m, kind, head)
-            ref = _reference_unit_rows(SeedStream(SEED, 10).chunk_generator(count),
-                                       count, m, kind, head)
-            assert got.shape == (count, head)
+            got = space_edges_batch(SeedStream(SEED, 10).chunk_generator(count),
+                                    count, space, n, k)
+            ref = _reference_edges(SeedStream(SEED, 10).chunk_generator(count),
+                                   count, space, n, k)
+            assert got.shape == (count, k, space_dim(space))
             assert np.array_equal(got, ref)
 
 
@@ -267,34 +271,27 @@ def _check_redraws(sampler, reference, scale, bad, plain):
     return got
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-def test_unit_rows_redraw_rejected_rows(kind, monkeypatch):
+@pytest.mark.parametrize("space", ["arm2", "arm3"])
+def test_unit_rows_redraw_rejected_rows(space, monkeypatch):
     # Rows 3, 300 and 999 are zero on the first pass. Row 3 is zero again
     # in its redraw (the first of the three redrawn rows), so it is drawn a
-    # third time, alone. With head < m the draws alternate between the
-    # head's Gaussians and the tail's chi-square norms.
-    count, m = REDRAW_COUNT, 10
-    f = 2 if kind == "complex" else 1
+    # third time, alone. With k < n the draws alternate between the head's
+    # Gaussians and the tail's chi-square norms.
+    count, n = REDRAW_COUNT, 10
     zero = {row: 0.0 for row in REDRAW_BAD}
-    scales = {m: {0: zero, 1: {0: 0.0}},
-              4: {0: zero, 1: zero, 2: {0: 0.0}, 3: {0: 0.0}}}
-    for head, scale in scales.items():
-        _block_rows(monkeypatch, 256, f * head)
-        plain = _unit_rows(REDRAW_STREAM.generator(), count, m, kind, head)
+    scales = {n: {0: zero, 1: {0: 0.0}},
+              1: {0: zero, 1: zero, 2: {0: 0.0}, 3: {0: 0.0}}}
+    for k, scale in scales.items():
+        _block_rows(monkeypatch, 256, _coords_per_edge(space) * k)
+        plain = space_edges_batch(REDRAW_STREAM.generator(), count, space, n, k)
         got = _check_redraws(
-            lambda rng: _unit_rows(rng, count, m, kind, head),
-            lambda rng: _reference_unit_rows(rng, count, m, kind, head),
+            lambda rng: space_edges_batch(rng, count, space, n, k),
+            lambda rng: _reference_edges(rng, count, space, n, k),
             scale, REDRAW_BAD, plain)
-        if head == m:
-            assert np.max(np.abs(np.linalg.norm(got, axis=1) - 1.0)) < 1e-12
-    space = "arm2" if kind == "real" else "arm3"
-    for k, scale in ((m, scales[m]), (1, scales[4])):
-        # arm edges read 2 (planar) or 4 (spatial) unit coordinates each
-        c = _coords_per_edge(space)
-        _block_rows(monkeypatch, 256, c * k)
-        edges = space_edges_batch(_ScaledRows(scale), count, space, m, k)
-        ref = _reference_edges(_ScaledRows(scale), count, space, m, k)
-        assert np.array_equal(edges, ref)
+        if k == n:
+            # redrawn rows lie on the sphere too: perimeter 2 |u|^2 = 2
+            perimeters = np.linalg.norm(got, axis=2).sum(axis=1)
+            assert np.max(np.abs(perimeters - 2.0)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -303,7 +300,7 @@ def test_frame2_redraws_rejected_rows(kind, monkeypatch):
     # the second is so short that its residual falls below _RESIDUAL_TINY:
     # all three rows are rejected and redrawn, and no other row moves. Row
     # 3 (the first redrawn row) is zero again in its redraw, so it is drawn
-    # a third time, alone. With head < n each pass draws the head, the two
+    # a third time, alone. With k < n each pass draws the head, the two
     # chi-square tails and the Bartlett z.
     count, n, head = REDRAW_COUNT, 9, 4
     f = 2 if kind == "complex" else 1
@@ -313,20 +310,16 @@ def test_frame2_redraws_rejected_rows(kind, monkeypatch):
                      1: {300: 1e-14}, 3: {300: 1e-28}, 4: {300: 1e-14},
                      5: {0: 0.0}, 7: {0: 0.0}}}
     space = "pol2" if kind == "real" else "pol3"
-    for h, scale in scales.items():
-        _block_rows(monkeypatch, 256, 2 * f * h)
-        plain = _frame2_batch(REDRAW_STREAM.generator(), count, n, kind, head=h)
-        _check_redraws(lambda rng: _frame2_batch(rng, count, n, kind, head=h),
-                       lambda rng: _reference_frame2(rng, count, n, kind, h),
-                       scale, REDRAW_BAD, plain)
-        edges = space_edges_batch(_ScaledRows(scale), count, space, n, h)
-        ref = _reference_edges(_ScaledRows(scale), count, space, n, h)
-        assert np.array_equal(edges, ref)
-    # the full frames, redrawn rows included, are orthonormal
-    fr = _frame2_batch(_ScaledRows(scales[n]), count, n, kind)
-    assert np.max(np.abs(np.linalg.norm(fr, axis=2) - 1.0)) < 1e-12
-    ip = np.einsum("ij,ij->i", fr[:, 0].conj(), fr[:, 1])
-    assert np.max(np.abs(ip)) < 1e-12
+    for k, scale in scales.items():
+        _block_rows(monkeypatch, 256, 2 * f * k)
+        plain = space_edges_batch(REDRAW_STREAM.generator(), count, space, n, k)
+        got = _check_redraws(
+            lambda rng: space_edges_batch(rng, count, space, n, k),
+            lambda rng: _reference_edges(rng, count, space, n, k),
+            scale, REDRAW_BAD, plain)
+        if k == n:
+            # the full frames, redrawn rows included, are orthonormal
+            _assert_closed_with_perimeter_2(got)
 
 
 def test_unitary_one_dimensional_is_phase():

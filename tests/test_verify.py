@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from symmpoly import verify
-from symmpoly.ensembles import GridHistogram
+from symmpoly.ensembles import GridHistogram, segment_samples
 from symmpoly.verify import (CheckResult, _check, density_checks,
                              extended_density_checks, format_check_line,
                              formula_checks, run_verify, write_results_csv)
@@ -70,6 +70,18 @@ def test_extended_density_checks_pass():
             "block_sampling_agreement_p2_n6"} <= names
     failures = [format_check_line(r) for r in results if not r.passed]
     assert not failures, failures
+
+
+@pytest.mark.parametrize("n, key", [(6, "unitary_blocks_n6"), (10, "unitary_blocks")])
+def test_block_gram_scalars_are_arm2_head_lengths(n, key):
+    # |e_j| / 2 of an arm2 edge is |u_j|^2 for u uniform on the unit sphere
+    # of C^n, the law of a Haar column; the check draws exactly those heads
+    N, sid = 10_000, verify.STREAM_IDS[key]
+    grams = verify._block_gram_scalars(SEED, sid, N, n)
+    heads = segment_samples("arm2", n, 2, N, SEED, stream_id=sid)
+    half = np.linalg.norm(heads.reshape(N, 2, 2), axis=2) / 2.0
+    assert np.array_equal(grams[1], half[:, 0])
+    assert np.array_equal(grams[2], half[:, 0] + half[:, 1])
 
 
 def test_run_verify_rejects_unknown_level():
