@@ -10,6 +10,9 @@ The block-density normalizing constant uses pi^(-pq); the positive exponent
 sometimes quoted elsewhere fails the p = q = 1 normalization check by a
 factor of pi^2, and the sign used here is validated by quadrature in the
 test suite.
+
+lnGamma is scipy's gammaln, imported on the first call that needs it, so
+importing this module (and the package) loads numpy only.
 """
 from __future__ import annotations
 
@@ -18,11 +21,17 @@ import numbers
 from typing import Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, SupportError
 
 _HERMITIAN_TOL = 1e-12
+
+
+def _gammaln(x):
+    """scipy.special.gammaln, imported here rather than at module level."""
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 def _as_square(M, name: str = "matrix") -> np.ndarray:
@@ -66,7 +75,7 @@ def ln_multigamma(m: int, a: float) -> float:
     if not a > m - 1:
         raise DomainError(f"multivariate gamma needs a > m-1, got a={a}, m={m}")
     j = np.arange(1, m + 1)
-    return float(m * (m - 1) / 2.0 * math.log(math.pi) + np.sum(gammaln(a - j + 1)))
+    return float(m * (m - 1) / 2.0 * math.log(math.pi) + np.sum(_gammaln(a - j + 1)))
 
 
 def block_density(delta, n: int) -> float:
@@ -94,7 +103,7 @@ def block_density(delta, n: int) -> float:
     ln_det = hermitian_logdet(residual, "I - block* block")
     j = np.arange(1, q + 1)
     ln_c1 = (-p * q * math.log(math.pi)
-             + float(np.sum(gammaln(n - j + 1) - gammaln(n - p - j + 1))))
+             + float(np.sum(_gammaln(n - j + 1) - _gammaln(n - p - j + 1))))
     return math.exp(ln_c1 + (n - p - q) * ln_det)
 
 
@@ -153,7 +162,7 @@ def cbi_density(M, m: int, a: float, b: float) -> float:
 def _ln_ratio(r: int, n: int, v: np.ndarray) -> np.ndarray:
     """ln(g/f) for g = Beta(r, n-r) and f = Gamma(shape r, rate n) densities:
     lnGamma(n) - lnGamma(n-r) - r ln n + (n-r-1) ln(1-v) + n v."""
-    return (gammaln(n) - gammaln(n - r) - r * math.log(n)
+    return (_gammaln(n) - _gammaln(n - r) - r * math.log(n)
             + (n - r - 1) * np.log1p(-v) + n * v)
 
 

@@ -93,9 +93,12 @@ def read_ensemble(path: PathOrFile) -> List[Polygon]:
 
 
 def write_ensemble(path: PathOrFile, polygons: Iterable[Polygon]) -> None:
-    """Write polygons as JSONL, one record per line, trailing newline included."""
+    """Write polygons as JSONL, one record per line, trailing newline included.
+
+    Lines end in LF on every platform, as in `symmpoly sample --out`.
+    """
     if isinstance(path, str):
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             write_ensemble(handle, polygons)
         return
     # Lines go out in pieces of at most _WRITE_BATCH records: one write per

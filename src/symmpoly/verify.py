@@ -9,6 +9,10 @@ coverage, and the matrix-density checks.
 Each logical sampling task owns a fixed stream id of the master seed (the
 registry below), so checks are statistically independent, reruns are
 byte-identical, and the worker count never changes a single output value.
+
+scipy (Beta CDFs and quadrature) is imported inside `density_checks` and
+`extended_density_checks`, the only checks that use it, so importing this
+module loads numpy only.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import bounds, densities
 # covariance_partition and _haar_unitary_batch have no caller here; they stay
@@ -329,6 +332,8 @@ def _block_gram_scalars(seed: int, stream_id: int, N: int,
 
 def density_checks(seed: int, N: int) -> List[CheckResult]:
     """Normalization, sampled-law, and ratio-maximizer checks."""
+    from scipy import integrate, stats
+
     out: List[CheckResult] = []
     integral, _ = integrate.quad(
         lambda u: math.pi * densities.block_density(complex(math.sqrt(u)), 10),
@@ -354,6 +359,8 @@ def extended_density_checks(seed: int, N: int) -> List[CheckResult]:
     Delta* Delta with the CBI law, i.e. Beta(p, n-p), for p in {1, 2} and
     n in {6, 10}.
     """
+    from scipy import integrate, stats
+
     out = density_checks(seed, N)
     # Lebesgue measure on a 2 x 1 complex block with |Delta|^2 = u has
     # radial volume element pi^2 u du on the unit ball of C^2.

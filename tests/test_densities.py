@@ -204,3 +204,29 @@ def test_numpy_integers_give_the_int_values():
     assert ratio_profile(1, i(20), 100_000) == ratio_profile(1, 20, 100_000)
     assert ratio_profile(i(2), i(10**6), i(1000)) \
         == ratio_profile(2, 10**6, 1000)
+
+
+# Exact reprs, computed with scipy's gammaln. Any other lnGamma (math.lgamma,
+# a series) may differ in the last bit and move the density-check CSV.
+PINNED = [
+    (ln_multigamma, (1, 2.5), "0.2846828704729192"),
+    (ln_multigamma, (3, 7.25), "19.267355005663667"),
+    (ln_multigamma, (4, 10), "45.37922227099864"),
+    (block_density, (0.3 + 0.1j, 10), "1.2331977175885833"),
+    (block_density, ([0.2, 0.3j], 8), "2.1210251007719663"),
+    (block_density, ([[0.2, 0.1j], [0.05, 0.3]], 12), "30.730192863083065"),
+    (wishart_density, (2.0, 1, 5, 1.0), "0.09022352215774178"),
+    (wishart_density, ([[2.0, 0.5], [0.5, 1.0]], 2, 6, [[1.0, 0.2], [0.2, 1.5]]),
+     "7.927517305333924e-06"),
+    (cbi_density, (0.3, 1, 2.0, 8.0), "1.7788528799999994"),
+    (cbi_density, ([[0.3, 0.1], [0.1, 0.4]], 2, 3.5, 4.0), "19.83651993176946"),
+    (ratio_profile, (1, 20, 10**5), "(0.0999990000099999, 1.053604796328455)"),
+    (ratio_profile, (2, 20, 10**5), "(0.14999850001499984, 1.0838552798875356)"),
+    (ratio_profile, (3, 500, 2000), "(0.0079960019990005, 1.0040228075904736)"),
+]
+
+
+@pytest.mark.parametrize("func, args, expected", PINNED,
+                         ids=[f"{f.__name__}-{i}" for i, (f, _, _) in enumerate(PINNED)])
+def test_values_are_bit_pinned(func, args, expected):
+    assert repr(func(*args)) == expected

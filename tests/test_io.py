@@ -1,10 +1,12 @@
 """JSONL polygon persistence and deterministic CSV formatting."""
+import builtins
 import io
 import json
 
 import numpy as np
 import pytest
 
+import symmpoly.io
 from symmpoly import (ParseError, Polygon, SeedStream, polygon_record_line,
                       read_ensemble, sample_pol, write_csv, write_ensemble)
 from symmpoly.io import format_cell
@@ -115,6 +117,25 @@ def test_read_file_path(tmp_path):
     write_ensemble(str(path), [p])
     back = read_ensemble(str(path))
     assert np.array_equal(back[0].edges, p.edges)
+
+
+@pytest.mark.parametrize("writer", [
+    lambda path: write_ensemble(path, [Polygon(dim=2, closed=False,
+                                               edges=[[1.0, 2.0]])]),
+    lambda path: write_csv(path, ["a"], [[1.0]]),
+], ids=["write_ensemble", "write_csv"])
+def test_path_writers_keep_lf_line_endings(writer, tmp_path, monkeypatch):
+    # without newline="", text mode turns "\n" into os.linesep, so the bytes
+    # written to a path would differ by platform
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(kwargs)
+        return builtins.open(*args, **kwargs)
+
+    monkeypatch.setattr(symmpoly.io, "open", recording_open, raising=False)
+    writer(str(tmp_path / "out"))
+    assert opened == [{"encoding": "utf-8", "newline": ""}]
 
 
 def test_parse_errors_name_the_line():
