@@ -45,11 +45,26 @@ DENSITY_HEADER = ("check", "statistic", "threshold", "pass")
 
 @contextlib.contextmanager
 def _out_stream(path):
+    """Stdout for None or "-", else the file at ``path``: opened, not
+    truncated, before the block's work, and cut to what the block wrote when
+    it ends. A failed block removes a new file; an existing one is left as it
+    was unless the block had begun to write it."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        return
+    existed = os.path.exists(path)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+              encoding="utf-8", newline="") as handle:
+        try:
             yield handle
+        except BaseException:
+            if not existed:
+                os.remove(path)
+            elif os.path.isfile(path) and handle.tell():
+                handle.truncate()
+            raise
+        if os.path.isfile(path):  # /dev/null and pipes cannot be truncated
+            handle.truncate()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,7 +163,7 @@ def _cmd_sample(args) -> int:
         # so that no worker still writes into it.
         with contextlib.closing(chunks):
             # The first chunk is drawn before the output is opened, so that a
-            # bad argument fails before it truncates an existing file.
+            # bad argument fails before the output is touched.
             first = next(chunks)
             with _out_stream(args.out) as fh:
                 for path, _ in itertools.chain([first], chunks):
@@ -163,28 +178,26 @@ def _cmd_stats(args) -> int:
         functionals = ["theta1", "total_curvature"]
     else:
         functionals = ["theta1", "tau1", "total_curvature", "total_torsion"]
-    summary = run_ensemble(args.space, args.n, args.count, functionals,
-                           args.seed, workers=args.workers)
-    rows = [(summary.space, summary.n, summary.count, summary.seed, rec.name,
-             rec.mean, rec.variance, rec.std_error, summary.excluded)
-            for rec in summary.records]
     with _out_stream(args.out) as fh:
+        summary = run_ensemble(args.space, args.n, args.count, functionals,
+                               args.seed, workers=args.workers)
+        rows = [(summary.space, summary.n, summary.count, summary.seed, rec.name,
+                 rec.mean, rec.variance, rec.std_error, summary.excluded)
+                for rec in summary.records]
         write_csv(fh, STATS_HEADER, rows)
     return 0
 
 
 def _cmd_tv(args) -> int:
     space_b = args.space_b or _COUNTERPART[args.space]
-    hist = estimate_tv(args.space, space_b, args.n, args.k, args.count,
-                       args.bins, args.seed, workers=args.workers)
-    row = (args.space, space_b, args.n, args.k, args.count,
-           hist.bins_per_axis, args.seed, hist.tv_estimate,
-           hist.null_calibration)
-    # Both outputs are opened before either is written, the grid cells first,
-    # so that a path that cannot be opened leaves no complete CSV behind.
     cells = (_out_stream(args.cells_out) if args.cells_out is not None
              else contextlib.nullcontext())
-    with cells as cells_fh, _out_stream(args.out) as out_fh:
+    with _out_stream(args.out) as out_fh, cells as cells_fh:
+        hist = estimate_tv(args.space, space_b, args.n, args.k, args.count,
+                           args.bins, args.seed, workers=args.workers)
+        row = (args.space, space_b, args.n, args.k, args.count,
+               hist.bins_per_axis, args.seed, hist.tv_estimate,
+               hist.null_calibration)
         write_csv(out_fh, TV_HEADER, [row])
         if cells_fh is not None:
             header = (["cell"] + [f"axis{i}" for i in range(hist.dim)]
@@ -199,48 +212,43 @@ def _cmd_tv(args) -> int:
 
 def _cmd_bounds(args) -> int:
     family = "b2" if args.dim == 2 else "b3"
-    if args.k is not None:
-        ks = [args.k]
-    else:
-        top = min(10, args.n - 5)
-        if top < 1:
-            raise SymmpolyError(f"no valid segment length for n={args.n}; needs n >= 6")
-        ks = list(range(1, top + 1))
-    rows = []
-    for k in ks:
-        try:
-            value = getattr(bounds, family)(k, args.n)
-        except BoundUndefinedError as exc:
-            raise SymmpolyError(
-                f"{family}(k={k}, n={args.n}) is outside the bound's validity range") from exc
-        # b3 at k = 1 is the assembly form, which has no c/n asymptote
-        coeff = bounds.asymptotic_slope(args.dim, k) if args.dim == 2 or k >= 2 else None
-        rows.append((family, k, args.n, value, min(value, 2.0), coeff))
     with _out_stream(args.out) as fh:
+        if args.k is not None:
+            ks = [args.k]
+        else:
+            top = min(10, args.n - 5)
+            if top < 1:
+                raise SymmpolyError(f"no valid segment length for n={args.n}; needs n >= 6")
+            ks = list(range(1, top + 1))
+        rows = []
+        for k in ks:
+            try:
+                value = getattr(bounds, family)(k, args.n)
+            except BoundUndefinedError as exc:
+                raise SymmpolyError(
+                    f"{family}(k={k}, n={args.n}) is outside the bound's validity range") from exc
+            # b3 at k = 1 is the assembly form, which has no c/n asymptote
+            coeff = bounds.asymptotic_slope(args.dim, k) if args.dim == 2 or k >= 2 else None
+            rows.append((family, k, args.n, value, min(value, 2.0), coeff))
         write_csv(fh, BOUNDS_HEADER, rows)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    # The CSV is opened before the run, so that a path that cannot be written
-    # fails at once rather than after every check has run. It is opened for
-    # appending and emptied only once there are results, so a run that fails
-    # leaves an earlier CSV as it was.
-    with open(args.out, "a", encoding="utf-8", newline="") as fh:
+    with _out_stream(args.out) as fh:
         results = run_verify(args.level, args.seed, args.workers)
         for r in results:
             print(format_check_line(r))
         failed = [r for r in results if not r.passed]
         print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-        fh.truncate(0)
         write_results_csv(fh, results)
     return 1 if failed else 0
 
 
 def _cmd_density_check(args) -> int:
-    results = extended_density_checks(args.seed, args.count)
-    rows = [(r.name, r.measured, r.threshold, r.passed) for r in results]
     with _out_stream(args.out) as fh:
+        results = extended_density_checks(args.seed, args.count)
+        rows = [(r.name, r.measured, r.threshold, r.passed) for r in results]
         write_csv(fh, DENSITY_HEADER, rows)
     return 1 if any(not r.passed for r in results) else 0
 

@@ -11,10 +11,11 @@ of the output contract: another size would draw other samples.
 
 Functionals are named builtins, listed with their values and the leading
 edges each reads in the README table "Builtin functionals" and parsed only
-by ``_build_plan``, or LocalFunctional instances, which are evaluated on
-the first k-edge window. Custom functionals must be picklable (module-level
-callables) when workers > 1; ``functional_samples`` checks that before any
-chunk runs and raises DomainError otherwise.
+by ``_build_plan``, or LocalFunctional instances, whose ``eval`` takes the
+first k-edge windows of a chunk in one call; a NaN value excludes its
+sample. Custom functionals must be picklable (module-level callables) when
+workers > 1; ``functional_samples`` checks that before any chunk runs and
+raises DomainError otherwise.
 
 Segment draws (``segment_samples``, hence ``estimate_tv``) cost O(k) per
 sample for a length-k segment of an n-edge polygon: only the k leading
@@ -56,10 +57,10 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 import numpy as np
 
 from . import io
-from .errors import (DegenerateEdgeError, DegenerateTorsionError, DomainError,
-                     InvalidDimensionError, InvalidSizeError, ReliabilityError,
-                     ResolutionError)
-from .functionals import LocalFunctional, _batch_torsion, _batch_turning
+from .errors import (DomainError, InvalidDimensionError, InvalidSizeError,
+                     ReliabilityError, ResolutionError)
+from .functionals import (LocalFunctional, _batch_torsion, _batch_turning,
+                          _eval_windows)
 from .haar import SeedStream, StreamLike, ensure_generator
 from .polygons import (SPACES, Polygon, _check_segment_length, space_dim,
                        space_edges_batch)
@@ -140,8 +141,8 @@ class CovariancePartition(NamedTuple):
 class _Op(NamedTuple):
     name: str
     reads: int  # leading edges read; more than n when it wraps around
-    kernel: str  # "turning", "torsion" or "custom"
-    read: Callable  # kernel output -> values; custom: one window -> value
+    kernel: str  # "turning", "torsion" or "edges", the batch output it reads
+    read: Callable  # that output -> one value per sample, NaN if degenerate
 
 
 class _Plan(NamedTuple):
@@ -169,10 +170,9 @@ def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _P
     ops: List[_Op] = []
     for f in functionals:
         if isinstance(f, LocalFunctional):
-            if not _is_int(f.k) or not 1 <= f.k <= n:
-                raise InvalidSizeError(
-                    f"functional {f.name!r} needs a window of {f.k} edges, polygon has {n}")
-            ops.append(_Op(f.name, f.k, "custom", f.eval))
+            _check_segment_length(n, f.k, f"window of functional {f.name!r}")
+            ops.append(_Op(f.name, f.k, "edges",
+                           lambda edges, f=f: _eval_windows(f, edges[:, :f.k])))
             continue
         if not isinstance(f, str):
             raise DomainError(f"functional must be a name or LocalFunctional, got {f!r}")
@@ -214,18 +214,6 @@ def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _P
     return _Plan(tuple(ops), min(n, max(op.reads for op in ops)))
 
 
-def _window_values(op: _Op, edges: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """A custom op on the window of each sample still ok; a degenerate
-    window clears its sample's ok flag."""
-    vals = np.full(len(edges), np.nan)
-    for i in np.nonzero(ok)[0]:
-        try:
-            vals[i] = op.read(edges[i, :op.reads])
-        except (DegenerateEdgeError, DegenerateTorsionError):
-            ok[i] = False
-    return vals
-
-
 def _chunk_functionals(space: str, n: int, count: int, stream: SeedStream,
                        chunk: int, plan: _Plan) -> Tuple[Dict[str, np.ndarray], int]:
     rng = stream.chunk_generator(chunk)
@@ -233,18 +221,19 @@ def _chunk_functionals(space: str, n: int, count: int, stream: SeedStream,
     # the open-chain kernels on the head give the angles at the same indices
     # as the closed ones.
     edges = space_edges_batch(rng, count, space, n, k=plan.window)
+    edges.flags.writeable = False  # every op, custom evals included, reads this draw
     closed = plan.window == n and space.startswith("pol")
     ok = np.ones(count, dtype=bool)
-    outputs = {}
+    outputs = {"edges": edges}
     # The kernels are looked up here, not bound at import, so that a wrapper
     # installed on the module attribute sees every call.
     for kernel, batch in (("turning", _batch_turning), ("torsion", _batch_torsion)):
         if any(op.kernel == kernel for op in plan.ops):
             outputs[kernel], ok_k = batch(edges, closed)
             ok &= ok_k
-    values = {op.name: (_window_values(op, edges, ok) if op.kernel == "custom"
-                        else op.read(outputs[op.kernel]))
-              for op in plan.ops}
+    values = {op.name: op.read(outputs[op.kernel]) for op in plan.ops}
+    for vals in values.values():
+        ok &= ~np.isnan(vals)
     out = {name: np.ascontiguousarray(arr[ok]) for name, arr in values.items()}
     return out, int(count - int(ok.sum()))
 
@@ -567,7 +556,7 @@ def chebyshev_coverage(samples, interval: Tuple[float, float]) -> float:
     return float(np.mean((arr < lo) | (arr > hi)))
 
 
-def ks_distance(samples, cdf: Callable[[float], float]) -> float:
+def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Two-sided Kolmogorov-Smirnov distance sup_x |F_N(x) - cdf(x)|.
 
     Over the sorted samples x_(1) <= ... <= x_(N) this is the larger of
@@ -579,10 +568,9 @@ def ks_distance(samples, cdf: Callable[[float], float]) -> float:
     try:
         fitted = np.asarray(cdf(arr), dtype=float)
         if fitted.shape != arr.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        # scalar-only cdf callables (math-based or branching) land here
-        fitted = np.array([float(cdf(x)) for x in arr])
+            raise ValueError(f"got shape {fitted.shape} for {arr.shape}")
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"the cdf must map an array to an array: {exc}") from exc
     steps = np.arange(arr.size + 1) / arr.size
     return float(max(np.max(steps[1:] - fitted), np.max(fitted - steps[:-1])))
 

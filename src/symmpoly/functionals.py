@@ -31,9 +31,9 @@ from typing import Callable, List
 
 import numpy as np
 
-from .errors import (DegenerateEdgeError, DegenerateTorsionError,
+from .errors import (DegenerateEdgeError, DegenerateTorsionError, DomainError,
                      InvalidDimensionError, InvalidSizeError)
-from .polygons import Polygon
+from .polygons import Polygon, _check_segment_length
 
 _EDGE_TINY = 1e-14
 _PROJ_TINY = 1e-12
@@ -45,14 +45,24 @@ _BLOCK = 256
 class LocalFunctional:
     """A bounded functional of k consecutive edges.
 
-    ``eval`` maps a (k, dim) window array to a real with |value| <= bound_M;
-    the bound is what enters the expectation-transfer inequalities.
+    ``eval`` maps a batch of B windows, an array of shape (B, k, dim), to B
+    reals with |value| <= bound_M, in one call; NaN marks a degenerate
+    window. The bound is what enters the expectation-transfer inequalities.
     """
 
     k: int
     bound_M: float
-    eval: Callable[[np.ndarray], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     name: str = "local_functional"
+
+
+def _eval_windows(f: LocalFunctional, windows: np.ndarray) -> np.ndarray:
+    """f.eval on a (B, k, dim) window batch, checked to give B values."""
+    values = np.asarray(f.eval(windows), dtype=float)
+    if values.shape != windows.shape[:1]:
+        raise DomainError(f"functional {f.name!r} returned shape {values.shape} for "
+                          f"{len(windows)} windows; eval maps (B, k, dim) to (B,)")
+    return values
 
 
 def turning_angle(u, v) -> float:
@@ -199,12 +209,13 @@ def total_torsion(p: Polygon) -> float:
 
 
 def sliding_window_apply(p: Polygon, f: LocalFunctional) -> List[float]:
-    """Evaluate f on every k-edge window (cyclic when the polygon is closed)."""
-    k = f.k
-    if not 1 <= k <= p.n:
-        raise InvalidSizeError(f"window width {k} out of range for n={p.n}")
-    edges = p.edges
-    if p.closed:
-        ext = np.concatenate([edges, edges[: k - 1]], axis=0) if k > 1 else edges
-        return [float(f.eval(ext[i:i + k])) for i in range(p.n)]
-    return [float(f.eval(edges[i:i + k])) for i in range(p.n - k + 1)]
+    """f on every k-edge window (cyclic when the polygon is closed), in one
+    ``eval`` call; a window that comes back NaN raises DegenerateEdgeError."""
+    _check_segment_length(p.n, f.k, f"window of functional {f.name!r}")
+    edges = _cyclic(p.edges[None], f.k - 1)[0] if p.closed else p.edges
+    # the view puts the window axis last: (B, dim, k) -> (B, k, dim)
+    windows = np.lib.stride_tricks.sliding_window_view(edges, f.k, axis=0)
+    values = _eval_windows(f, np.swapaxes(windows, 1, 2))
+    if np.isnan(values).any():
+        raise DegenerateEdgeError(f"functional {f.name!r} is NaN on a window")
+    return values.tolist()

@@ -122,9 +122,11 @@ def _check_space_args(dim: int, n: int) -> None:
         raise InvalidSizeError(f"polygon size n must be >= 3, got {n}")
 
 
-def _check_segment_length(n: int, k) -> None:
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise InvalidSizeError(f"segment length must satisfy 1 <= k <= n, got k={k!r}")
+def _check_segment_length(n: int, k, what: str = "segment length") -> None:
+    """The width check of segments and functional windows: an integer, not a
+    bool, with 1 <= k <= n."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise InvalidSizeError(f"{what} must satisfy 1 <= k <= n, got k={k!r}")
 
 
 def space_dim(space: str) -> int:

@@ -130,6 +130,33 @@ def test_sample_without_a_spill_directory_leaves_the_output_alone(
     assert capsys.readouterr().err.startswith("symmpoly: ")
 
 
+def test_sample_failing_after_its_first_chunk(tmp_path, monkeypatch, capsys,
+                                             spill_root):
+    # chunks of 7, and the copy of the second fails: an existing file holds
+    # the first chunk and nothing of its earlier, longer contents; a new
+    # file is removed
+    monkeypatch.setattr(ensembles, "CHUNK_SIZE", 7)
+    copy = shutil.copyfileobj
+    copied = []
+
+    def failing_copy(src, dst, length):
+        if copied:
+            raise OSError("disk full")
+        copied.append(src.name)
+        copy(src, dst, length)
+
+    monkeypatch.setattr(shutil, "copyfileobj", failing_copy)
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("earlier contents\n" * 10_000)
+    for out in (old, new):
+        copied.clear()
+        assert run(["sample", "--space", "pol2", "--n", "5", "--count", "20",
+                    "--out", str(out), *SEED_ARGS]) == 2
+    assert len(read_ensemble(str(old))) == 7
+    assert not new.exists()
+    assert "disk full" in capsys.readouterr().err
+
+
 def test_sample_write_error_closes_the_stream(monkeypatch, capsys, spill_root):
     # a failed write ends the run with exit 2, terminates the pool that the
     # chunk stream opened, and then removes the spill directory
@@ -226,6 +253,9 @@ def test_bounds_single_value(tmp_path):
     # the CSV carries the library value verbatim (shortest exact repr)
     value = repr(b2(2, 100))
     assert rows[1] == ["b2", "2", "100", value, value, "31.0"]
+    # a device takes the output too, though it cannot be truncated
+    assert run(["bounds", "--dim", "2", "--k", "2", "--n", "100",
+                "--out", os.devnull]) == 0
 
 
 def test_bounds_sweep_and_clipping(tmp_path):
@@ -274,14 +304,33 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
-def test_verify_checks_its_output_path_first(tmp_path, monkeypatch, capsys):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("run_verify called before --out was opened")
+# Each CSV command with the library call that does its work; the call must
+# not run when --out cannot be opened.
+OUTPUT_COMMANDS = {
+    "stats": (["stats", "--space", "pol3", "--n", "100", "--count", "50000"],
+              cli, "run_ensemble"),
+    "tv": (["tv", "--space", "pol2", "--n", "20", "--count", "20000"],
+           cli, "estimate_tv"),
+    "bounds": (["bounds", "--dim", "2", "--n", "100"], cli.bounds, "b2"),
+    "verify": (["verify"], cli, "run_verify"),
+    "density-check": (["density-check", "--count", "100000"],
+                      cli, "extended_density_checks"),
+}
 
-    monkeypatch.setattr(cli, "run_verify", must_not_run)
-    missing = tmp_path / "missing" / "v.csv"
-    assert run(["verify", "--out", str(missing)]) == 2
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+def test_verify_checks_its_output_path_first(command, tmp_path, monkeypatch,
+                                             capsys):
+    argv, module, call = OUTPUT_COMMANDS[command]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{call} called before --out was opened")
+
+    monkeypatch.setattr(module, call, must_not_run)
+    missing = tmp_path / "missing" / "out.csv"
+    assert run(argv + ["--out", str(missing)]) == 2
     assert capsys.readouterr().err.startswith("symmpoly: ")
+    assert not missing.parent.exists()
 
 
 def test_verify_keeps_an_earlier_csv_until_it_has_results(tmp_path, monkeypatch,
@@ -290,6 +339,10 @@ def test_verify_keeps_an_earlier_csv_until_it_has_results(tmp_path, monkeypatch,
     out.write_text("an earlier, longer results file\n" * 20)
     assert run(["verify", "--workers", "0", "--out", str(out)]) == 2
     assert out.read_text() == "an earlier, longer results file\n" * 20
+    # ... and a failed run leaves no file where there was none
+    new = tmp_path / "new.csv"
+    assert run(["verify", "--workers", "0", "--out", str(new)]) == 2
+    assert not new.exists()
     results = [CheckResult(1, "fake_check", 0.5, 1.0, "<=", True)]
     monkeypatch.setattr(cli, "run_verify", lambda level, seed, workers: results)
     assert run(["verify", "--out", str(out)]) == 0

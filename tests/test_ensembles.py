@@ -6,9 +6,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
-from scipy import stats
 
-from symmpoly import (CHUNK_SIZE, DegenerateEdgeError, DomainError,
+from symmpoly import (CHUNK_SIZE, DomainError,
                       InvalidDimensionError, InvalidSizeError,
                       LocalFunctional, ReliabilityError, ResolutionError,
                       SeedStream, assemble_partition, b2, b3, bootstrap_se,
@@ -23,18 +22,25 @@ from symmpoly.polygons import SPACES, space_edges_batch
 SEED = 7
 
 
-def _first_edge_length(window):
-    return float(np.linalg.norm(window[0]))
+def _first_edge_lengths(windows):
+    return np.sqrt((windows[:, 0] ** 2).sum(axis=-1))
 
 
-def _always_degenerate(window):
-    raise DegenerateEdgeError("forced degeneracy for testing")
+def _all_degenerate(windows):
+    return np.full(len(windows), np.nan)
 
 
-EDGE_LENGTH = LocalFunctional(k=1, bound_M=2.0, eval=_first_edge_length,
+EDGE_LENGTH = LocalFunctional(k=1, bound_M=2.0, eval=_first_edge_lengths,
                               name="edge_length")
-BROKEN = LocalFunctional(k=1, bound_M=1.0, eval=_always_degenerate,
+BROKEN = LocalFunctional(k=1, bound_M=1.0, eval=_all_degenerate,
                          name="broken")
+
+# Per-window references for the batch functionals above and below: one
+# window (k, dim) -> one value, in the same arithmetic as the batch form.
+PER_WINDOW = {
+    "edge_length": lambda w: math.sqrt(sum(c * c for c in w[0])),
+    "dot": lambda w: float(w[0, 0] * w[1, 0] + w[0, 1] * w[1, 1]),
+}
 
 
 def test_run_ensemble_repeats_exactly():
@@ -101,7 +107,9 @@ def test_custom_functional_with_workers(monkeypatch, dispatch_every_run):
 
 
 # A lambda does not pickle, so it cannot be sent to a worker process.
-LAMBDA_DOT = LocalFunctional(2, 1.0, lambda w: float(w[0] @ w[1]), name="dot")
+LAMBDA_DOT = LocalFunctional(
+    2, 1.0, lambda w: w[:, 0, 0] * w[:, 1, 0] + w[:, 0, 1] * w[:, 1, 1],
+    name="dot")
 
 
 # 100 000 and 300 000 two-edge windows lie either side of the in-process cut
@@ -122,11 +130,25 @@ def test_unpicklable_functional_runs_at_one_worker():
     heads = segment_samples("arm2", 100, 2, 5000, SEED, stream_id=7)
     heads = heads.reshape(5000, 2, 2)
     assert excluded == 0
-    assert np.array_equal(vals["dot"], [w[0] @ w[1] for w in heads])
+    assert np.array_equal(vals["dot"], [PER_WINDOW["dot"](w) for w in heads])
+
+
+def _scale_in_place(windows):
+    windows *= 2.0
+    return np.zeros(len(windows))
+
+
+def test_custom_functionals_cannot_write_the_draw():
+    # every op of a plan reads one draw, so an eval that writes its windows
+    # fails instead of changing what the ops after it read
+    scaling = LocalFunctional(k=1, bound_M=1.0, eval=_scale_in_place, name="s")
+    with pytest.raises(ValueError, match="read-only"):
+        functional_samples("arm2", 10, 100, [scaling, EDGE_LENGTH], SEED)
 
 
 def test_degenerate_exclusion_gate():
-    with pytest.raises(ReliabilityError):
+    # a NaN value marks a degenerate window and excludes its sample
+    with pytest.raises(ReliabilityError, match="200 of 200"):
         functional_samples("arm2", 10, 200, [BROKEN], SEED, stream_id=6)
 
 
@@ -155,10 +177,17 @@ def test_plan_validation():
     with pytest.raises(InvalidSizeError):
         functional_samples("arm3", 10, 100, ["tau9"], SEED)
     # a window is a whole number of edges
-    for k in (2.0, 0, 11):
-        wide = LocalFunctional(k=k, bound_M=1.0, eval=_first_edge_length, name="w")
-        with pytest.raises(InvalidSizeError, match="needs a window"):
+    for k in (2.0, True, 0, 11):
+        wide = LocalFunctional(k=k, bound_M=1.0, eval=_first_edge_lengths, name="w")
+        with pytest.raises(InvalidSizeError, match="functional 'w' must satisfy 1 <= k <= n"):
             functional_samples("arm2", 10, 100, [wide, "total_curvature"], SEED)
+    # eval maps B windows to B values: not to one value per window's edge,
+    # and not to one value for the whole batch (the per-window form)
+    for name, wrong in (("per_edge", lambda w: w[:, 0]),
+                        ("per_window", lambda w: float(np.linalg.norm(w[0])))):
+        f = LocalFunctional(k=1, bound_M=1.0, eval=wrong, name=name)
+        with pytest.raises(DomainError, match=f"'{name}' returned shape"):
+            functional_samples("arm2", 10, 100, [f], SEED)
 
 
 def test_run_ensemble_summary_fields():
@@ -303,6 +332,8 @@ WINDOW_KS_P_FLOOR = 1e-3 / 20
 @pytest.mark.parametrize("space", SPACES)
 @pytest.mark.parametrize("n", [10, 100])
 def test_window_plan_matches_full_plan_in_law(space, n):
+    from scipy import stats
+
     window = ["theta1", "theta1*theta2"]
     if space.endswith("3"):
         window.append("tau1")
@@ -324,7 +355,7 @@ def _plan_reference(fns, edges, closed, space):
     out = {}
     for f in fns:
         if isinstance(f, LocalFunctional):
-            out[f.name] = np.array([f.eval(w[:f.k]) for w in edges])
+            out[f.name] = np.array([PER_WINDOW[f.name](w[:f.k]) for w in edges])
         elif f == "total_curvature":
             out[f] = angles.sum(axis=1)
         elif f == "total_torsion":
@@ -501,9 +532,11 @@ def test_spawned_workers_give_the_same_bytes(monkeypatch, tmp_path,
     def draws(workers):
         seg = segment_samples("pol3", 30, 2, 1500, SEED, stream_id=9,
                               workers=workers)
-        vals, _ = functional_samples("pol3", 30, 1500,
-                                     ["theta1", "tau2", "total_curvature"],
-                                     SEED, stream_id=10, workers=workers)
+        # EDGE_LENGTH reaches the spawned workers by its module path: they
+        # import this module, which imports scipy only in the tests that use it
+        vals, _ = functional_samples(
+            "pol3", 30, 1500, ["theta1", "tau2", "total_curvature", EDGE_LENGTH],
+            SEED, stream_id=10, workers=workers)
         # the streaming path: four chunks, at most 4 in flight at 2 workers
         out = tmp_path / f"w{workers}.jsonl"
         assert cli.run(["sample", "--space", "pol3", "--n", "30", "--count",
@@ -731,6 +764,8 @@ def test_chebyshev_coverage_counts_strictly_outside():
 
 
 def test_ks_distance_values():
+    from scipy import stats
+
     # constant sample against the uniform cdf: sup gap is 1 - cdf(c)
     assert ks_distance([0.3] * 10, lambda x: np.clip(x, 0.0, 1.0)) \
         == pytest.approx(0.7, rel=1e-12)
@@ -740,11 +775,11 @@ def test_ks_distance_values():
     rng = SeedStream(SEED, 31).generator()
     u = rng.random(100_000)
     assert ks_distance(u, lambda x: np.clip(x, 0.0, 1.0)) < 0.01
-    # scalar-only callables are supported too
-    sub = u[:1000]
-    vec = ks_distance(sub, lambda x: np.clip(x, 0.0, 1.0))
-    scl = ks_distance(sub, lambda x: float(min(max(x, 0.0), 1.0)))
-    assert vec == scl
+    # the cdf maps the array of samples to an array of its shape
+    for cdf in (lambda x: float(min(max(x, 0.0), 1.0)), math.erf,
+                lambda x: np.clip(x, 0.0, 1.0)[:-1], lambda x: 0.5):
+        with pytest.raises(DomainError, match="cdf must map an array to an array"):
+            ks_distance(u[:1000], cdf)
     with pytest.raises(DomainError):
         ks_distance([], stats.norm.cdf)
     # the two-sided textbook statistic, as scipy computes it

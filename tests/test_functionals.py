@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from symmpoly import (DegenerateEdgeError, DegenerateTorsionError,
-                      InvalidDimensionError, InvalidSizeError,
+                      DomainError, InvalidDimensionError, InvalidSizeError,
                       LocalFunctional, Polygon, SeedStream, sample_pol,
                       sliding_window_apply, torsion_angle, torsion_angles,
                       total_curvature, total_torsion, turning_angle,
@@ -339,7 +339,7 @@ def test_arm_angle_laws_uniform():
 
 def test_sliding_window_edge_length():
     f = LocalFunctional(k=1, bound_M=2.0,
-                        eval=lambda w: float(np.linalg.norm(w[0])),
+                        eval=lambda w: np.linalg.norm(w[:, 0], axis=-1),
                         name="edge_length")
     assert sliding_window_apply(SQUARE2, f) == [1.0, 1.0, 1.0, 1.0]
     open_chain = Polygon(dim=2, closed=False, edges=[[3, 0], [0, 4]])
@@ -349,13 +349,17 @@ def test_sliding_window_edge_length():
 def test_sliding_window_full_width_open():
     chain = Polygon(dim=2, closed=False, edges=[[1, 0], [0, 1], [2, 0]])
     f = LocalFunctional(k=3, bound_M=6.0,
-                        eval=lambda w: float(np.abs(w).sum()))
+                        eval=lambda w: np.abs(w).sum(axis=(1, 2)))
     assert sliding_window_apply(chain, f) == [4.0]
 
 
+def _window_turning(windows):
+    angles, ok = _batch_turning(windows, closed=False)
+    return np.where(ok, angles[:, 0], np.nan)
+
+
 def test_sliding_window_turning_matches_total():
-    f = LocalFunctional(k=2, bound_M=math.pi,
-                        eval=lambda w: turning_angle(w[0], w[1]),
+    f = LocalFunctional(k=2, bound_M=math.pi, eval=_window_turning,
                         name="window_turning")
     vals = sliding_window_apply(SQUARE2, f)
     assert len(vals) == 4
@@ -367,12 +371,54 @@ def test_sliding_window_cyclic_wrap():
     chain = Polygon(dim=2, closed=True,
                     edges=[[1, 0], [0, 1], [-1, -1]])
     f = LocalFunctional(k=2, bound_M=10.0,
-                        eval=lambda w: float(w[0, 0] * 10 + w[1, 0]))
+                        eval=lambda w: w[:, 0, 0] * 10 + w[:, 1, 0])
     # windows: (e1,e2), (e2,e3), (e3,e1) with wraparound
     assert sliding_window_apply(chain, f) == [10.0, -1.0, -9.0]
 
 
+def _per_window_reference(p, k, fn):
+    # the windows one by one: cyclic on a closed polygon
+    edges = p.edges
+    if p.closed:
+        ext = np.concatenate([edges, edges[: k - 1]], axis=0)
+        return [fn(ext[i:i + k]) for i in range(p.n)]
+    return [fn(edges[i:i + k]) for i in range(p.n - k + 1)]
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_sliding_window_matches_per_window_reference(closed, k):
+    edges = sample_pol(3, 7, SeedStream(SEED, 21)).edges
+    p = Polygon(dim=3, closed=closed, edges=edges)
+    # the first and last edge of each window, and the turning angle between
+    # its first two edges, in the same arithmetic one window at a time
+    ends = LocalFunctional(k=k, bound_M=4.0,
+                           eval=lambda w: 3 * w[:, 0, 2] - w[:, -1, 1])
+    assert sliding_window_apply(p, ends) == _per_window_reference(
+        p, k, lambda w: float(3 * w[0, 2] - w[-1, 1]))
+    if k >= 2:
+        turning = LocalFunctional(k=k, bound_M=math.pi, eval=_window_turning)
+        assert sliding_window_apply(p, turning) == _per_window_reference(
+            p, k, lambda w: turning_angle(w[0], w[1]))
+
+
 def test_sliding_window_validation():
-    f = LocalFunctional(k=5, bound_M=1.0, eval=lambda w: 0.0)
+    f = LocalFunctional(k=5, bound_M=1.0, eval=lambda w: np.zeros(len(w)))
     with pytest.raises(InvalidSizeError):
         sliding_window_apply(SQUARE2, f)
+    # the width check of functional_samples: a whole number of edges
+    for k in (2.0, True, 0):
+        f = LocalFunctional(k=k, bound_M=1.0, eval=lambda w: np.zeros(len(w)),
+                            name="w")
+        with pytest.raises(InvalidSizeError, match="functional 'w' must satisfy 1 <= k <= n"):
+            sliding_window_apply(SQUARE2, f)
+    # one value per window, and NaN for a degenerate one
+    f = LocalFunctional(k=2, bound_M=1.0, eval=lambda w: np.zeros((len(w), 2)),
+                        name="wide")
+    with pytest.raises(DomainError, match="'wide' returned shape"):
+        sliding_window_apply(SQUARE2, f)
+    straight = Polygon(dim=2, closed=False, edges=[[1, 0], [1, 0], [1e-16, 0]])
+    f = LocalFunctional(k=2, bound_M=math.pi, eval=_window_turning,
+                        name="window_turning")
+    with pytest.raises(DegenerateEdgeError, match="'window_turning' is NaN"):
+        sliding_window_apply(straight, f)
