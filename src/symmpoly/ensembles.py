@@ -29,18 +29,28 @@ that wraps around, and full-length segments (k = n), draw whole polygons.
 
 Every chunk run goes through one ordered generator, ``_iter_chunks``,
 which yields the chunk results in chunk order. The estimators take them as
-a list (``_run_chunks``, which hands every chunk to the pool at once);
-``symmpoly sample`` consumes the generator directly with a bounded number
-of chunks in flight. Its chunk task, ``("jsonl", spill_dir)``, draws whole
-polygons and writes their records with ``io.write_ensemble`` to the spill
-file ``spill_dir/<chunk>.jsonl`` in the process that drew them; only the
-file's path returns, and the caller copies the files into its output in
-chunk order. A list run of at most ``_IN_PROCESS_EDGES`` drawn edges
-(N x window) runs in-process at any worker count: a pool costs more than
-such a draw, and head draws for the TV estimate and window plans are this
-small. The streaming path always dispatches, so that its memory stays in
-the chunks in flight. Chunk runs inside ``_worker_pool(workers)`` share one
-process pool, forked when the first of them dispatches.
+a list (``_run_chunks``, which hands every chunk to the pool at once with
+``map_async`` and waits for all of them); ``symmpoly sample`` consumes the
+generator directly with a bounded number of chunks in flight. Its chunk
+task, ``("jsonl", spill_dir)``, draws whole polygons and writes their
+records with ``io.write_ensemble`` to the spill file
+``spill_dir/<chunk>.jsonl`` in the process that drew them; only the file's
+path returns, and the caller copies the files into its output in chunk
+order.
+
+A list run of at most ``_IN_PROCESS_EDGES`` drawn edges (N x window) runs
+in-process at any worker count: a pool costs more than such a draw, and
+head draws for the TV estimate and window plans are this small. The
+streaming path always dispatches, so that its memory stays in the chunks in
+flight. Chunk runs inside ``_worker_pool(workers)`` share one process pool,
+forked when the first of them dispatches. A caller in such a block may
+``_prefetch`` a list run: its chunks go to the pool at once, without
+waiting, and the later ``_iter_chunks`` call of the same run takes their
+results instead of submitting them again. ``verify`` prefetches its
+whole-polygon ensembles and computes its other checks while the workers
+draw. While prefetched runs wait in the block, head draws and window plans
+of any size run in-process, so that they do not queue behind them
+(``_dispatches``).
 """
 from __future__ import annotations
 
@@ -62,8 +72,8 @@ from .errors import (DomainError, InvalidDimensionError, InvalidSizeError,
 from .functionals import (LocalFunctional, _batch_torsion, _batch_turning,
                           _eval_windows)
 from .haar import SeedStream, StreamLike, ensure_generator
-from .polygons import (SPACES, Polygon, _check_segment_length, space_dim,
-                       space_edges_batch)
+from .polygons import (SPACES, Polygon, _check_segment_length, _is_int,
+                       space_dim, space_edges_batch)
 
 CHUNK_SIZE = 4096
 
@@ -72,6 +82,13 @@ CHUNK_SIZE = 4096
 # 0.8-1.04x their time on an open 2-worker pool in-process, and
 # whole-polygon draws of 410k edges and more took 1.7-2x theirs.
 _IN_PROCESS_EDGES = 2 ** 18
+
+# Worker pools fork where the platform can, so that each worker starts with
+# the package imported; under spawn or forkserver (the Linux default from
+# Python 3.14) every worker of every pool would import it again. Tests
+# replace this to count the pools or to run them under spawn.
+_new_pool = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None).Pool
 
 FunctionalSpec = Union[str, LocalFunctional]
 
@@ -264,20 +281,18 @@ def _chunk_counts(N: int) -> List[int]:
     return [min(CHUNK_SIZE, N - start) for start in range(0, N, CHUNK_SIZE)]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer))
-
-
 def _check_positive(what: str, value) -> None:
     if not _is_int(value) or value < 1:
         raise DomainError(f"{what} must be a positive integer, got {value!r}")
 
 
-# (workers, pool) of the innermost open _worker_pool block, if any, and the
-# exit stack that closes its pool. The pool is None until a chunk run in
-# the block first dispatches.
+# (workers, pool) of the innermost open _worker_pool block, if any, the
+# exit stack that closes its pool, and its prefetched list runs, (seed,
+# stream_id) -> (chunk args, pending map_async result). The pool is None
+# until a chunk run in the block first dispatches.
 _ACTIVE_POOL = None
 _ACTIVE_EXITS = None
+_PREFETCHED: dict = {}
 
 
 @contextlib.contextmanager
@@ -287,22 +302,23 @@ def _worker_pool(workers: int) -> Iterator[None]:
     The pool is lazy: it is forked when the first chunk run in the block
     dispatches, and a block whose runs all stay in-process (one worker, one
     chunk, or a small list run) forks none. Later runs reuse it, and the
-    block terminates it on exit. A block inside another at the same worker
-    count is the outer block, so a caller that wraps many sampling calls in
-    one block starts its workers at most once.
+    block terminates it on exit, prefetched runs still pending included. A
+    block inside another at the same worker count is the outer block, so a
+    caller that wraps many sampling calls in one block starts its workers
+    at most once.
     """
-    global _ACTIVE_POOL, _ACTIVE_EXITS
+    global _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED
     _check_positive("worker count", workers)
     if workers == 1 or (_ACTIVE_POOL is not None and _ACTIVE_POOL[0] == workers):
         yield
         return
-    outer = _ACTIVE_POOL, _ACTIVE_EXITS
+    outer = _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED
     with contextlib.ExitStack() as exits:
-        _ACTIVE_POOL, _ACTIVE_EXITS = (workers, None), exits
+        _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED = (workers, None), exits, {}
         try:
             yield
         finally:
-            _ACTIVE_POOL, _ACTIVE_EXITS = outer
+            _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED = outer
 
 
 def _block_pool():
@@ -310,8 +326,7 @@ def _block_pool():
     global _ACTIVE_POOL
     workers, pool = _ACTIVE_POOL
     if pool is None:
-        pool = _ACTIVE_EXITS.enter_context(
-            multiprocessing.Pool(processes=int(workers)))
+        pool = _ACTIVE_EXITS.enter_context(_new_pool(processes=int(workers)))
         _ACTIVE_POOL = (workers, pool)
     return pool
 
@@ -325,6 +340,53 @@ def _task_window(space: str, n: int, task) -> int:
     return task[1]
 
 
+def _chunk_args(space: str, n: int, N: int, seed: int, stream_id: int,
+                task) -> list:
+    return [(space, n, seed, stream_id, chunk, count, task)
+            for chunk, count in enumerate(_chunk_counts(N))]
+
+
+def _dispatches(space: str, n: int, N: int, task, workers: int,
+                streaming: bool = False) -> bool:
+    """Whether a chunk run goes to the worker pool.
+
+    Never at one worker or for a single chunk; always for a streaming run.
+    A list run dispatches when it draws more than ``_IN_PROCESS_EDGES``
+    edges (N x window). A head draw or window plan stays in-process,
+    though, while runs prefetched in the block are not yet taken: on the
+    pool it would wait behind them, and the parent can draw it meanwhile.
+    At 2 workers on 2 cores, `symmpoly verify --level desk` took 9.5-10.4 s
+    when its 400k-sample TV draws and its 5-edge arm3_50 plan queued on the
+    pool behind the prefetched whole-polygon draws, and 8.4-8.7 s with them
+    in-process (four runs each). On an idle pool a large head draw still
+    gains: `symmpoly tv --count 4000000 --workers 2` took 3.8-4.3 s
+    dispatched and 4.7-4.9 s in-process (three runs each).
+    """
+    if workers == 1 or N <= CHUNK_SIZE:
+        return False
+    if streaming:
+        return True
+    window = _task_window(space, n, task)
+    return N * window > _IN_PROCESS_EDGES and (window == n or not _PREFETCHED)
+
+
+def _prefetch(space: str, n: int, N: int, seed: int, stream_id: int, task,
+              workers: int) -> None:
+    """Submit the chunks of a list run that would dispatch to the pool of
+    the open ``_worker_pool(workers)`` block, without waiting for them.
+
+    The ``_iter_chunks`` call of the same run in the block takes their
+    results. A run that would stay in-process, or a call outside such a
+    block, submits nothing.
+    """
+    if (_ACTIVE_POOL is None or _ACTIVE_POOL[0] != workers
+            or not _dispatches(space, n, N, task, workers)):
+        return
+    args = _chunk_args(space, n, N, seed, stream_id, task)
+    _PREFETCHED[(seed, stream_id)] = (
+        args, _block_pool().map_async(_eval_chunk, args))
+
+
 def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
                  workers: int, in_flight: Optional[int] = None) -> Iterator:
     """The results of the chunks of one stream, in chunk order.
@@ -332,30 +394,30 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
     ``task`` is ``("functionals", specs)``, ``("segments", k)`` or
     ``("jsonl", spill_dir)``; the last yields (spill file path, 0) per
     chunk and leaves the file for the caller to copy and delete.
-    Chunks are evaluated in-process, each when it is asked for, at one
-    worker, for a single chunk, or for a list run (``in_flight`` None) of
-    at most ``_IN_PROCESS_EDGES`` drawn edges. Otherwise chunks go to the
-    pool of the enclosing ``_worker_pool`` block: all at once for a list
-    run, batched by ``pool.map``, or one by one with at most ``in_flight``
-    submitted and not yet yielded, which bounds the memory of a consumer
-    that writes each result as it comes. The streaming path dispatches at
-    any size: in-process, its whole draws raised the peak memory of
-    ``symmpoly sample``. The list runs keep ``pool.map``: a window idles
-    the workers between small chunks.
+    Chunks are evaluated in-process, each when it is asked for, unless
+    ``_dispatches`` sends the run to the pool of the enclosing
+    ``_worker_pool`` block: all at once for a list run (``in_flight``
+    None), or one by one with at most ``in_flight`` submitted and not yet
+    yielded, which bounds the memory of a consumer that writes each result
+    as it comes. A list run that was prefetched in the block takes the
+    prefetched results. The streaming path dispatches at any size:
+    in-process, its whole draws raised the peak memory of ``symmpoly
+    sample``. The list runs submit every chunk at once: a window idles the
+    workers between small chunks.
     """
-    args = [(space, n, seed, stream_id, chunk, count, task)
-            for chunk, count in enumerate(_chunk_counts(N))]
+    args = _chunk_args(space, n, N, seed, stream_id, task)
     _check_positive("worker count", workers)
-    if (workers == 1 or len(args) == 1 or (
-            in_flight is None
-            and N * _task_window(space, n, task) <= _IN_PROCESS_EDGES)):
+    if not _dispatches(space, n, N, task, workers, in_flight is not None):
         for a in args:
             yield _eval_chunk(a)
         return
     with _worker_pool(workers):
         pool = _block_pool()
         if in_flight is None:
-            yield from pool.map(_eval_chunk, args)
+            ready = _PREFETCHED.pop((seed, stream_id), None)
+            pending = (ready[1] if ready is not None and ready[0] == args
+                       else pool.map_async(_eval_chunk, args))
+            yield from pending.get()
             return
         pending = collections.deque()
         for a in args:

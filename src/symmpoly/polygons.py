@@ -115,17 +115,23 @@ def _hopf(w, x, y, z, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
+def _is_int(value) -> bool:
+    """An integer, numpy's included, and not a bool: the rule for every size
+    and count argument."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_space_args(dim: int, n: int) -> None:
     if dim not in (2, 3):
         raise InvalidDimensionError(f"dim must be 2 or 3, got {dim}")
-    if not isinstance(n, (int, np.integer)) or n < 3:
+    if not _is_int(n) or n < 3:
         raise InvalidSizeError(f"polygon size n must be >= 3, got {n}")
 
 
 def _check_segment_length(n: int, k, what: str = "segment length") -> None:
     """The width check of segments and functional windows: an integer, not a
     bool, with 1 <= k <= n."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+    if not _is_int(k) or not 1 <= k <= n:
         raise InvalidSizeError(f"{what} must satisfy 1 <= k <= n, got k={k!r}")
 
 

@@ -9,6 +9,10 @@ coverage, and the matrix-density checks.
 Each logical sampling task owns a fixed stream id of the master seed (the
 registry below), so checks are statistically independent, reruns are
 byte-identical, and the worker count never changes a single output value.
+The ensembles the checks read are a table of requests, each drawn once per
+run; the checks are small functions, one per criterion. At workers > 1
+the worker pool draws the whole-polygon ensembles while the checks that do
+not read them run in this process.
 
 scipy (Beta CDFs and quadrature) is imported inside `density_checks` and
 `extended_density_checks`, the only checks that use it, so importing this
@@ -22,7 +26,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from . import bounds, densities
+from . import bounds, densities, ensembles
 # covariance_partition and _haar_unitary_batch have no caller here; they stay
 # importable from this module because benchmark tracers wrap them by name.
 from .ensembles import (_moments, _worker_pool, assemble_partition,
@@ -110,22 +114,72 @@ def _tv_excess(hist) -> float:
     return 2.0 * (hist.tv_estimate - hist.null_calibration)
 
 
-def _structural_checks(space: str, n: int, N: int, seed: int, workers: int,
-                       out: List[CheckResult]) -> None:
-    from .ensembles import segment_samples
+# Ensemble requests: stream name -> (space, n, the functionals it reads, or
+# the segment length k of a whole-polygon segment draw). Each is drawn once
+# per run, N samples, or N_struct for the structural draws. At workers > 1
+# the pool draws the whole-polygon ones in this order: the structural
+# draws, read first, then the three that criterion 7 bootstraps. The two
+# head-draw plans come last, so that they stay in-process at any N.
+_REQUESTS = {
+    "struct_pol2": ("pol2", 50, 50),
+    "struct_pol3": ("pol3", 50, 50),
+    "pol2_200": ("pol2", 200, ("total_curvature",)),
+    "pol3_100": ("pol3", 100, ("tau1", "total_torsion")),
+    "pol2_100": ("pol2", 100, ("theta1", "theta2", "theta3", "total_curvature")),
+    "pol3_50": ("pol3", 50, ("total_curvature",)),
+    "arm3_100": ("arm3", 100, ("tau1", "total_torsion")),
+    "arm2_100": ("arm2", 100, ("theta1", "theta1^2")),
+    "arm3_50": ("arm3", 50, ("tau1", "tau3")),
+}
 
-    flat = segment_samples(space, n, n, N, seed,
-                           stream_id=STREAM_IDS[f"struct_{space}"], workers=workers)
-    edges = flat.reshape(N, n, space_dim(space))
-    residual = float(np.max(np.linalg.norm(edges.sum(axis=1), axis=1)))
-    perim_gap = float(np.max(np.abs(np.linalg.norm(edges, axis=2).sum(axis=1) - 2.0)))
-    out.append(_check(1, f"structural_{space}_closure", residual, "<=", 1e-10))
-    out.append(_check(1, f"structural_{space}_perimeter", perim_gap, "<=", 1e-10))
+
+class _Ensembles:
+    """The requested ensembles of one run, each drawn when a check first
+    reads it and then kept; its sample counts and seed."""
+
+    def __init__(self, scale: int, seed: int, workers: int):
+        self.N = DESK_N * scale
+        self.N_tv = DESK_N_TV * scale
+        self.N_struct = DESK_N_STRUCT * scale
+        self.seed, self.workers = seed, workers
+        self._drawn: Dict[str, object] = {}
+
+    def _draw_args(self, name: str):
+        space, n, reads = _REQUESTS[name]
+        if isinstance(reads, int):
+            return space, n, self.N_struct, ("segments", reads)
+        return space, n, self.N, ("functionals", reads)
+
+    def prefetch(self) -> None:
+        """Submit every request that would go to the worker pool, so that
+        the workers draw while the checks that do not read them run."""
+        for name in _REQUESTS:
+            space, n, N, task = self._draw_args(name)
+            ensembles._prefetch(space, n, N, self.seed, STREAM_IDS[name], task,
+                                self.workers)
+
+    def __getitem__(self, name: str):
+        if name not in self._drawn:
+            space, n, N, (kind, reads) = self._draw_args(name)
+            kwargs = dict(stream_id=STREAM_IDS[name], workers=self.workers)
+            if kind == "segments":
+                flat = ensembles.segment_samples(space, n, reads, N, self.seed, **kwargs)
+                self._drawn[name] = flat.reshape(N, reads, space_dim(space))
+            else:
+                self._drawn[name] = functional_samples(space, n, N, list(reads),
+                                                       self.seed, **kwargs)[0]
+        return self._drawn[name]
 
 
 def run_verify(level: str = "desk", seed: int = 7,
                workers: int = 1) -> List[CheckResult]:
-    """Run the full check suite; deep level scales sample counts by 10."""
+    """Run the full check suite; deep level scales sample counts by 10.
+
+    At workers > 1 every whole-polygon ensemble is handed to the worker
+    pool before any check runs, and the checks that read none of them run
+    while the workers draw. The rows come out in criterion order and are
+    the same at any worker count.
+    """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     with _worker_pool(workers):
@@ -133,110 +187,106 @@ def run_verify(level: str = "desk", seed: int = 7,
 
 
 def _run_checks(scale: int, seed: int, workers: int) -> List[CheckResult]:
-    N = DESK_N * scale
-    N_tv = DESK_N_TV * scale
-    N_struct = DESK_N_STRUCT * scale
-    results: List[CheckResult] = []
+    e = _Ensembles(scale, seed, workers)
+    e.prefetch()
+    results = [r for check in _CHECKS for r in check(e)]
+    results.sort(key=lambda r: r.criterion)  # stable: a check's rows keep their order
+    return results
 
-    def draw(space: str, n: int, functionals: List[str]) -> Dict[str, np.ndarray]:
-        return functional_samples(space, n, N, functionals, seed,
-                                  stream_id=STREAM_IDS[f"{space}_{n}"],
-                                  workers=workers)[0]
 
-    # Criterion 1: every closed sample closes and has perimeter 2.
-    _structural_checks("pol2", 50, N_struct, seed, workers, results)
-    _structural_checks("pol3", 50, N_struct, seed, workers, results)
+def _structural_checks(e: _Ensembles) -> List[CheckResult]:
+    """Criterion 1: every closed sample closes and has perimeter 2."""
+    out = []
+    for space in ("pol2", "pol3"):
+        edges = e[f"struct_{space}"]
+        residual = float(np.max(np.linalg.norm(edges.sum(axis=1), axis=1)))
+        perim_gap = float(np.max(np.abs(np.linalg.norm(edges, axis=2).sum(axis=1) - 2.0)))
+        out.append(_check(1, f"structural_{space}_closure", residual, "<=", 1e-10))
+        out.append(_check(1, f"structural_{space}_perimeter", perim_gap, "<=", 1e-10))
+    return out
 
-    # Criterion 2: open-chain angle moments.
-    arm2_vals = draw("arm2", 100, ["theta1", "theta1^2"])
-    t1_mean, _, t1_se = _moments(arm2_vals["theta1"])
-    t1sq_mean, _, t1sq_se = _moments(arm2_vals["theta1^2"])
-    results.append(_check(2, "arm_turning_mean",
-                          abs(t1_mean - math.pi / 2), "<=", 4 * t1_se))
-    results.append(_check(2, "arm_turning_second_moment",
-                          abs(t1sq_mean - math.pi**2 / 3), "<=", 4 * t1sq_se))
-    arm3_vals = draw("arm3", 50, ["tau1", "tau3"])
-    tau1 = arm3_vals["tau1"]
-    tau3 = arm3_vals["tau3"]
+
+def _open_chain_checks(e: _Ensembles) -> List[CheckResult]:
+    """Criterion 2: open-chain angle moments."""
+    t1_mean, _, t1_se = _moments(e["arm2_100"]["theta1"])
+    t1sq_mean, _, t1sq_se = _moments(e["arm2_100"]["theta1^2"])
+    tau1, tau3 = e["arm3_50"]["tau1"], e["arm3_50"]["tau3"]
     tau1_mean, tau1_var, tau1_se = _moments(tau1)
-    results.append(_check(2, "arm_torsion_mean", abs(tau1_mean), "<=", 4 * tau1_se))
-    results.append(_check(2, "arm_torsion_variance",
-                          abs(tau1_var - math.pi**2 / 3) / (math.pi**2 / 3),
-                          "<=", 0.05))
     rho = float(np.corrcoef(tau1, tau3)[0, 1])
-    results.append(_check(2, "arm_torsion_correlation",
-                          abs(rho), "<=", 4 / math.sqrt(tau1.size)))
+    return [
+        _check(2, "arm_turning_mean", abs(t1_mean - math.pi / 2), "<=", 4 * t1_se),
+        _check(2, "arm_turning_second_moment",
+               abs(t1sq_mean - math.pi**2 / 3), "<=", 4 * t1sq_se),
+        _check(2, "arm_torsion_mean", abs(tau1_mean), "<=", 4 * tau1_se),
+        _check(2, "arm_torsion_variance",
+               abs(tau1_var - math.pi**2 / 3) / (math.pi**2 / 3), "<=", 0.05),
+        _check(2, "arm_torsion_correlation", abs(rho), "<=", 4 / math.sqrt(tau1.size)),
+    ]
 
-    # Criterion 3: closed-polygon curvature means.
-    pol3_50_vals = draw("pol3", 50, ["total_curvature"])
-    k50_mean, _, k50_se = _moments(pol3_50_vals["total_curvature"])
+
+def _curvature_checks(e: _Ensembles) -> List[CheckResult]:
+    """Criterion 3: closed-polygon curvature means."""
+    k50_mean, _, k50_se = _moments(e["pol3_50"]["total_curvature"])
     expected = 25 * math.pi + (math.pi / 4) * (100 / 97)
-    results.append(_check(3, "closed_curvature_mean_spatial",
-                          abs(k50_mean - expected), "<=", 4 * k50_se))
-    pol2_100_vals = draw("pol2", 100, ["theta1", "theta2", "theta3", "total_curvature"])
-    kappa100 = pol2_100_vals["total_curvature"]
-    k100_mean, k100_var, k100_se = _moments(kappa100)
+    k100_mean, _, k100_se = _moments(e["pol2_100"]["total_curvature"])
     excess = k100_mean - 50 * math.pi
-    results.append(_check(3, "closed_curvature_excess_nonneg", excess, ">=", 0.0))
-    results.append(_check(3, "closed_curvature_excess_bound", excess, "<=",
-                          100 * math.pi * bounds.b2(2, 100) + 4 * k100_se))
+    return [
+        _check(3, "closed_curvature_mean_spatial", abs(k50_mean - expected), "<=",
+               4 * k50_se),
+        _check(3, "closed_curvature_excess_nonneg", excess, ">=", 0.0),
+        _check(3, "closed_curvature_excess_bound", excess, "<=",
+               100 * math.pi * bounds.b2(2, 100) + 4 * k100_se),
+    ]
 
-    # Criterion 4: expectation transfer between closed and open chains.
-    p_t1_mean, _, p_t1_se = _moments(pol2_100_vals["theta1"])
-    results.append(_check(4, "transfer_turning",
-                          abs(p_t1_mean - t1_mean), "<=",
-                          bounds.expectation_transfer_gap(math.pi, 2, 2, 100)
-                          + 4 * (p_t1_se + t1_se)))
-    pol3_100_vals = draw("pol3", 100, ["tau1", "total_torsion"])
-    arm3_100_vals = draw("arm3", 100, ["tau1", "total_torsion"])
-    p_tau_mean, _, p_tau_se = _moments(pol3_100_vals["tau1"])
-    a_tau_mean, _, a_tau_se = _moments(arm3_100_vals["tau1"])
-    results.append(_check(4, "transfer_torsion",
-                          abs(p_tau_mean - a_tau_mean), "<=",
-                          bounds.expectation_transfer_gap(math.pi, 3, 3, 100)
-                          + 4 * (p_tau_se + a_tau_se)))
 
-    # Criterion 5: binned TV against the closed-form bounds.
-    tv_planar = estimate_tv("pol2", "arm2", 100, 1, N_tv, 12, seed,
-                            stream_ids=(STREAM_IDS["tv_planar_a"],
-                                        STREAM_IDS["tv_planar_b"]),
-                            workers=workers)
-    results.append(_check(5, "tv_planar_k1", _tv_excess(tv_planar),
-                          "<=", bounds.b2(1, 100)))
-    tv_spatial = estimate_tv("pol3", "arm3", 100, 1, N_tv, 8, seed,
-                             stream_ids=(STREAM_IDS["tv_spatial_a"],
-                                         STREAM_IDS["tv_spatial_b"]),
-                             workers=workers)
-    results.append(_check(5, "tv_spatial_k1", _tv_excess(tv_spatial),
-                          "<=", bounds.b3(1, 100)))
-    tv_control = estimate_tv("arm2", "arm2", 100, 1, N_tv, 12, seed,
-                             stream_ids=(STREAM_IDS["tv_control_a"],
-                                         STREAM_IDS["tv_control_b"]),
-                             workers=workers)
-    results.append(_check(5, "tv_null_control",
-                          tv_control.tv_estimate - tv_control.null_calibration,
-                          "<=", 0.01))
+def _transfer_checks(e: _Ensembles) -> List[CheckResult]:
+    """Criterion 4: expectation transfer between closed and open chains."""
+    t1_mean, _, t1_se = _moments(e["arm2_100"]["theta1"])
+    p_t1_mean, _, p_t1_se = _moments(e["pol2_100"]["theta1"])
+    p_tau_mean, _, p_tau_se = _moments(e["pol3_100"]["tau1"])
+    a_tau_mean, _, a_tau_se = _moments(e["arm3_100"]["tau1"])
+    return [
+        _check(4, "transfer_turning", abs(p_t1_mean - t1_mean), "<=",
+               bounds.expectation_transfer_gap(math.pi, 2, 2, 100)
+               + 4 * (p_t1_se + t1_se)),
+        _check(4, "transfer_torsion", abs(p_tau_mean - a_tau_mean), "<=",
+               bounds.expectation_transfer_gap(math.pi, 3, 3, 100)
+               + 4 * (p_tau_se + a_tau_se)),
+    ]
 
-    # Criterion 6: bound formula arithmetic.
-    results.extend(formula_checks())
 
-    # Criterion 7: variance bounds with bootstrap slack.
-    pol2_200_vals = draw("pol2", 200, ["total_curvature"])
-    kappa200 = pol2_200_vals["total_curvature"]
+def _tv_checks(e: _Ensembles) -> List[CheckResult]:
+    """Criterion 5: binned TV against the closed-form bounds."""
+    def tv(space_a: str, space_b: str, bins: int, streams: str):
+        return estimate_tv(space_a, space_b, 100, 1, e.N_tv, bins, e.seed,
+                           stream_ids=(STREAM_IDS[f"tv_{streams}_a"],
+                                       STREAM_IDS[f"tv_{streams}_b"]),
+                           workers=e.workers)
+
+    tv_planar = tv("pol2", "arm2", 12, "planar")
+    tv_spatial = tv("pol3", "arm3", 8, "spatial")
+    tv_control = tv("arm2", "arm2", 12, "control")
+    return [
+        _check(5, "tv_planar_k1", _tv_excess(tv_planar), "<=", bounds.b2(1, 100)),
+        _check(5, "tv_spatial_k1", _tv_excess(tv_spatial), "<=", bounds.b3(1, 100)),
+        _check(5, "tv_null_control",
+               tv_control.tv_estimate - tv_control.null_calibration, "<=", 0.01),
+    ]
+
+
+def _variance_checks(e: _Ensembles) -> List[CheckResult]:
+    """Criterion 7: variance bounds with bootstrap slack."""
+    kappa200 = e["pol2_200"]["total_curvature"]
     var200 = float(kappa200.var(ddof=1))
     se_var200 = bootstrap_se(kappa200, lambda a: a.var(ddof=1),
-                             SeedStream(seed, STREAM_IDS["boot_var_planar"]))
-    results.append(_check(7, "variance_bound_planar", var200, "<=",
-                          bounds.curvature_variance_bound(200) + 4 * se_var200))
-    torsion100 = pol3_100_vals["total_torsion"]
+                             SeedStream(e.seed, STREAM_IDS["boot_var_planar"]))
+    torsion100 = e["pol3_100"]["total_torsion"]
     var_t100 = float(torsion100.var(ddof=1))
     se_var_t100 = bootstrap_se(torsion100, lambda a: a.var(ddof=1),
-                               SeedStream(seed, STREAM_IDS["boot_var_spatial"]))
-    results.append(_check(7, "variance_bound_spatial", var_t100, "<=",
-                          bounds.torsion_variance_bound(100) + 4 * se_var_t100))
-    t1a = pol2_100_vals["theta1"]
-    t2a = pol2_100_vals["theta2"]
-    t3a = pol2_100_vals["theta3"]
+                               SeedStream(e.seed, STREAM_IDS["boot_var_spatial"]))
+    pol2_100 = e["pol2_100"]
+    t1a, t2a, t3a = pol2_100["theta1"], pol2_100["theta2"], pol2_100["theta3"]
+    kappa100 = pol2_100["total_curvature"]
     part = assemble_partition(100, t1a, t2a, t3a)
 
     def partition_gap(idx: np.ndarray) -> float:
@@ -244,28 +294,48 @@ def _run_checks(scale: int, seed: int, workers: int) -> List[CheckResult]:
                 - float(kappa100[idx].var(ddof=1)))
 
     se_gap = bootstrap_stat_se(t1a.size, partition_gap,
-                               SeedStream(seed, STREAM_IDS["boot_partition"]))
-    results.append(_check(7, "covariance_partition_agree",
-                          abs(part.assembled_variance - k100_var), "<=",
-                          4 * se_gap))
+                               SeedStream(e.seed, STREAM_IDS["boot_partition"]))
+    return [
+        _check(7, "variance_bound_planar", var200, "<=",
+               bounds.curvature_variance_bound(200) + 4 * se_var200),
+        _check(7, "variance_bound_spatial", var_t100, "<=",
+               bounds.torsion_variance_bound(100) + 4 * se_var_t100),
+        _check(7, "covariance_partition_agree",
+               abs(part.assembled_variance - _moments(kappa100)[1]), "<=", 4 * se_gap),
+    ]
 
-    # Criterion 8: coverage of the concentration intervals.
-    torsion_arm = arm3_100_vals["total_torsion"]
+
+def _coverage_checks(e: _Ensembles) -> List[CheckResult]:
+    """Criterion 8: coverage of the concentration intervals."""
     half_width = math.pi * math.sqrt(100)
-    results.append(_check(8, "coverage_torsion_arm",
-                          chebyshev_coverage(torsion_arm,
-                                             (-half_width, half_width)),
-                          "<=", 1 / 3))
+    kappa200 = e["pol2_200"]["total_curvature"]
     lo, hi, _ = bounds.chebyshev_interval(float(kappa200.mean()),
                                           bounds.curvature_variance_bound(200),
                                           math.sqrt(2.0))
-    results.append(_check(8, "coverage_curvature_closed",
-                          chebyshev_coverage(kappa200, (lo, hi)), "<=", 0.5))
+    return [
+        _check(8, "coverage_torsion_arm",
+               chebyshev_coverage(e["arm3_100"]["total_torsion"],
+                                  (-half_width, half_width)), "<=", 1 / 3),
+        _check(8, "coverage_curvature_closed",
+               chebyshev_coverage(kappa200, (lo, hi)), "<=", 0.5),
+    ]
 
-    # Criterion 9: matrix-density checks.
-    results.extend(density_checks(seed, N))
 
-    return results
+# Every check, in the order they run. The ones that read no whole-polygon
+# ensemble come first: at workers > 1 the parent computes them while the
+# workers draw the prefetched ensembles that the rest read. Criterion 7
+# comes next, so that its bootstraps overlap the last draws.
+_CHECKS = (
+    _structural_checks,
+    _open_chain_checks,
+    _tv_checks,
+    lambda e: formula_checks(),       # criterion 6
+    lambda e: density_checks(e.seed, e.N),  # criterion 9
+    _variance_checks,
+    _curvature_checks,
+    _transfer_checks,
+    _coverage_checks,
+)
 
 
 def formula_checks() -> List[CheckResult]:

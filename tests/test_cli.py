@@ -1,7 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 import csv
 import io
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -183,7 +182,7 @@ def test_sample_write_error_closes_the_stream(monkeypatch, capsys, spill_root):
         def write(self, text):
             raise OSError("disk full")
 
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(ensembles, "_new_pool", Pool)
     monkeypatch.setattr(sys, "stdout", Broken())
     assert run(["sample", "--space", "pol2", "--n", "5", "--count", "40",
                 "--workers", "2", *SEED_ARGS]) == 2

@@ -190,6 +190,22 @@ def test_plan_validation():
             functional_samples("arm2", 10, 100, [f], SEED)
 
 
+# isinstance(True, int) holds; every count rejects a bool, as the segment
+# and window widths do, in place of drawing one sample on one worker
+@pytest.mark.parametrize("call, error", [
+    (lambda: functional_samples("arm2", 10, True, ["theta1"], SEED), DomainError),
+    (lambda: functional_samples("arm2", 10, 100, ["theta1"], SEED, workers=True),
+     DomainError),
+    (lambda: estimate_tv("pol2", "arm2", 10, 1, 10_000, True, SEED), ResolutionError),
+    (lambda: covariance_partition("pol2", True, 100, SEED), InvalidSizeError),
+    (lambda: bootstrap_stat_se(10, lambda idx: 0.0, SeedStream(SEED, 36),
+                               n_resamples=True), DomainError),
+], ids=["N", "workers", "bins_per_axis", "n", "n_resamples"])
+def test_counts_reject_bools(call, error):
+    with pytest.raises(error, match="True"):
+        call()
+
+
 def test_run_ensemble_summary_fields():
     summary = run_ensemble("arm2", 50, 4000, ["theta1", "theta1^2"], SEED,
                            stream_id=8)
@@ -419,13 +435,13 @@ def test_window_plan_reads_open_kernels_on_heads(monkeypatch):
 
 def _count_pools(monkeypatch):
     opened = []
-    real = multiprocessing.Pool
+    real = ensembles._new_pool
 
     def counting(*args, **kwargs):
         opened.append(kwargs.get("processes", args[0] if args else None))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", counting)
+    monkeypatch.setattr(ensembles, "_new_pool", counting)
     return opened
 
 
@@ -525,7 +541,7 @@ def test_spawned_workers_give_the_same_bytes(monkeypatch, tmp_path,
     # spawned workers start from a fresh import and share no state with the
     # parent, so the bytes may depend only on the chunk -> generator map
     _chunk_size(monkeypatch, 512)
-    monkeypatch.setattr(multiprocessing, "Pool",
+    monkeypatch.setattr(ensembles, "_new_pool",
                         multiprocessing.get_context("spawn").Pool)
     opened = _count_pools(monkeypatch)
 
@@ -555,6 +571,14 @@ def test_spawned_workers_give_the_same_bytes(monkeypatch, tmp_path,
         assert np.array_equal(vals1[name], vals2[name]), name
 
 
+def test_pools_fork_where_the_platform_can():
+    # the one place that picks the start method; spawn and forkserver would
+    # import the package again in every worker of every pool
+    methods = multiprocessing.get_all_start_methods()
+    expected = "fork" if "fork" in methods else multiprocessing.get_start_method()
+    assert ensembles._new_pool.__self__.get_start_method() == expected
+
+
 class _RecordingPool:
     """A pool that runs each submitted chunk at once, in-process, and logs
     every submission and every result handed out."""
@@ -562,13 +586,15 @@ class _RecordingPool:
     def __init__(self):
         self.log = []
 
-    def map(self, fn, iterable):
+    def map_async(self, fn, iterable):
         self.log.extend("submit" for _ in iterable)
-        return [fn(a) for a in iterable]
+        return self._done([fn(a) for a in iterable])
 
     def apply_async(self, fn, args):
         self.log.append("submit")
-        result = fn(*args)
+        return self._done(fn(*args))
+
+    def _done(self, result):
         log = self.log
 
         class Done:
@@ -611,7 +637,7 @@ def test_chunk_list_submits_every_chunk_first(monkeypatch, dispatch_every_run):
     for result in ensembles._iter_chunks("pol2", 10, 1050, SEED, 4,
                                          ("segments", 2), 2):
         pool.log.append("used")
-    assert pool.log == ["submit"] * 11 + ["used"] * 11
+    assert pool.log == ["submit"] * 11 + ["get"] + ["used"] * 11
     results = ensembles._run_chunks("pol2", 10, 1050, SEED, 4,
                                     ("segments", 2), 2)
     assert isinstance(results, list) and len(results) == 11
@@ -630,7 +656,7 @@ def test_list_runs_dispatch_above_the_cut(monkeypatch):
     assert len(at_cut) > 1 and pool.log == []
     above = ensembles._run_chunks("arm2", 10, cut // 2 + 1, SEED, 4,
                                   ("segments", 2), 2)
-    assert pool.log == ["submit"] * len(above)
+    assert pool.log == ["submit"] * len(above) + ["get"]
     # a window plan counts its window, not n: two edges for theta1
     pool.log.clear()
     ensembles._run_chunks("pol2", 10, cut // 2, SEED, 4,
@@ -638,6 +664,17 @@ def test_list_runs_dispatch_above_the_cut(monkeypatch):
     assert pool.log == []
     ensembles._run_chunks("pol2", 10, cut // 2 + 1, SEED, 4,
                           ("functionals", ("theta1",)), 2)
+    assert pool.log != []
+    # while a prefetched run waits in the block, heads and window plans
+    # above the cut stay in-process; whole polygons still go to the pool
+    monkeypatch.setattr(ensembles, "_PREFETCHED", {(SEED, 99): ([], None)})
+    pool.log.clear()
+    ensembles._run_chunks("arm2", 10, cut // 2 + 1, SEED, 4, ("segments", 2), 2)
+    ensembles._run_chunks("pol2", 10, cut // 2 + 1, SEED, 4,
+                          ("functionals", ("theta1",)), 2)
+    assert pool.log == []
+    ensembles._run_chunks("pol2", 10, cut // 10 + 1, SEED, 4,
+                          ("segments", 10), 2)
     assert pool.log != []
 
 

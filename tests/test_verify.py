@@ -1,13 +1,15 @@
 """Check plumbing of the verification suite (full runs live in
 test_acceptance.py)."""
+import collections
 import io
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from symmpoly import verify
+from symmpoly import ensembles, verify
 from symmpoly.ensembles import GridHistogram, segment_samples
+from symmpoly.haar import SeedStream
 from symmpoly.verify import (CheckResult, _check, density_checks,
                              extended_density_checks, format_check_line,
                              formula_checks, run_verify, write_results_csv)
@@ -89,24 +91,93 @@ def test_run_verify_rejects_unknown_level():
         run_verify("quick", SEED, 1)
 
 
-def test_run_verify_opens_one_pool(monkeypatch):
+def _small_desk(monkeypatch, N=8192):
     # sample counts cut down so each ensemble still spans several chunks
-    monkeypatch.setattr(verify, "DESK_N", 8192)
+    monkeypatch.setattr(verify, "DESK_N", N)
     monkeypatch.setattr(verify, "DESK_N_TV", 32_768)
     monkeypatch.setattr(verify, "DESK_N_STRUCT", 64)
-    opened = []
-    real = multiprocessing.Pool
 
-    def counting(*args, **kwargs):
-        opened.append(1)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing, "Pool", counting)
-    csv = {}
+# the whole-polygon ensembles, the ones a desk run sends to the pool
+POOL_STREAMS = {verify.STREAM_IDS[name] for name in
+                ("pol3_50", "pol2_100", "pol3_100", "arm3_100", "pol2_200")}
+
+
+def test_run_verify_opens_one_pool(monkeypatch):
+    # every chunk is logged where it is drawn: handed to the pool, or in the
+    # parent; formula_checks, a check that reads no ensemble, logs its call
+    _small_desk(monkeypatch)
+    events, opened = [], []
+    real_pool = ensembles._new_pool
+    real_chunk_generator = SeedStream.chunk_generator
+    real_formula_checks = verify.formula_checks
+
+    class LoggingPool:
+        def __init__(self, processes):
+            opened.append(processes)
+            self.pool = real_pool(processes=processes)
+
+        def __enter__(self):
+            self.pool.__enter__()
+            return self
+
+        def __exit__(self, *exc):
+            return self.pool.__exit__(*exc)
+
+        def map_async(self, fn, args):
+            events.extend(("pool", a[2], a[3], a[4]) for a in args)
+            return self.pool.map_async(fn, args)
+
+    def chunk_generator(stream, chunk):
+        # in the parent; forked workers log to their own copy of the list
+        events.append(("parent", stream.seed, stream.stream_id, chunk))
+        return real_chunk_generator(stream, chunk)
+
+    def formula_checks():
+        events.append(("formula_checks",))
+        return real_formula_checks()
+
+    monkeypatch.setattr(ensembles, "_new_pool", LoggingPool)
+    monkeypatch.setattr(SeedStream, "chunk_generator", chunk_generator)
+    monkeypatch.setattr(verify, "formula_checks", formula_checks)
+    csv, chunks = {}, {}
     for workers in (1, 2):
+        events.clear()
         buf = io.StringIO()
         write_results_csv(buf, run_verify("desk", SEED, workers))
         csv[workers] = buf.getvalue()
-    assert len(opened) == 1
+        chunks[workers] = collections.Counter(e[1:] for e in events if len(e) > 1)
+        # each (seed, stream_id) chunk is drawn once, and no stream twice
+        assert set(chunks[workers].values()) == {1}
+    assert opened == [2]
+    assert chunks[1] == chunks[2]
+    assert {sid for _, sid, _ in chunks[1]} == {
+        sid for name, sid in verify.STREAM_IDS.items()
+        if not name.startswith("boot_") and name != "unitary_blocks_n6"}
+    # at 2 workers the whole-polygon ensembles, and only they, go to the
+    # pool, every chunk of them before the parent draws or checks anything
+    kinds = [e[0] for e in events]
+    assert {e[2] for e in events if e[0] == "pool"} == POOL_STREAMS
+    assert kinds.index("parent") == kinds.count("pool")
+    assert kinds.index("formula_checks") > kinds.count("pool")
     assert csv[1] == csv[2]
     assert csv[1].count("\n") == 38
+
+
+def test_failing_check_stops_the_pending_draws(monkeypatch):
+    # large enough that the workers are still drawing when the parent
+    # reaches formula_checks
+    _small_desk(monkeypatch, N=50_000)
+    pending = []
+
+    def formula_checks():
+        pending.extend(not handle.ready()
+                       for _, handle in ensembles._PREFETCHED.values())
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(verify, "formula_checks", formula_checks)
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_verify("desk", SEED, 2)
+    assert len(pending) == len(POOL_STREAMS) and any(pending)
+    assert multiprocessing.active_children() == []
+    assert ensembles._ACTIVE_POOL is None and ensembles._PREFETCHED == {}
