@@ -28,14 +28,13 @@ from .errors import (BoundUndefinedError, DegenerateEdgeError,
                      ReliabilityError, ResolutionError, SupportError,
                      SymmpolyError)
 from .functionals import (LocalFunctional, sliding_window_apply,
-                          torsion_angle, torsion_angles, total_curvature,
-                          total_torsion, turning_angle, turning_angles)
+                          torsion_angles, total_curvature, total_torsion,
+                          turning_angles)
 from .haar import SeedStream, ensure_generator
 from .io import (polygon_record_line, read_ensemble, write_csv,
                  write_ensemble)
-from .polygons import (SPACES, Polygon, closure_residual, hopf_map,
-                       perimeter, sample_arm, sample_pol, segment, space_dim,
-                       square_map, vertices)
+from .polygons import (SPACES, Polygon, closure_residual, perimeter,
+                       sample_arm, sample_pol, space_dim)
 from .verify import (STREAM_IDS, CheckResult, density_checks,
                      extended_density_checks, format_check_line,
                      formula_checks, run_verify, write_results_csv)

@@ -21,18 +21,10 @@ divided once, which keeps the large-n asymptote checks accurate.
 from __future__ import annotations
 
 import math
-import numbers
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .errors import BoundUndefinedError, DomainError, InvalidDimensionError
-
-
-def _check_positive_int(name: str, v) -> int:
-    """v as a Python int (numpy integers included), so that powers such as
-    n**4 do not overflow a fixed-width integer."""
-    if not isinstance(v, numbers.Integral) or v < 1:
-        raise BoundUndefinedError(f"{name} must be a positive integer, got {v!r}")
-    return int(v)
+from .errors import (BoundUndefinedError, DomainError, InvalidDimensionError,
+                     _check_int)
 
 
 def ortho_block_bound(r: int, s: int, n: int) -> float:
@@ -40,7 +32,8 @@ def ortho_block_bound(r: int, s: int, n: int) -> float:
 
     2((1 - (r+s+2)/n)^(-t^2/2) - 1) with t = min(r, s); needs r+s+2 < n.
     """
-    r, s, n = (_check_positive_int(k, v) for k, v in (("r", r), ("s", s), ("n", n)))
+    r, s, n = (_check_int(name, v, 1, error=BoundUndefinedError)
+               for name, v in (("r", r), ("s", s), ("n", n)))
     if not r + s + 2 < n:
         raise BoundUndefinedError(f"ortho block bound needs r+s+2 < n, got ({r},{s},{n})")
     t = min(r, s)
@@ -52,7 +45,8 @@ def sphere_marginal_bound(k: int, m: int) -> float:
 
     2(k+3)/(m-k-3); needs 1 <= k <= m-4.
     """
-    k, m = (_check_positive_int(nm, v) for nm, v in (("k", k), ("m", m)))
+    k, m = (_check_int(name, v, 1, error=BoundUndefinedError)
+            for name, v in (("k", k), ("m", m)))
     if not k <= m - 4:
         raise BoundUndefinedError(f"sphere marginal bound needs k <= m-4, got ({k},{m})")
     return 2.0 * (k + 3) / (m - k - 3)
@@ -63,7 +57,8 @@ def unitary_block_bound(r: int, s: int, n: int) -> float:
 
     2((1 - (r+s)/n)^(-t^2) - 1) with t = min(r, s); stated for r+s+2 < n.
     """
-    r, s, n = (_check_positive_int(k, v) for k, v in (("r", r), ("s", s), ("n", n)))
+    r, s, n = (_check_int(name, v, 1, error=BoundUndefinedError)
+               for name, v in (("r", r), ("s", s), ("n", n)))
     if not r + s + 2 < n:
         raise BoundUndefinedError(f"unitary block bound needs r+s+2 < n, got ({r},{s},{n})")
     t = min(r, s)
@@ -75,7 +70,8 @@ def b2(k: int, n: int) -> float:
 
     2((2k+3)/(2n-2k-3) + (2n-k-4)(k+4)/(n-k-4)^2) for 1 <= k <= n-5.
     """
-    k, n = (_check_positive_int(nm, v) for nm, v in (("k", k), ("n", n)))
+    k, n = (_check_int(name, v, 1, error=BoundUndefinedError)
+            for name, v in (("k", k), ("n", n)))
     if not k <= n - 5:
         raise BoundUndefinedError(f"planar segment bound needs 1 <= k <= n-5, got ({k},{n})")
     return 2.0 * ((2 * k + 3) / (2 * n - 2 * k - 3)
@@ -89,7 +85,8 @@ def b3(k: int, n: int) -> float:
     the closed form's exponent (which assumes t = 2) does not apply; the
     generic assembly unitary_block_bound(1,2,n) + 2*7/(4n-7) is returned.
     """
-    k, n = (_check_positive_int(nm, v) for nm, v in (("k", k), ("n", n)))
+    k, n = (_check_int(name, v, 1, error=BoundUndefinedError)
+            for name, v in (("k", k), ("n", n)))
     if not k <= n - 5:
         raise BoundUndefinedError(f"spatial segment bound needs 1 <= k <= n-5, got ({k},{n})")
     if k == 1:
@@ -99,21 +96,16 @@ def b3(k: int, n: int) -> float:
 
 def asymptotic_slope(dim: int, k: int) -> float:
     """Coefficient c in the large-n asymptote b_dim(k, n) ~ c/n."""
-    if dim == 2:
-        k = _check_positive_int("k", k)
-        return 6.0 * k + 19.0
-    if dim == 3:
-        if not isinstance(k, numbers.Integral) or k < 2:
-            raise BoundUndefinedError(
-                f"spatial asymptote needs k >= 2 (k=1 uses the assembly form), got {k!r}")
-        return 10.0 * int(k) + 17.5
-    raise InvalidDimensionError(f"dim must be 2 or 3, got {dim}")
+    if _check_int("dim", dim, 2, 3, error=InvalidDimensionError) == 2:
+        return 6.0 * _check_int("k", k, 1, error=BoundUndefinedError) + 19.0
+    # k = 1 uses the assembly form (see b3)
+    k = _check_int("spatial asymptote k", k, 2, error=BoundUndefinedError)
+    return 10.0 * k + 17.5
 
 
 def alpha_limit(dim: int, alpha: float) -> float:
     """Limit of b_dim(floor(alpha*n), n) as n grows, alpha in (0, 1)."""
-    if dim not in (2, 3):
-        raise InvalidDimensionError(f"dim must be 2 or 3, got {dim}")
+    dim = _check_int("dim", dim, 2, 3, error=InvalidDimensionError)
     a = float(alpha)
     if not 0.0 < a < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -128,8 +120,7 @@ def alpha_threshold(dim: int) -> float:
     Bisection to 1e-12; the limit is continuous, 0 at 0+ and unbounded at
     1-, and strictly increasing, so the root is unique.
     """
-    if dim not in (2, 3):
-        raise InvalidDimensionError(f"dim must be 2 or 3, got {dim}")
+    dim = _check_int("dim", dim, 2, 3, error=InvalidDimensionError)
     lo, hi = 1e-12, 1.0 - 1e-12
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -147,40 +138,21 @@ def expectation_transfer_gap(M: float, dim: int, k: int, n: int) -> float:
     of a k-edge functional bounded by M."""
     if not M >= 0.0:
         raise DomainError(f"functional bound M must be nonnegative, got {M}")
-    if dim == 2:
-        return M * b2(k, n)
-    if dim == 3:
-        return M * b3(k, n)
-    raise InvalidDimensionError(f"dim must be 2 or 3, got {dim}")
+    dim = _check_int("dim", dim, 2, 3, error=InvalidDimensionError)
+    return M * (b2 if dim == 2 else b3)(k, n)
 
 
-def curvature_variance_bound(n: int, refined: bool = False,
-                             eps: Optional[float] = None) -> float:
-    """Upper bound on the variance of total curvature of a closed planar
-    n-gon.
-
-    Simple form: (n*pi)^2 * b2(4, n). Refined form subtracts the squared
-    mean surplus: pi^2(n*b2(2,n) + 2n*b2(3,n) + (n^2-3n)*b2(4,n))
-    - n^2(pi*eps + eps^2), where eps >= 0 is the surplus of the expected
-    turning angle over pi/2 (estimated empirically, not hardcoded).
-    """
-    n = _check_positive_int("n", n)
-    if n < 9:
-        raise BoundUndefinedError(f"curvature variance bound needs n >= 9, got {n}")
-    if not refined:
-        return (n * math.pi) ** 2 * b2(4, n)
-    if eps is None or eps < 0.0:
-        raise DomainError("refined curvature variance bound needs eps >= 0")
-    return (math.pi**2 * (n * b2(2, n) + 2 * n * b2(3, n) + (n * n - 3 * n) * b2(4, n))
-            - n * n * (math.pi * eps + eps * eps))
+def curvature_variance_bound(n: int) -> float:
+    """Upper bound (n*pi)^2 * b2(4, n) on the variance of total curvature of
+    a closed planar n-gon (defined for n >= 9)."""
+    n = _check_int("curvature variance bound n", n, 9, error=BoundUndefinedError)
+    return (n * math.pi) ** 2 * b2(4, n)
 
 
 def torsion_variance_bound(n: int) -> float:
     """Upper bound n*pi^2/3 + n^2*pi^2*b3(6, n) on the variance of total
     torsion of a closed spatial n-gon (defined for n >= 11)."""
-    n = _check_positive_int("n", n)
-    if n < 11:
-        raise BoundUndefinedError(f"torsion variance bound needs n >= 11, got {n}")
+    n = _check_int("torsion variance bound n", n, 11, error=BoundUndefinedError)
     return n * math.pi**2 / 3.0 + n * n * math.pi**2 * b3(6, n)
 
 

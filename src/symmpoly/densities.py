@@ -17,12 +17,11 @@ importing this module (and the package) loads numpy only.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, SupportError
+from .errors import DomainError, SupportError, _check_int
 
 _HERMITIAN_TOL = 1e-12
 
@@ -69,9 +68,7 @@ def hermitian_logdet(M, name: str = "matrix") -> float:
 def ln_multigamma(m: int, a: float) -> float:
     """ln of the complex multivariate gamma:
     (m(m-1)/2) ln pi + sum_{j=1}^m lnGamma(a - j + 1); needs a > m - 1."""
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    m = int(m)
+    m = _check_int("m", m, 1, error=DomainError)
     if not a > m - 1:
         raise DomainError(f"multivariate gamma needs a > m-1, got a={a}, m={m}")
     j = np.arange(1, m + 1)
@@ -95,9 +92,8 @@ def block_density(delta, n: int) -> float:
     if arr.ndim != 2:
         raise DomainError(f"block must be a p x q matrix, got shape {np.shape(delta)}")
     p, q = arr.shape
-    if not isinstance(n, numbers.Integral) or not n > p + q:
-        raise DomainError(f"block density needs integer n > p+q, got n={n!r} for ({p},{q})")
-    n = int(n)
+    n = _check_int(f"block density n for a {p} x {q} block", n, p + q + 1,
+                   error=DomainError)
     arr = arr.astype(complex)
     residual = np.eye(q) - arr.conj().T @ arr
     ln_det = hermitian_logdet(residual, "I - block* block")
@@ -113,11 +109,8 @@ def wishart_density(A, p: int, n: int, sigma) -> float:
     for Hermitian positive semi-definite A and positive definite Sigma,
     n >= p. The pi^(p(p-1)/2) prefactor is folded into CGamma_p(n).
     """
-    if not isinstance(p, numbers.Integral) or p < 1:
-        raise DomainError(f"p must be a positive integer, got {p!r}")
-    if not isinstance(n, numbers.Integral) or n < p:
-        raise DomainError(f"complex Wishart needs integer n >= p, got n={n!r}, p={p}")
-    p, n = int(p), int(n)
+    p = _check_int("p", p, 1, error=DomainError)
+    n = _check_int("complex Wishart n", n, p, error=DomainError)
     a = ensure_hermitian(A, "A")
     if a.shape[0] != p:
         raise DomainError(f"A must be {p} x {p}, got {a.shape}")
@@ -145,9 +138,7 @@ def cbi_density(M, m: int, a: float, b: float) -> float:
     for Hermitian M with M and I - M positive definite; a, b > m - 1.
     At m = 1 this is the scalar Beta(a, b) density.
     """
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    m = int(m)
+    m = _check_int("m", m, 1, error=DomainError)
     if not (a > m - 1 and b > m - 1):
         raise DomainError(f"cbi density needs a, b > m-1, got a={a}, b={b}, m={m}")
     mat = ensure_hermitian(M, "M")
@@ -172,13 +163,9 @@ def ratio_profile(r: int, n: int, grid_points: int) -> Tuple[float, float]:
     g/f is smooth with a unique interior maximum at v = (r+1)/n, so the grid
     argmax lands within one grid step of it.
     """
-    if not isinstance(r, numbers.Integral) or r < 1:
-        raise DomainError(f"r must be a positive integer, got {r!r}")
-    if not isinstance(n, numbers.Integral) or not r + 3 < n:
-        raise DomainError(f"ratio check needs r + 3 < n, got r={r}, n={n!r}")
-    if not isinstance(grid_points, numbers.Integral) or grid_points < 1000:
-        raise DomainError(f"grid_points must be an integer >= 1000, got {grid_points!r}")
-    r, n, grid_points = int(r), int(n), int(grid_points)
+    r = _check_int("r", r, 1, error=DomainError)
+    n = _check_int("n", n, r + 4, error=DomainError)  # r + 3 < n
+    grid_points = _check_int("grid_points", grid_points, 1000, error=DomainError)
     v = np.arange(1, grid_points + 1) / (grid_points + 1.0)
     ln = _ln_ratio(r, n, v)
     i = int(np.argmax(ln))

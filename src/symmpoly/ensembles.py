@@ -68,12 +68,12 @@ import numpy as np
 
 from . import io
 from .errors import (DomainError, InvalidDimensionError, InvalidSizeError,
-                     ReliabilityError, ResolutionError)
+                     ReliabilityError, ResolutionError, _check_int)
 from .functionals import (LocalFunctional, _batch_torsion, _batch_turning,
                           _eval_windows)
 from .haar import SeedStream, StreamLike, ensure_generator
-from .polygons import (SPACES, Polygon, _check_segment_length, _is_int,
-                       space_dim, space_edges_batch)
+from .polygons import (SPACES, Polygon, _check_segment_length, space_dim,
+                       space_edges_batch)
 
 CHUNK_SIZE = 4096
 
@@ -276,14 +276,8 @@ def _eval_chunk(args):
 def _chunk_counts(N: int) -> List[int]:
     """Sample counts of the chunks of an N-sample stream. CHUNK_SIZE is
     looked up at call time: tests shrink it to get multi-chunk runs cheaply."""
-    _check_positive("sample count", N)
-    N = int(N)
+    N = _check_int("sample count", N, 1, error=DomainError)
     return [min(CHUNK_SIZE, N - start) for start in range(0, N, CHUNK_SIZE)]
-
-
-def _check_positive(what: str, value) -> None:
-    if not _is_int(value) or value < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
 
 
 # (workers, pool) of the innermost open _worker_pool block, if any, the
@@ -308,7 +302,7 @@ def _worker_pool(workers: int) -> Iterator[None]:
     at most once.
     """
     global _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED
-    _check_positive("worker count", workers)
+    _check_int("worker count", workers, 1, error=DomainError)
     if workers == 1 or (_ACTIVE_POOL is not None and _ACTIVE_POOL[0] == workers):
         yield
         return
@@ -406,7 +400,7 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
     workers between small chunks.
     """
     args = _chunk_args(space, n, N, seed, stream_id, task)
-    _check_positive("worker count", workers)
+    _check_int("worker count", workers, 1, error=DomainError)
     if not _dispatches(space, n, N, task, workers, in_flight is not None):
         for a in args:
             yield _eval_chunk(a)
@@ -469,7 +463,7 @@ def functional_samples(space: str, n: int, N: int,
     same.
     """
     plan = _build_plan(space, n, functionals)
-    _check_positive("worker count", workers)
+    _check_int("worker count", workers, 1, error=DomainError)
     if workers > 1:
         _check_picklable(functionals)
     results = _run_chunks(space, n, N, seed, stream_id,
@@ -492,8 +486,7 @@ def run_ensemble(space: str, n: int, N: int,
     Deterministic for fixed (seed, stream_id, N): the worker count never
     changes any output value.
     """
-    if not _is_int(N) or N < 2:
-        raise DomainError(f"moment estimation needs N >= 2 samples, got {N!r}")
+    _check_int("moment estimation sample count", N, 2, error=DomainError)
     values, excluded = functional_samples(space, n, N, functionals, seed,
                                           stream_id=stream_id, workers=workers)
     records = tuple(FunctionalStats(name, *_moments(arr)) for name, arr in values.items())
@@ -540,8 +533,7 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
     if space_dim(space_b) != dim:
         raise InvalidDimensionError(
             f"segment grids need one ambient dimension, got {space_a} vs {space_b}")
-    if not _is_int(bins_per_axis) or bins_per_axis < 4:
-        raise ResolutionError(f"bins_per_axis must be an integer >= 4, got {bins_per_axis!r}")
+    _check_int("bins_per_axis", bins_per_axis, 4, error=ResolutionError)
     # k first: it sizes the cell count, and 4**(2 * 5000) is too long to print
     _check_segment_length(n, k)
     d = dim * k
@@ -584,8 +576,7 @@ def covariance_partition(space: str, n: int, N: int, seed: int, *,
     """
     if space not in ("pol2", "arm2"):
         raise DomainError(f"covariance partition applies to planar spaces, got {space!r}")
-    if not _is_int(n) or n < 7:
-        raise InvalidSizeError(f"covariance partition needs n >= 7, got {n!r}")
+    _check_int("covariance partition n", n, 7, error=InvalidSizeError)
     values, _ = functional_samples(space, n, N, ["theta1", "theta2", "theta3"],
                                    seed, stream_id=stream_id, workers=workers)
     return assemble_partition(n, values["theta1"], values["theta2"], values["theta3"])
@@ -640,10 +631,9 @@ def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
 def bootstrap_stat_se(size: int, stat: Callable[[np.ndarray], float],
                       s: StreamLike, n_resamples: int = 200) -> float:
     """Bootstrap SE of a statistic defined on index arrays of length size."""
-    if size < 2:
-        raise DomainError(f"bootstrap needs at least 2 samples, got {size}")
-    if not _is_int(n_resamples) or n_resamples < 2:
-        raise DomainError(f"bootstrap needs at least 2 resamples, got {n_resamples!r}")
+    _check_int("bootstrap sample count", size, 2, error=DomainError)
+    n_resamples = _check_int("bootstrap resample count", n_resamples, 2,
+                             error=DomainError)
     rng = ensure_generator(s)
     out = np.empty(n_resamples)
     for i in range(n_resamples):

@@ -2,7 +2,14 @@
 
 Everything user-input related derives from ValueError so callers can catch
 broadly; the CLI maps these to exit code 2.
+
+Every integer argument of the package follows one rule, ``_is_int``: an
+integer, numpy's included, and never a bool. ``_check_int`` adds the range
+of the site and the error class it raises.
 """
+from typing import Optional, Type
+
+import numpy as np
 
 
 class SymmpolyError(ValueError):
@@ -47,3 +54,19 @@ class ReliabilityError(RuntimeError):
 
 class ParseError(SymmpolyError):
     """Malformed input record; message names the offending line."""
+
+
+def _is_int(value) -> bool:
+    """An integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, lo: int, hi: Optional[int] = None, *,
+               error: Type[Exception]) -> int:
+    """``value`` as a Python int, so that powers such as n**4 do not overflow
+    a fixed-width integer; ``error`` unless it is an integer with
+    lo <= value (<= hi, if given)."""
+    if not _is_int(value) or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise error(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)

@@ -65,37 +65,6 @@ def _eval_windows(f: LocalFunctional, windows: np.ndarray) -> np.ndarray:
     return values
 
 
-def turning_angle(u, v) -> float:
-    """Unsigned angle in [0, pi] between two edge vectors (``_batch_turning``
-    on the open window (u, v))."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != 1 or u.shape != v.shape:
-        # a near-zero edge is reported ahead of the shape mismatch
-        if min(np.linalg.norm(u), np.linalg.norm(v)) <= _EDGE_TINY:
-            raise DegenerateEdgeError("turning angle of a near-zero edge")
-        raise ValueError(f"expected two edge vectors of one length, "
-                         f"got shapes {u.shape} and {v.shape}")
-    angles, ok = _batch_turning(np.stack([u, v])[None], closed=False)
-    if not ok[0]:
-        raise DegenerateEdgeError("turning angle of a near-zero edge")
-    return float(angles[0, 0])
-
-
-def torsion_angle(a, b, c) -> float:
-    """Signed torsion angle in (-pi, pi] at the middle edge b
-    (``_batch_torsion`` on the open window (a, b, c))."""
-    edges = [np.asarray(e, dtype=float) for e in (a, b, c)]
-    if any(e.shape != (3,) for e in edges):
-        raise InvalidDimensionError("torsion is defined for 3-vectors")
-    taus, ok = _batch_torsion(np.stack(edges)[None], closed=False)
-    if not ok[0]:
-        if not np.linalg.norm(edges[1]) > _EDGE_TINY:
-            raise DegenerateEdgeError("torsion about a near-zero edge")
-        raise DegenerateTorsionError("neighbor edge parallel to the torsion axis")
-    return float(taus[0, 0])
-
-
 def _cyclic(edges: np.ndarray, extra: int) -> np.ndarray:
     """A closed edge block with its first ``extra`` edges appended (wrapping
     as often as needed), so that its open-chain windows are the cyclic ones."""

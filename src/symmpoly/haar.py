@@ -25,7 +25,7 @@ from typing import Iterator, List, Union
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, _check_int
 
 # Norm thresholds below which a Gaussian draw is rejected and redrawn.
 # Degenerate draws have probability zero; resampling keeps samplers total.
@@ -39,7 +39,7 @@ _RESIDUAL_TINY = 1e-12
 # 4096-sample head draw of up to 4 spatial or 8 planar edges is one block.
 _BLOCK_COORDS = 2 ** 16
 
-_MAX_U64 = 2**64
+_MAX_U64 = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,10 @@ class SeedStream:
     Parameters
     ----------
     seed : int
-        Master seed (64-bit).
+        Master seed (64-bit unsigned).
     stream_id : int
-        Substream selector; distinct ids give independent streams.
+        Substream selector (64-bit unsigned); distinct ids give independent
+        streams.
     """
 
     seed: int
@@ -59,9 +60,8 @@ class SeedStream:
 
     def __post_init__(self):
         for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= v < _MAX_U64:
-                raise InvalidDimensionError(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+            object.__setattr__(self, name, _check_int(
+                name, getattr(self, name), 0, _MAX_U64, error=InvalidDimensionError))
 
     def generator(self) -> np.random.Generator:
         """Counter-based generator for this stream."""
@@ -74,8 +74,7 @@ class SeedStream:
         Chunks are independent of each other and of the base stream, so a
         chunked computation gives identical results for any worker count.
         """
-        if chunk < 0:
-            raise InvalidDimensionError(f"chunk must be nonnegative, got {chunk}")
+        chunk = _check_int("chunk", chunk, 0, error=InvalidDimensionError)
         return np.random.Generator(np.random.Philox(
             np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, chunk))))
 

@@ -3,16 +3,18 @@
 Four sample spaces, all normalized to perimeter 2:
 
 * ``arm2(n)``: open planar chains; a uniform point on the sphere of radius
-  sqrt(2) in C^n, squared coordinatewise (``square_map``).
+  sqrt(2) in C^n, squared coordinatewise (``_square``).
 * ``pol2(n)``: closed planar polygons; a Haar orthonormal 2-frame (a, b) of
   R^n read as z = a + i b, squared coordinatewise.
 * ``arm3(n)``: open spatial chains; a uniform point on the sphere of radius
-  sqrt(2) in H^n (quaternion n-vectors), pushed through ``hopf_map``.
+  sqrt(2) in H^n (quaternion n-vectors), pushed through the Hopf map
+  (``_hopf``).
 * ``pol3(n)``: closed spatial polygons; a Haar unitary 2-frame (a, b) of C^n
-  read as q = a + b j, pushed through ``hopf_map``.
+  read as q = a + b j, pushed through the Hopf map.
 
-Both maps take whole batches: ``square_map`` complex arrays (...) to edges
-(..., 2), ``hopf_map`` arrays (..., 4) of (w, x, y, z) to edges (..., 3).
+Both maps take whole batches: ``_square`` complex arrays (...) to edges
+(..., 2), ``_hopf`` the four coordinate arrays (...) of (w, x, y, z) to
+edges (..., 3).
 
 Closure of the pol spaces is the frame orthonormality: the squared/Hopf
 images sum to zero exactly when the two vectors are orthonormal, which also
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidSizeError
-from .haar import (SeedStream, StreamLike, _complex, _frame2_blocks,
-                   _unit_blocks, ensure_generator)
+from .errors import (InvalidDimensionError, InvalidSizeError, _check_int,
+                     _is_int)
+from .haar import (StreamLike, _complex, _frame2_blocks, _unit_blocks,
+                   ensure_generator)
 
 SPACES = ("arm2", "pol2", "arm3", "pol3")
 
@@ -42,8 +45,7 @@ SPACES = ("arm2", "pol2", "arm3", "pol3")
 class Polygon:
     """An n-edge polygonal chain in R^dim, stored as edge vectors.
 
-    Translation is quotiented out by construction; vertices are derived on
-    demand anchored at the origin.
+    Translation is quotiented out by construction.
     """
 
     dim: int
@@ -51,16 +53,16 @@ class Polygon:
     edges: np.ndarray  # shape (n, dim)
 
     def __post_init__(self):
+        dim = _check_int("dim", self.dim, 2, 3, error=InvalidDimensionError)
         # C order: the angle kernels' sums, and so their last bits, depend on
         # the memory layout of the edges.
         edges = np.ascontiguousarray(self.edges, dtype=float)
-        if edges.ndim != 2 or edges.shape[1] != self.dim:
+        if edges.ndim != 2 or edges.shape[1] != dim:
             raise InvalidDimensionError(
-                f"edges must have shape (n, {self.dim}), got {edges.shape}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim not in (2, 3):
-            raise InvalidDimensionError(f"dim must be 2 or 3, got {self.dim!r}")
+                f"edges must have shape (n, {dim}), got {edges.shape}")
         if edges.shape[0] < 1:
             raise InvalidSizeError("a polygon needs at least one edge")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -68,37 +70,21 @@ class Polygon:
         return self.edges.shape[0]
 
 
-def square_map(z: Sequence[complex]) -> np.ndarray:
-    """Square each complex coordinate and read the results as R^2 edges."""
-    z = np.asarray(z, dtype=complex)
-    return _square(z, np.empty(z.shape + (2,)))
-
-
 def _square(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``square_map`` of a complex array into a C-ordered float ``out``."""
+    """Square each coordinate of a complex array and read the results as R^2
+    edges, written into a C-ordered float ``out`` of shape z.shape + (2,)."""
     # the (..., 2) rows are the real and imaginary parts of z * z
     np.multiply(z, z, out=out.view(complex)[..., 0])
     return out
 
 
-def hopf_map(comp) -> np.ndarray:
-    """Hopf image of quaternions, given as an array (..., 4) of (w, x, y, z).
-
-    Each quaternion q maps to the vector part of q-conjugate * i * q (the
-    real part vanishes identically), an array (..., 3) of R^3 edges; each
-    edge has length |q|^2.
-    """
-    comp = np.asarray(comp, dtype=float)
-    if comp.ndim < 1 or comp.shape[-1] != 4:
-        raise InvalidDimensionError(
-            f"expected quaternions as shape (..., 4) (w, x, y, z), got {comp.shape}")
-    return _hopf(comp[..., 0], comp[..., 1], comp[..., 2], comp[..., 3])
-
-
 def _hopf(w, x, y, z, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """``hopf_map`` on the four coordinate arrays of a quaternion batch:
-    (w^2 + x^2 - y^2 - z^2, 2 (x y - w z), 2 (w y + x z)), evaluated in
-    that order into one (..., 3) array, ``out`` if given."""
+    """Hopf image of a quaternion batch q = w + x i + y j + z k, given as
+    its four coordinate arrays: the vector part of q-conjugate * i * q (the
+    real part vanishes identically), an R^3 edge of length |q|^2.
+
+    That is (w^2 + x^2 - y^2 - z^2, 2 (x y - w z), 2 (w y + x z)),
+    evaluated in that order into one (..., 3) array, ``out`` if given."""
     out = np.empty(w.shape + (3,)) if out is None else out
     tmp = np.empty(w.shape)
     e0, e1, e2 = out[..., 0], out[..., 1], out[..., 2]
@@ -115,17 +101,9 @@ def _hopf(w, x, y, z, out: Optional[np.ndarray] = None) -> np.ndarray:
     return out
 
 
-def _is_int(value) -> bool:
-    """An integer, numpy's included, and not a bool: the rule for every size
-    and count argument."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_space_args(dim: int, n: int) -> None:
-    if dim not in (2, 3):
-        raise InvalidDimensionError(f"dim must be 2 or 3, got {dim}")
-    if not _is_int(n) or n < 3:
-        raise InvalidSizeError(f"polygon size n must be >= 3, got {n}")
+    _check_int("dim", dim, 2, 3, error=InvalidDimensionError)
+    _check_int("polygon size n", n, 3, error=InvalidSizeError)
 
 
 def _check_segment_length(n: int, k, what: str = "segment length") -> None:
@@ -198,15 +176,3 @@ def closure_residual(p: Polygon) -> float:
     """Norm of the edge sum; zero precisely for closed chains."""
     return float(np.linalg.norm(p.edges.sum(axis=0)))
 
-
-def vertices(p: Polygon) -> np.ndarray:
-    """The n+1 partial sums of the edges, anchored at the origin."""
-    out = np.zeros((p.n + 1, p.dim))
-    np.cumsum(p.edges, axis=0, out=out[1:])
-    return out
-
-
-def segment(p: Polygon, k: int) -> np.ndarray:
-    """First k edges flattened to a (dim*k)-vector (the k-segment marginal)."""
-    _check_segment_length(p.n, k)
-    return p.edges[:k].reshape(-1).copy()

@@ -402,6 +402,12 @@ def _block_gram_scalars(seed: int, stream_id: int, N: int,
 
 def density_checks(seed: int, N: int) -> List[CheckResult]:
     """Normalization, sampled-law, and ratio-maximizer checks."""
+    grams10 = _block_gram_scalars(seed, STREAM_IDS["unitary_blocks"], N, 10)
+    return _density_checks(grams10)
+
+
+def _density_checks(grams10: Dict[int, np.ndarray]) -> List[CheckResult]:
+    """``density_checks`` on the Haar-block scalars of its n = 10 stream."""
     from scipy import integrate, stats
 
     out: List[CheckResult] = []
@@ -409,8 +415,7 @@ def density_checks(seed: int, N: int) -> List[CheckResult]:
         lambda u: math.pi * densities.block_density(complex(math.sqrt(u)), 10),
         0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     out.append(_check(9, "block_normalization", abs(integral - 1.0), "<=", 1e-8))
-    corner = _block_gram_scalars(seed, STREAM_IDS["unitary_blocks"], N, 10)[1]
-    ks = ks_distance(corner, stats.beta(1, 9).cdf)
+    ks = ks_distance(grams10[1], stats.beta(1, 9).cdf)
     out.append(_check(9, "block_radial_law", ks, "<", 0.01))
     for r, loc in ((1, 0.10), (2, 0.15)):
         argmax, peak = densities.ratio_profile(r, 20, 10**5)
@@ -427,11 +432,13 @@ def extended_density_checks(seed: int, N: int) -> List[CheckResult]:
     Adds the (p,q) = (2,1) block normalization, complex Wishart and scalar
     CBI normalizations by quadrature, and KS agreement of sampled
     Delta* Delta with the CBI law, i.e. Beta(p, n-p), for p in {1, 2} and
-    n in {6, 10}.
+    n in {6, 10}. Each Haar-block stream is drawn once.
     """
     from scipy import integrate, stats
 
-    out = density_checks(seed, N)
+    grams = {n: _block_gram_scalars(seed, STREAM_IDS[key], N, n)
+             for n, key in ((6, "unitary_blocks_n6"), (10, "unitary_blocks"))}
+    out = _density_checks(grams[10])
     # Lebesgue measure on a 2 x 1 complex block with |Delta|^2 = u has
     # radial volume element pi^2 u du on the unit ball of C^2.
     integral, _ = integrate.quad(
@@ -450,10 +457,9 @@ def extended_density_checks(seed: int, N: int) -> List[CheckResult]:
         lambda u: densities.cbi_density(u, 1, 2.0, 8.0),
         0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     out.append(_check(9, "cbi_normalization", abs(integral - 1.0), "<=", 1e-8))
-    for n, key in ((6, "unitary_blocks_n6"), (10, "unitary_blocks")):
-        grams = _block_gram_scalars(seed, STREAM_IDS[key], N, n)
+    for n in (6, 10):
         for p in (1, 2):
-            ks = ks_distance(grams[p], stats.beta(p, n - p).cdf)
+            ks = ks_distance(grams[n][p], stats.beta(p, n - p).cdf)
             out.append(_check(9, f"block_sampling_agreement_p{p}_n{n}",
                               ks, "<", 0.015))
     return out

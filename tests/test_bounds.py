@@ -197,25 +197,15 @@ def test_expectation_transfer_gap():
 def test_curvature_variance_bound_values():
     # exact-arithmetic: (200 pi)^2 * 25397/112032
     assert curvature_variance_bound(200) == pytest.approx(89495.26670039505, rel=REL)
-    assert curvature_variance_bound(200, refined=True, eps=0.0) \
-        == pytest.approx(89236.00062792443, rel=REL)
 
 
 def test_curvature_variance_bound_shape():
-    simple = curvature_variance_bound(200)
-    refined0 = curvature_variance_bound(200, refined=True, eps=0.0)
-    assert refined0 < simple
-    assert curvature_variance_bound(200, refined=True, eps=0.1) < refined0
     # per-vertex variance approaches pi^2 * 43 (slope of b2(4, .))
     n = 10**6
     assert curvature_variance_bound(n) / n == pytest.approx(
         43 * math.pi**2, rel=1e-3)
     with pytest.raises(BoundUndefinedError):
         curvature_variance_bound(8)
-    with pytest.raises(DomainError):
-        curvature_variance_bound(200, refined=True)
-    with pytest.raises(DomainError):
-        curvature_variance_bound(200, refined=True, eps=-0.1)
 
 
 def test_torsion_variance_bound_values():

@@ -3,18 +3,20 @@ the shared worker pool, TV estimation, covariance partition, coverage, KS,
 and bootstrap helpers."""
 import math
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
 
-from symmpoly import (CHUNK_SIZE, DomainError,
+from symmpoly import (CHUNK_SIZE, BoundUndefinedError, DomainError,
                       InvalidDimensionError, InvalidSizeError,
-                      LocalFunctional, ReliabilityError, ResolutionError,
-                      SeedStream, assemble_partition, b2, b3, bootstrap_se,
-                      bootstrap_stat_se, chebyshev_coverage,
+                      LocalFunctional, Polygon, ReliabilityError,
+                      ResolutionError, SeedStream, assemble_partition, b2, b3,
+                      bootstrap_se, bootstrap_stat_se, chebyshev_coverage,
                       covariance_partition, estimate_tv, functional_samples,
-                      ks_distance, run_ensemble, segment_samples)
-from symmpoly import cli, ensembles
+                      ks_distance, run_ensemble, sample_arm, sample_pol,
+                      segment_samples)
+from symmpoly import bounds, cli, densities, ensembles
 from symmpoly.ensembles import _build_plan, _worker_pool
 from symmpoly.functionals import _batch_torsion, _batch_turning
 from symmpoly.polygons import SPACES, space_edges_batch
@@ -190,20 +192,126 @@ def test_plan_validation():
             functional_samples("arm2", 10, 100, [f], SEED)
 
 
-# isinstance(True, int) holds; every count rejects a bool, as the segment
-# and window widths do, in place of drawing one sample on one worker
-@pytest.mark.parametrize("call, error", [
-    (lambda: functional_samples("arm2", 10, True, ["theta1"], SEED), DomainError),
-    (lambda: functional_samples("arm2", 10, 100, ["theta1"], SEED, workers=True),
-     DomainError),
-    (lambda: estimate_tv("pol2", "arm2", 10, 1, 10_000, True, SEED), ResolutionError),
-    (lambda: covariance_partition("pol2", True, 100, SEED), InvalidSizeError),
-    (lambda: bootstrap_stat_se(10, lambda idx: 0.0, SeedStream(SEED, 36),
-                               n_resamples=True), DomainError),
-], ids=["N", "workers", "bins_per_axis", "n", "n_resamples"])
-def test_counts_reject_bools(call, error):
-    with pytest.raises(error, match="True"):
-        call()
+def _case(name, call, out_of_range, error):
+    return pytest.param(call, out_of_range, error, id=name)
+
+
+# isinstance(True, int) holds, and 2.0 == 2: every integer argument refuses
+# both, with the error its site raises for an out-of-range value, in place
+# of computing with them. Each case calls one function with the argument set
+# to v.
+INTEGER_ARGS = [
+    _case("N", lambda v: functional_samples("arm2", 10, v, ["theta1"], SEED),
+          0, DomainError),
+    _case("workers", lambda v: functional_samples("arm2", 10, 100, ["theta1"], SEED,
+                                                  workers=v), 0, DomainError),
+    _case("bins_per_axis", lambda v: estimate_tv("pol2", "arm2", 10, 1, 10_000, v, SEED),
+          3, ResolutionError),
+    _case("n", lambda v: covariance_partition("pol2", v, 100, SEED), 6, InvalidSizeError),
+    _case("n_resamples", lambda v: bootstrap_stat_se(
+        10, lambda idx: 0.0, SeedStream(SEED, 36), n_resamples=v), 1, DomainError),
+    _case("bootstrap_se-n_resamples", lambda v: bootstrap_se(
+        np.ones(10), np.mean, SeedStream(SEED, 36), n_resamples=v), 1, DomainError),
+    _case("bootstrap_stat_se-size", lambda v: bootstrap_stat_se(
+        v, lambda idx: 0.0, SeedStream(SEED, 36)), 1, DomainError),
+    _case("run_ensemble-N", lambda v: run_ensemble("arm2", 10, v, ["theta1"], SEED),
+          1, DomainError),
+    _case("functional_samples-n", lambda v: functional_samples(
+        "arm2", v, 100, ["total_curvature"], SEED), 2, InvalidSizeError),
+    _case("functional_samples-seed", lambda v: functional_samples(
+        "arm2", 10, 100, ["theta1"], v), -1, InvalidDimensionError),
+    _case("functional_samples-stream_id", lambda v: functional_samples(
+        "arm2", 10, 100, ["theta1"], SEED, stream_id=v), -1, InvalidDimensionError),
+    _case("segment_samples-n", lambda v: segment_samples("arm2", v, 1, 100, SEED),
+          2, InvalidSizeError),
+    _case("segment_samples-k", lambda v: segment_samples("arm2", 10, v, 100, SEED),
+          0, InvalidSizeError),
+    _case("estimate_tv-k", lambda v: estimate_tv("pol2", "arm2", 10, v, 10_000, 4, SEED),
+          0, InvalidSizeError),
+    _case("space_edges_batch-n", lambda v: space_edges_batch(
+        SeedStream(SEED).generator(), 10, "arm2", v), 2, InvalidSizeError),
+    _case("space_edges_batch-k", lambda v: space_edges_batch(
+        SeedStream(SEED).generator(), 10, "arm2", 10, v), 0, InvalidSizeError),
+    _case("sample_arm-dim", lambda v: sample_arm(v, 10, SeedStream(SEED)),
+          4, InvalidDimensionError),
+    _case("sample_arm-n", lambda v: sample_arm(2, v, SeedStream(SEED)),
+          2, InvalidSizeError),
+    _case("sample_pol-dim", lambda v: sample_pol(v, 10, SeedStream(SEED)),
+          1, InvalidDimensionError),
+    _case("sample_pol-n", lambda v: sample_pol(3, v, SeedStream(SEED)),
+          2, InvalidSizeError),
+    _case("Polygon-dim", lambda v: Polygon(dim=v, closed=False, edges=np.zeros((3, 2))),
+          4, InvalidDimensionError),
+    _case("SeedStream-seed", lambda v: SeedStream(v), -1, InvalidDimensionError),
+    _case("SeedStream-stream_id", lambda v: SeedStream(SEED, v), 2**64,
+          InvalidDimensionError),
+    _case("chunk_generator-chunk", lambda v: SeedStream(SEED).chunk_generator(v),
+          -1, InvalidDimensionError),
+    _case("ortho_block_bound-r", lambda v: bounds.ortho_block_bound(v, 2, 100),
+          0, BoundUndefinedError),
+    _case("ortho_block_bound-s", lambda v: bounds.ortho_block_bound(2, v, 100),
+          0, BoundUndefinedError),
+    _case("ortho_block_bound-n", lambda v: bounds.ortho_block_bound(2, 2, v),
+          0, BoundUndefinedError),
+    _case("sphere_marginal_bound-k", lambda v: bounds.sphere_marginal_bound(v, 200),
+          0, BoundUndefinedError),
+    _case("sphere_marginal_bound-m", lambda v: bounds.sphere_marginal_bound(2, v),
+          0, BoundUndefinedError),
+    _case("unitary_block_bound-r", lambda v: bounds.unitary_block_bound(v, 2, 100),
+          0, BoundUndefinedError),
+    _case("unitary_block_bound-s", lambda v: bounds.unitary_block_bound(2, v, 100),
+          0, BoundUndefinedError),
+    _case("unitary_block_bound-n", lambda v: bounds.unitary_block_bound(2, 2, v),
+          0, BoundUndefinedError),
+    _case("b2-k", lambda v: b2(v, 100), 0, BoundUndefinedError),
+    _case("b2-n", lambda v: b2(1, v), 0, BoundUndefinedError),
+    _case("b3-k", lambda v: b3(v, 100), 0, BoundUndefinedError),
+    _case("b3-n", lambda v: b3(1, v), 0, BoundUndefinedError),
+    _case("asymptotic_slope-dim", lambda v: bounds.asymptotic_slope(v, 3),
+          4, InvalidDimensionError),
+    _case("asymptotic_slope-k2", lambda v: bounds.asymptotic_slope(2, v),
+          0, BoundUndefinedError),
+    _case("asymptotic_slope-k3", lambda v: bounds.asymptotic_slope(3, v),
+          1, BoundUndefinedError),
+    _case("alpha_limit-dim", lambda v: bounds.alpha_limit(v, 0.1),
+          4, InvalidDimensionError),
+    _case("alpha_threshold-dim", lambda v: bounds.alpha_threshold(v),
+          4, InvalidDimensionError),
+    _case("expectation_transfer_gap-dim",
+          lambda v: bounds.expectation_transfer_gap(1.0, v, 2, 100),
+          4, InvalidDimensionError),
+    _case("expectation_transfer_gap-k",
+          lambda v: bounds.expectation_transfer_gap(1.0, 3, v, 100),
+          0, BoundUndefinedError),
+    _case("expectation_transfer_gap-n",
+          lambda v: bounds.expectation_transfer_gap(1.0, 2, 2, v),
+          0, BoundUndefinedError),
+    _case("curvature_variance_bound-n", lambda v: bounds.curvature_variance_bound(v),
+          8, BoundUndefinedError),
+    _case("torsion_variance_bound-n", lambda v: bounds.torsion_variance_bound(v),
+          10, BoundUndefinedError),
+    _case("ln_multigamma-m", lambda v: densities.ln_multigamma(v, 3.0), 0, DomainError),
+    _case("block_density-n", lambda v: densities.block_density(0.1, v), 2, DomainError),
+    _case("wishart_density-p", lambda v: densities.wishart_density(1.0, v, 3, 1.0),
+          0, DomainError),
+    _case("wishart_density-n", lambda v: densities.wishart_density(1.0, 1, v, 1.0),
+          0, DomainError),
+    _case("cbi_density-m", lambda v: densities.cbi_density(0.5, v, 2.0, 3.0),
+          0, DomainError),
+    _case("ratio_profile-r", lambda v: densities.ratio_profile(v, 20, 1000),
+          0, DomainError),
+    _case("ratio_profile-n", lambda v: densities.ratio_profile(1, v, 1000),
+          4, DomainError),
+    _case("ratio_profile-grid_points", lambda v: densities.ratio_profile(1, 20, v),
+          999, DomainError),
+]
+
+
+@pytest.mark.parametrize("call, out_of_range, error", INTEGER_ARGS)
+def test_counts_reject_bools(call, out_of_range, error):
+    for v in (out_of_range, True, 2.0):
+        with pytest.raises(error, match=re.escape(repr(v))):
+            call(v)
 
 
 def test_run_ensemble_summary_fields():
@@ -536,13 +644,16 @@ def test_worker_pool_forks_on_first_dispatch(monkeypatch):
                                                  **kwargs))
 
 
+@pytest.mark.parametrize("method", [m for m in multiprocessing.get_all_start_methods()
+                                    if m != "fork"])
 def test_spawned_workers_give_the_same_bytes(monkeypatch, tmp_path,
-                                             dispatch_every_run):
-    # spawned workers start from a fresh import and share no state with the
-    # parent, so the bytes may depend only on the chunk -> generator map
+                                             dispatch_every_run, method):
+    # workers started by spawn or forkserver begin from a fresh import and
+    # share no state with the parent, so the bytes may depend only on the
+    # chunk -> generator map
     _chunk_size(monkeypatch, 512)
     monkeypatch.setattr(ensembles, "_new_pool",
-                        multiprocessing.get_context("spawn").Pool)
+                        multiprocessing.get_context(method).Pool)
     opened = _count_pools(monkeypatch)
 
     def draws(workers):

@@ -1,6 +1,7 @@
 """scipy stays off the import path: the samplers, kernels, TV estimates and
 bounds load numpy and the standard library only, and the checks that need
-scipy import it when they run."""
+scipy import it when they run. No module imports a name it does not use."""
+import ast
 import json
 import os
 import subprocess
@@ -50,3 +51,33 @@ def test_scipy_loads_only_for_the_checks_that_use_it(tmp_path):
         assert loaded[step] == [], step
     assert loaded["density_checks"] == ["scipy.stats", "scipy.integrate",
                                         "scipy.special"]
+
+
+# Imported and never used, on purpose: the benchmark's tracers wrap these
+# names on these modules, so they stay importable there until the benchmark
+# reads the library's events instead (ROADMAP item 6).
+BENCH_PINNED_IMPORTS = {("cli", "segment_samples"), ("cli", "write_ensemble"),
+                        ("verify", "covariance_partition"),
+                        ("verify", "_haar_unitary_batch")}
+
+
+def _unused_imports(path: Path):
+    """The names a module imports and never reads, __future__ aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = {(path.stem, name)
+              for path in sorted((SRC / "symmpoly").glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unused_imports(path)}
+    assert unused == BENCH_PINNED_IMPORTS

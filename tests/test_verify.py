@@ -74,6 +74,20 @@ def test_extended_density_checks_pass():
     assert not failures, failures
 
 
+def test_extended_density_checks_draw_each_stream_once(monkeypatch):
+    drawn = []
+    run_chunks = ensembles._run_chunks
+
+    def logged(space, n, N, seed, stream_id, *rest):
+        drawn.append((seed, stream_id))
+        return run_chunks(space, n, N, seed, stream_id, *rest)
+
+    monkeypatch.setattr(ensembles, "_run_chunks", logged)
+    extended_density_checks(SEED, 2000)
+    assert sorted(drawn) == [(SEED, verify.STREAM_IDS["unitary_blocks"]),
+                             (SEED, verify.STREAM_IDS["unitary_blocks_n6"])]
+
+
 @pytest.mark.parametrize("n, key", [(6, "unitary_blocks_n6"), (10, "unitary_blocks")])
 def test_block_gram_scalars_are_arm2_head_lengths(n, key):
     # |e_j| / 2 of an arm2 edge is |u_j|^2 for u uniform on the unit sphere
