@@ -188,8 +188,19 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _same_file(a, b) -> bool:
+    """Whether output paths ``a`` and ``b`` name one regular file."""
+    if None in (a, b) or "-" in (a, b):
+        return False
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.isfile(a) and os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _cmd_tv(args) -> int:
     space_b = args.space_b or _COUNTERPART[args.space]
+    if _same_file(args.out, args.cells_out):
+        raise SymmpolyError(f"--out and --cells-out name one file: {args.out}")
     cells = (_out_stream(args.cells_out) if args.cells_out is not None
              else contextlib.nullcontext())
     with _out_stream(args.out) as out_fh, cells as cells_fh:

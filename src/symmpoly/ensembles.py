@@ -29,28 +29,25 @@ that wraps around, and full-length segments (k = n), draw whole polygons.
 
 Every chunk run goes through one ordered generator, ``_iter_chunks``,
 which yields the chunk results in chunk order. The estimators take them as
-a list (``_run_chunks``, which hands every chunk to the pool at once with
-``map_async`` and waits for all of them); ``symmpoly sample`` consumes the
-generator directly with a bounded number of chunks in flight. Its chunk
-task, ``("jsonl", spill_dir)``, draws whole polygons and writes their
-records with ``io.write_ensemble`` to the spill file
-``spill_dir/<chunk>.jsonl`` in the process that drew them; only the file's
-path returns, and the caller copies the files into its output in chunk
-order.
+a list (``_run_chunks``); ``symmpoly sample`` consumes the generator
+directly with a bounded number of chunks in flight. Its chunk task,
+``("jsonl", spill_dir)``, draws whole polygons and writes their records
+with ``io.write_ensemble`` to the spill file ``spill_dir/<chunk>.jsonl`` in
+the process that drew them; only the file's path returns, and the caller
+copies the files into its output in chunk order.
 
-A list run of at most ``_IN_PROCESS_EDGES`` drawn edges (N x window) runs
-in-process at any worker count: a pool costs more than such a draw, and
-head draws for the TV estimate and window plans are this small. The
-streaming path always dispatches, so that its memory stays in the chunks in
-flight. Chunk runs inside ``_worker_pool(workers)`` share one process pool,
-forked when the first of them dispatches. A caller in such a block may
-``_prefetch`` a list run: its chunks go to the pool at once, without
-waiting, and the later ``_iter_chunks`` call of the same run takes their
-results instead of submitting them again. ``verify`` prefetches its
-whole-polygon ensembles and computes its other checks while the workers
-draw. While prefetched runs wait in the block, head draws and window plans
-of any size run in-process, so that they do not queue behind them
-(``_dispatches``).
+Which runs go to the worker pool depends only on the run (``_dispatches``):
+a list run of at most ``_IN_PROCESS_EDGES`` drawn edges (N x window) runs
+in-process at any worker count, because a pool costs more than such a draw;
+the streaming path always dispatches, so that its memory stays in the
+chunks in flight. Chunk runs inside ``_worker_pool(workers)`` share one
+process pool, forked when the first of them dispatches, and every pooled
+run submits its chunks one by one and yields them in chunk order from one
+loop. A caller in such a block may ``_prefetch`` a list run: its chunks go
+to the pool at once, without waiting, and the later ``_iter_chunks`` call
+of the same run takes their results instead of submitting them again.
+``verify`` prefetches its whole-polygon ensembles and draws everything else
+in the parent while the workers draw.
 """
 from __future__ import annotations
 
@@ -280,13 +277,22 @@ def _chunk_counts(N: int) -> List[int]:
     return [min(CHUNK_SIZE, N - start) for start in range(0, N, CHUNK_SIZE)]
 
 
-# (workers, pool) of the innermost open _worker_pool block, if any, the
-# exit stack that closes its pool, and its prefetched list runs, (seed,
-# stream_id) -> (chunk args, pending map_async result). The pool is None
-# until a chunk run in the block first dispatches.
-_ACTIVE_POOL = None
-_ACTIVE_EXITS = None
-_PREFETCHED: dict = {}
+class _Block:
+    """The open ``_worker_pool`` block: its worker count, its pool (None
+    until a chunk run in the block first dispatches) and its prefetched list
+    runs, (seed, stream_id) -> (chunk args, result handles)."""
+
+    def __init__(self, workers: int):
+        self.workers, self.pool, self.prefetched = workers, None, {}
+
+    def submit(self, args):
+        """Hand one chunk to the pool, forked on first use."""
+        if self.pool is None:
+            self.pool = _new_pool(processes=self.workers)
+        return self.pool.apply_async(_eval_chunk, (args,))
+
+
+_BLOCK: Optional[_Block] = None
 
 
 @contextlib.contextmanager
@@ -297,32 +303,22 @@ def _worker_pool(workers: int) -> Iterator[None]:
     dispatches, and a block whose runs all stay in-process (one worker, one
     chunk, or a small list run) forks none. Later runs reuse it, and the
     block terminates it on exit, prefetched runs still pending included. A
-    block inside another at the same worker count is the outer block, so a
-    caller that wraps many sampling calls in one block starts its workers
-    at most once.
+    block opened inside an open block is that block, whatever its worker
+    count, so a caller that wraps many sampling calls in one block starts
+    its workers at most once.
     """
-    global _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED
+    global _BLOCK
     _check_int("worker count", workers, 1, error=DomainError)
-    if workers == 1 or (_ACTIVE_POOL is not None and _ACTIVE_POOL[0] == workers):
+    if _BLOCK is not None:
         yield
         return
-    outer = _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED
-    with contextlib.ExitStack() as exits:
-        _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED = (workers, None), exits, {}
-        try:
-            yield
-        finally:
-            _ACTIVE_POOL, _ACTIVE_EXITS, _PREFETCHED = outer
-
-
-def _block_pool():
-    """The pool of the innermost _worker_pool block, forked on first use."""
-    global _ACTIVE_POOL
-    workers, pool = _ACTIVE_POOL
-    if pool is None:
-        pool = _ACTIVE_EXITS.enter_context(_new_pool(processes=int(workers)))
-        _ACTIVE_POOL = (workers, pool)
-    return pool
+    _BLOCK = _Block(workers)
+    try:
+        yield
+    finally:
+        block, _BLOCK = _BLOCK, None
+        if block.pool is not None:
+            block.pool.terminate()
 
 
 def _task_window(space: str, n: int, task) -> int:
@@ -346,39 +342,28 @@ def _dispatches(space: str, n: int, N: int, task, workers: int,
 
     Never at one worker or for a single chunk; always for a streaming run.
     A list run dispatches when it draws more than ``_IN_PROCESS_EDGES``
-    edges (N x window). A head draw or window plan stays in-process,
-    though, while runs prefetched in the block are not yet taken: on the
-    pool it would wait behind them, and the parent can draw it meanwhile.
-    At 2 workers on 2 cores, `symmpoly verify --level desk` took 9.5-10.4 s
-    when its 400k-sample TV draws and its 5-edge arm3_50 plan queued on the
-    pool behind the prefetched whole-polygon draws, and 8.4-8.7 s with them
-    in-process (four runs each). On an idle pool a large head draw still
-    gains: `symmpoly tv --count 4000000 --workers 2` took 3.8-4.3 s
-    dispatched and 4.7-4.9 s in-process (three runs each).
+    edges (N x window), head draws included: on an idle pool they gain too,
+    `symmpoly tv --count 4000000 --workers 2` took 3.8-4.3 s dispatched and
+    4.7-4.9 s in-process (three runs each, 2 cores).
     """
-    if workers == 1 or N <= CHUNK_SIZE:
+    if _check_int("worker count", workers, 1, error=DomainError) == 1 or N <= CHUNK_SIZE:
         return False
-    if streaming:
-        return True
-    window = _task_window(space, n, task)
-    return N * window > _IN_PROCESS_EDGES and (window == n or not _PREFETCHED)
+    return streaming or N * _task_window(space, n, task) > _IN_PROCESS_EDGES
 
 
 def _prefetch(space: str, n: int, N: int, seed: int, stream_id: int, task,
               workers: int) -> None:
     """Submit the chunks of a list run that would dispatch to the pool of
-    the open ``_worker_pool(workers)`` block, without waiting for them.
+    the open ``_worker_pool`` block, without waiting for them.
 
     The ``_iter_chunks`` call of the same run in the block takes their
-    results. A run that would stay in-process, or a call outside such a
-    block, submits nothing.
+    results; runs dispatched later in the block queue behind them. A run
+    that would stay in-process, or a call outside a block, submits nothing.
     """
-    if (_ACTIVE_POOL is None or _ACTIVE_POOL[0] != workers
-            or not _dispatches(space, n, N, task, workers)):
+    if _BLOCK is None or not _dispatches(space, n, N, task, workers):
         return
     args = _chunk_args(space, n, N, seed, stream_id, task)
-    _PREFETCHED[(seed, stream_id)] = (
-        args, _block_pool().map_async(_eval_chunk, args))
+    _BLOCK.prefetched[(seed, stream_id)] = (args, [_BLOCK.submit(a) for a in args])
 
 
 def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
@@ -390,34 +375,28 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
     chunk and leaves the file for the caller to copy and delete.
     Chunks are evaluated in-process, each when it is asked for, unless
     ``_dispatches`` sends the run to the pool of the enclosing
-    ``_worker_pool`` block: all at once for a list run (``in_flight``
-    None), or one by one with at most ``in_flight`` submitted and not yet
-    yielded, which bounds the memory of a consumer that writes each result
-    as it comes. A list run that was prefetched in the block takes the
-    prefetched results. The streaming path dispatches at any size:
-    in-process, its whole draws raised the peak memory of ``symmpoly
-    sample``. The list runs submit every chunk at once: a window idles the
-    workers between small chunks.
+    ``_worker_pool`` block. A pooled run submits its chunks one by one and
+    yields their results in chunk order. A list run (``in_flight`` None)
+    submits every chunk before it waits for the first: a window idles the
+    workers between small chunks. A streamed run keeps at most
+    ``in_flight`` chunks submitted and not yet yielded, which bounds the
+    memory of a consumer that writes each result as it comes; it
+    dispatches at any size, because in-process its whole draws raised the
+    peak memory of ``symmpoly sample``. A list run prefetched in the block
+    starts from the handles it already has.
     """
     args = _chunk_args(space, n, N, seed, stream_id, task)
-    _check_int("worker count", workers, 1, error=DomainError)
     if not _dispatches(space, n, N, task, workers, in_flight is not None):
         for a in args:
             yield _eval_chunk(a)
         return
     with _worker_pool(workers):
-        pool = _block_pool()
-        if in_flight is None:
-            ready = _PREFETCHED.pop((seed, stream_id), None)
-            pending = (ready[1] if ready is not None and ready[0] == args
-                       else pool.map_async(_eval_chunk, args))
-            yield from pending.get()
-            return
-        pending = collections.deque()
-        for a in args:
-            if len(pending) == in_flight:
+        ready = _BLOCK.prefetched.pop((seed, stream_id), None)
+        pending = collections.deque(ready[1] if ready and ready[0] == args else ())
+        for a in args[len(pending):]:
+            if len(pending) == (in_flight or len(args)):
                 yield pending.popleft().get()
-            pending.append(pool.apply_async(_eval_chunk, (a,)))
+            pending.append(_BLOCK.submit(a))
         while pending:
             yield pending.popleft().get()
 
@@ -536,6 +515,7 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
     _check_int("bins_per_axis", bins_per_axis, 4, error=ResolutionError)
     # k first: it sizes the cell count, and 4**(2 * 5000) is too long to print
     _check_segment_length(n, k)
+    N = _check_int("sample count", N, 1, error=DomainError)
     d = dim * k
     cells = bins_per_axis ** d
     if cells > N / 50:

@@ -11,8 +11,8 @@ registry below), so checks are statistically independent, reruns are
 byte-identical, and the worker count never changes a single output value.
 The ensembles the checks read are a table of requests, each drawn once per
 run; the checks are small functions, one per criterion. At workers > 1
-the worker pool draws the whole-polygon ensembles while the checks that do
-not read them run in this process.
+the worker pool draws the whole-polygon ensembles while this process draws
+everything else and runs the checks that do not read them.
 
 scipy (Beta CDFs and quadrature) is imported inside `density_checks` and
 `extended_density_checks`, the only checks that use it, so importing this
@@ -116,10 +116,10 @@ def _tv_excess(hist) -> float:
 
 # Ensemble requests: stream name -> (space, n, the functionals it reads, or
 # the segment length k of a whole-polygon segment draw). Each is drawn once
-# per run, N samples, or N_struct for the structural draws. At workers > 1
-# the pool draws the whole-polygon ones in this order: the structural
-# draws, read first, then the three that criterion 7 bootstraps. The two
-# head-draw plans come last, so that they stay in-process at any N.
+# per run, N samples, or N_struct for the structural draws. The order sets
+# only the order of the pool's queue: at workers > 1 the pool draws the
+# whole-polygon ones in this order, the structural draws, read first, then
+# the three that criterion 7 bootstraps.
 _REQUESTS = {
     "struct_pol2": ("pol2", 50, 50),
     "struct_pol3": ("pol3", 50, 50),
@@ -135,7 +135,15 @@ _REQUESTS = {
 
 class _Ensembles:
     """The requested ensembles of one run, each drawn when a check first
-    reads it and then kept; its sample counts and seed."""
+    reads it and then kept; its sample counts and seed.
+
+    At workers > 1 the whole-polygon requests (segment draws with k = n,
+    plans that read a total) go to the worker pool before any check runs.
+    Every other draw of a run runs in this process at one worker, so that
+    it does not queue behind them: at 2 workers on 2 cores, desk verify
+    took 9.5-10.4 s when its 400k-sample TV draws and its 5-edge arm3_50
+    plan queued on the pool, and 8.4-8.7 s with them in-process (4 runs).
+    """
 
     def __init__(self, scale: int, seed: int, workers: int):
         self.N = DESK_N * scale
@@ -147,21 +155,24 @@ class _Ensembles:
     def _draw_args(self, name: str):
         space, n, reads = _REQUESTS[name]
         if isinstance(reads, int):
-            return space, n, self.N_struct, ("segments", reads)
-        return space, n, self.N, ("functionals", reads)
+            N, task = self.N_struct, ("segments", reads)
+        else:
+            N, task = self.N, ("functionals", reads)
+        whole = ensembles._task_window(space, n, task) == n
+        return space, n, N, task, self.workers if whole else 1
 
     def prefetch(self) -> None:
-        """Submit every request that would go to the worker pool, so that
+        """Submit every whole-polygon request to the worker pool, so that
         the workers draw while the checks that do not read them run."""
         for name in _REQUESTS:
-            space, n, N, task = self._draw_args(name)
-            ensembles._prefetch(space, n, N, self.seed, STREAM_IDS[name], task,
-                                self.workers)
+            space, n, N, task, workers = self._draw_args(name)
+            if workers > 1:
+                ensembles._prefetch(space, n, N, self.seed, STREAM_IDS[name], task, workers)
 
     def __getitem__(self, name: str):
         if name not in self._drawn:
-            space, n, N, (kind, reads) = self._draw_args(name)
-            kwargs = dict(stream_id=STREAM_IDS[name], workers=self.workers)
+            space, n, N, (kind, reads), workers = self._draw_args(name)
+            kwargs = dict(stream_id=STREAM_IDS[name], workers=workers)
             if kind == "segments":
                 flat = ensembles.segment_samples(space, n, reads, N, self.seed, **kwargs)
                 self._drawn[name] = flat.reshape(N, reads, space_dim(space))
@@ -175,10 +186,8 @@ def run_verify(level: str = "desk", seed: int = 7,
                workers: int = 1) -> List[CheckResult]:
     """Run the full check suite; deep level scales sample counts by 10.
 
-    At workers > 1 every whole-polygon ensemble is handed to the worker
-    pool before any check runs, and the checks that read none of them run
-    while the workers draw. The rows come out in criterion order and are
-    the same at any worker count.
+    The rows come out in criterion order and are the same at any worker
+    count; ``_Ensembles`` says what the worker pool draws.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
@@ -260,8 +269,7 @@ def _tv_checks(e: _Ensembles) -> List[CheckResult]:
     def tv(space_a: str, space_b: str, bins: int, streams: str):
         return estimate_tv(space_a, space_b, 100, 1, e.N_tv, bins, e.seed,
                            stream_ids=(STREAM_IDS[f"tv_{streams}_a"],
-                                       STREAM_IDS[f"tv_{streams}_b"]),
-                           workers=e.workers)
+                                       STREAM_IDS[f"tv_{streams}_b"]))
 
     tv_planar = tv("pol2", "arm2", 12, "planar")
     tv_spatial = tv("pol3", "arm3", 8, "spatial")

@@ -167,10 +167,7 @@ def test_sample_write_error_closes_the_stream(monkeypatch, capsys, spill_root):
             self.terminated = False
             pools.append(self)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
+        def terminate(self):
             # the pool ends while its workers' spill directory still exists
             self.terminated = any(spill_root.iterdir())
 
@@ -188,7 +185,7 @@ def test_sample_write_error_closes_the_stream(monkeypatch, capsys, spill_root):
                 "--workers", "2", *SEED_ARGS]) == 2
     assert "disk full" in capsys.readouterr().err
     assert len(pools) == 1 and pools[0].terminated
-    assert ensembles._ACTIVE_POOL is None
+    assert ensembles._BLOCK is None
     assert not any(spill_root.iterdir())
 
 
@@ -358,6 +355,24 @@ def test_tv_opens_both_outputs_before_writing(tmp_path, capsys):
                 "--out", str(out), "--cells-out", str(cells), *SEED_ARGS]) == 2
     assert capsys.readouterr().err.startswith("symmpoly: ")
     assert not out.exists()
+
+
+def test_tv_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
+    # an existing file named two ways, and a new one: exit 2 before any
+    # sampling, the existing file left as it was and no new one made
+    monkeypatch.setattr(cli, "estimate_tv", None)
+    old = tmp_path / "old.csv"
+    old.write_text("earlier contents\n")
+    (tmp_path / "sub").mkdir()
+    new = tmp_path / "new.csv"
+    for out, cells in ((old, tmp_path / "sub" / ".." / "old.csv"),
+                       (new, tmp_path / "sub" / ".." / "new.csv")):
+        assert run(["tv", "--space", "pol2", "--n", "20", "--k", "1",
+                    "--count", "2000", "--bins", "4", "--out", str(out),
+                    "--cells-out", str(cells), *SEED_ARGS]) == 2
+        assert "--cells-out" in capsys.readouterr().err
+    assert old.read_text() == "earlier contents\n"
+    assert not new.exists()
 
 
 def test_domain_errors_exit_two(tmp_path, capsys):

@@ -228,6 +228,8 @@ INTEGER_ARGS = [
           0, InvalidSizeError),
     _case("estimate_tv-k", lambda v: estimate_tv("pol2", "arm2", 10, v, 10_000, 4, SEED),
           0, InvalidSizeError),
+    _case("estimate_tv-N", lambda v: estimate_tv("pol2", "arm2", 10, 1, v, 4, SEED),
+          0, DomainError),
     _case("space_edges_batch-n", lambda v: space_edges_batch(
         SeedStream(SEED).generator(), 10, "arm2", v), 2, InvalidSizeError),
     _case("space_edges_batch-k", lambda v: space_edges_batch(
@@ -692,20 +694,16 @@ def test_pools_fork_where_the_platform_can():
 
 class _RecordingPool:
     """A pool that runs each submitted chunk at once, in-process, and logs
-    every submission and every result handed out."""
+    every submission and every result handed out. Every block forks it
+    through ``_new_pool``."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.log = []
-
-    def map_async(self, fn, iterable):
-        self.log.extend("submit" for _ in iterable)
-        return self._done([fn(a) for a in iterable])
+        monkeypatch.setattr(ensembles, "_new_pool", lambda processes: self)
 
     def apply_async(self, fn, args):
         self.log.append("submit")
-        return self._done(fn(*args))
-
-    def _done(self, result):
+        result = fn(*args)
         log = self.log
 
         class Done:
@@ -715,11 +713,13 @@ class _RecordingPool:
 
         return Done()
 
+    def terminate(self):
+        pass
+
 
 def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch):
     _chunk_size(monkeypatch, 100)
-    pool = _RecordingPool()
-    monkeypatch.setattr(ensembles, "_ACTIVE_POOL", (2, pool))
+    pool = _RecordingPool(monkeypatch)
     task = ("segments", 3)
     stream = ensembles._iter_chunks("arm3", 10, 1050, SEED, 4, task, 2,
                                     in_flight=4)
@@ -743,16 +743,14 @@ def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch):
 
 def test_chunk_list_submits_every_chunk_first(monkeypatch, dispatch_every_run):
     _chunk_size(monkeypatch, 100)
-    pool = _RecordingPool()
-    monkeypatch.setattr(ensembles, "_ACTIVE_POOL", (2, pool))
+    pool = _RecordingPool(monkeypatch)
     for result in ensembles._iter_chunks("pol2", 10, 1050, SEED, 4,
                                          ("segments", 2), 2):
         pool.log.append("used")
-    assert pool.log == ["submit"] * 11 + ["get"] + ["used"] * 11
+    assert pool.log == ["submit"] * 11 + ["get", "used"] * 11
     results = ensembles._run_chunks("pol2", 10, 1050, SEED, 4,
                                     ("segments", 2), 2)
     assert isinstance(results, list) and len(results) == 11
-    monkeypatch.setattr(ensembles, "_ACTIVE_POOL", None)
     expected = segment_samples("pol2", 10, 2, 1050, SEED, stream_id=4)
     assert np.array_equal(np.concatenate([r[0] for r in results]), expected)
 
@@ -761,13 +759,12 @@ def test_list_runs_dispatch_above_the_cut(monkeypatch):
     # a list run of exactly _IN_PROCESS_EDGES drawn edges stays in-process;
     # a run two edges longer goes to the pool, all chunks at once
     cut = ensembles._IN_PROCESS_EDGES
-    pool = _RecordingPool()
-    monkeypatch.setattr(ensembles, "_ACTIVE_POOL", (2, pool))
+    pool = _RecordingPool(monkeypatch)
     at_cut = ensembles._run_chunks("arm2", 10, cut, SEED, 4, ("segments", 1), 2)
     assert len(at_cut) > 1 and pool.log == []
     above = ensembles._run_chunks("arm2", 10, cut // 2 + 1, SEED, 4,
                                   ("segments", 2), 2)
-    assert pool.log == ["submit"] * len(above) + ["get"]
+    assert pool.log == ["submit"] * len(above) + ["get"] * len(above)
     # a window plan counts its window, not n: two edges for theta1
     pool.log.clear()
     ensembles._run_chunks("pol2", 10, cut // 2, SEED, 4,
@@ -775,17 +772,6 @@ def test_list_runs_dispatch_above_the_cut(monkeypatch):
     assert pool.log == []
     ensembles._run_chunks("pol2", 10, cut // 2 + 1, SEED, 4,
                           ("functionals", ("theta1",)), 2)
-    assert pool.log != []
-    # while a prefetched run waits in the block, heads and window plans
-    # above the cut stay in-process; whole polygons still go to the pool
-    monkeypatch.setattr(ensembles, "_PREFETCHED", {(SEED, 99): ([], None)})
-    pool.log.clear()
-    ensembles._run_chunks("arm2", 10, cut // 2 + 1, SEED, 4, ("segments", 2), 2)
-    ensembles._run_chunks("pol2", 10, cut // 2 + 1, SEED, 4,
-                          ("functionals", ("theta1",)), 2)
-    assert pool.log == []
-    ensembles._run_chunks("pol2", 10, cut // 10 + 1, SEED, 4,
-                          ("segments", 10), 2)
     assert pool.log != []
 
 

@@ -117,42 +117,58 @@ POOL_STREAMS = {verify.STREAM_IDS[name] for name in
                 ("pol3_50", "pol2_100", "pol3_100", "arm3_100", "pol2_200")}
 
 
-def test_run_verify_opens_one_pool(monkeypatch):
-    # every chunk is logged where it is drawn: handed to the pool, or in the
-    # parent; formula_checks, a check that reads no ensemble, logs its call
-    _small_desk(monkeypatch)
-    events, opened = [], []
+def _log_pool(monkeypatch, events):
+    """Fork logging pools: each chunk submitted to one is logged in events
+    as ("pool", seed, stream_id, chunk) and its result handle kept by
+    stream id. Returns the worker counts of the pools forked and the
+    handles."""
+    opened, handles = [], collections.defaultdict(list)
     real_pool = ensembles._new_pool
-    real_chunk_generator = SeedStream.chunk_generator
-    real_formula_checks = verify.formula_checks
 
     class LoggingPool:
         def __init__(self, processes):
             opened.append(processes)
             self.pool = real_pool(processes=processes)
 
-        def __enter__(self):
-            self.pool.__enter__()
-            return self
+        def apply_async(self, fn, args):
+            seed, stream_id, chunk = args[0][2:5]
+            events.append(("pool", seed, stream_id, chunk))
+            handles[stream_id].append(self.pool.apply_async(fn, args))
+            return handles[stream_id][-1]
 
-        def __exit__(self, *exc):
-            return self.pool.__exit__(*exc)
+        def terminate(self):
+            self.pool.terminate()
 
-        def map_async(self, fn, args):
-            events.extend(("pool", a[2], a[3], a[4]) for a in args)
-            return self.pool.map_async(fn, args)
+    monkeypatch.setattr(ensembles, "_new_pool", LoggingPool)
+    return opened, handles
+
+
+def test_run_verify_opens_one_pool(monkeypatch):
+    # every chunk is logged where it is drawn: handed to the pool, or in the
+    # parent; so is every whole-stream generator (the bootstraps draw from
+    # one); formula_checks, a check that reads no ensemble, logs its call
+    _small_desk(monkeypatch)
+    events = []
+    opened, _ = _log_pool(monkeypatch, events)
+    real_chunk_generator = SeedStream.chunk_generator
+    real_generator = SeedStream.generator
+    real_formula_checks = verify.formula_checks
 
     def chunk_generator(stream, chunk):
         # in the parent; forked workers log to their own copy of the list
         events.append(("parent", stream.seed, stream.stream_id, chunk))
         return real_chunk_generator(stream, chunk)
 
+    def generator(stream):
+        events.append(("parent", stream.seed, stream.stream_id, "whole"))
+        return real_generator(stream)
+
     def formula_checks():
         events.append(("formula_checks",))
         return real_formula_checks()
 
-    monkeypatch.setattr(ensembles, "_new_pool", LoggingPool)
     monkeypatch.setattr(SeedStream, "chunk_generator", chunk_generator)
+    monkeypatch.setattr(SeedStream, "generator", generator)
     monkeypatch.setattr(verify, "formula_checks", formula_checks)
     csv, chunks = {}, {}
     for workers in (1, 2):
@@ -161,13 +177,24 @@ def test_run_verify_opens_one_pool(monkeypatch):
         write_results_csv(buf, run_verify("desk", SEED, workers))
         csv[workers] = buf.getvalue()
         chunks[workers] = collections.Counter(e[1:] for e in events if len(e) > 1)
-        # each (seed, stream_id) chunk is drawn once, and no stream twice
+        # each (seed, stream_id) chunk, and each whole stream, is drawn once
         assert set(chunks[workers].values()) == {1}
     assert opened == [2]
     assert chunks[1] == chunks[2]
-    assert {sid for _, sid, _ in chunks[1]} == {
-        sid for name, sid in verify.STREAM_IDS.items()
-        if not name.startswith("boot_") and name != "unitary_blocks_n6"}
+    # every stream but the extended density check's is drawn exactly once:
+    # its chunks 0, 1, ..., each once, or its whole-stream generator once
+    drawn = collections.defaultdict(list)
+    for seed, sid, part in chunks[1]:
+        assert seed == SEED
+        drawn[sid].append(part)
+    assert set(drawn) == {sid for name, sid in verify.STREAM_IDS.items()
+                          if name != "unitary_blocks_n6"}
+    for sid, parts in drawn.items():
+        assert parts == ["whole"] or sorted(parts) == list(range(len(parts))), sid
+    assert {sid for name, sid in verify.STREAM_IDS.items()
+            if drawn[sid] == ["whole"]} == {
+        verify.STREAM_IDS[name] for name in
+        ("boot_var_planar", "boot_var_spatial", "boot_partition")}
     # at 2 workers the whole-polygon ensembles, and only they, go to the
     # pool, every chunk of them before the parent draws or checks anything
     kinds = [e[0] for e in events]
@@ -178,20 +205,34 @@ def test_run_verify_opens_one_pool(monkeypatch):
     assert csv[1].count("\n") == 38
 
 
+def test_pool_does_not_depend_on_the_request_order(monkeypatch,
+                                                   dispatch_every_run):
+    # with every multi-chunk run above the cut and the table reversed, the
+    # head-draw plans are handed out first; they still stay in the parent
+    _small_desk(monkeypatch)
+    monkeypatch.setattr(verify, "_REQUESTS",
+                        dict(reversed(verify._REQUESTS.items())))
+    events = []
+    _log_pool(monkeypatch, events)
+    run_verify("desk", SEED, 2)
+    assert {e[2] for e in events} == POOL_STREAMS
+
+
 def test_failing_check_stops_the_pending_draws(monkeypatch):
     # large enough that the workers are still drawing when the parent
     # reaches formula_checks
     _small_desk(monkeypatch, N=50_000)
-    pending = []
+    _, handles = _log_pool(monkeypatch, [])
+    pending = {}
 
     def formula_checks():
-        pending.extend(not handle.ready()
-                       for _, handle in ensembles._PREFETCHED.values())
+        pending.update((sid, not all(h.ready() for h in hs))
+                       for sid, hs in handles.items())
         raise RuntimeError("check failed")
 
     monkeypatch.setattr(verify, "formula_checks", formula_checks)
     with pytest.raises(RuntimeError, match="check failed"):
         run_verify("desk", SEED, 2)
-    assert len(pending) == len(POOL_STREAMS) and any(pending)
+    assert set(pending) == POOL_STREAMS and any(pending.values())
     assert multiprocessing.active_children() == []
-    assert ensembles._ACTIVE_POOL is None and ensembles._PREFETCHED == {}
+    assert ensembles._BLOCK is None
