@@ -150,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sample(args) -> int:
-    # The whole polygons of stream 0 are drawn and formatted chunk by chunk in
-    # the workers, with at most 2 * workers chunks in flight. Each chunk's
+    # The whole polygons of stream 0 are drawn and formatted chunk by chunk:
+    # in the workers, with at most 2 * workers chunks in flight, or here one
+    # at a time when the run is under the in-process cut. Each chunk's
     # records go to a spill file, which is copied into the output in chunk
-    # order and deleted, so memory does not grow with --count and no chunk's
-    # text or arrays pass through this process.
+    # order and deleted, so memory does not grow with --count.
     with tempfile.TemporaryDirectory(prefix="symmpoly-") as spill_dir:
         chunks = _iter_chunks(args.space, args.n, args.count, args.seed, 0,
                               ("jsonl", spill_dir), args.workers,

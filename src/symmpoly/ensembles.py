@@ -37,10 +37,9 @@ the process that drew them; only the file's path returns, and the caller
 copies the files into its output in chunk order.
 
 Which runs go to the worker pool depends only on the run (``_dispatches``):
-a list run of at most ``_IN_PROCESS_EDGES`` drawn edges (N x window) runs
-in-process at any worker count, because a pool costs more than such a draw;
-the streaming path always dispatches, so that its memory stays in the
-chunks in flight. Chunk runs inside ``_worker_pool(workers)`` share one
+a run of at most ``_IN_PROCESS_EDGES`` drawn edges (N x window), listed or
+streamed, runs in-process at any worker count, because a pool costs more
+than such a draw. Chunk runs inside ``_worker_pool(workers)`` share one
 process pool, forked when the first of them dispatches, and every pooled
 run submits its chunks one by one and yields them in chunk order from one
 loop. A caller in such a block may ``_prefetch`` a list run: its chunks go
@@ -69,12 +68,12 @@ from .errors import (DomainError, InvalidDimensionError, InvalidSizeError,
 from .functionals import (LocalFunctional, _batch_torsion, _batch_turning,
                           _eval_windows)
 from .haar import SeedStream, StreamLike, ensure_generator
-from .polygons import (SPACES, Polygon, _check_segment_length, space_dim,
+from .polygons import (Polygon, _check_segment_length, space_dim,
                        space_edges_batch)
 
 CHUNK_SIZE = 4096
 
-# List runs that draw at most this many edges (N x window) run in-process
+# Chunk runs that draw at most this many edges (N x window) run in-process
 # at any worker count. On 2 cores, head draws of up to 200k edges took
 # 0.8-1.04x their time on an open 2-worker pool in-process, and
 # whole-polygon draws of 410k edges and more took 1.7-2x theirs.
@@ -173,8 +172,6 @@ def _total(angles: np.ndarray) -> np.ndarray:
 
 
 def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _Plan:
-    if space not in SPACES:
-        raise DomainError(f"unknown space {space!r}; expected one of {SPACES}")
     dim = space_dim(space)
     closed = space.startswith("pol")
     max_theta = n if closed else n - 1
@@ -336,19 +333,18 @@ def _chunk_args(space: str, n: int, N: int, seed: int, stream_id: int,
             for chunk, count in enumerate(_chunk_counts(N))]
 
 
-def _dispatches(space: str, n: int, N: int, task, workers: int,
-                streaming: bool = False) -> bool:
-    """Whether a chunk run goes to the worker pool.
+def _dispatches(space: str, n: int, N: int, task, workers: int) -> bool:
+    """Whether a chunk run, listed or streamed, goes to the worker pool.
 
-    Never at one worker or for a single chunk; always for a streaming run.
-    A list run dispatches when it draws more than ``_IN_PROCESS_EDGES``
-    edges (N x window), head draws included: on an idle pool they gain too,
-    `symmpoly tv --count 4000000 --workers 2` took 3.8-4.3 s dispatched and
-    4.7-4.9 s in-process (three runs each, 2 cores).
+    Never at one worker or for a single chunk. Otherwise a run dispatches
+    when it draws more than ``_IN_PROCESS_EDGES`` edges (N x window), head
+    draws included: on an idle pool they gain too, `symmpoly tv --count
+    4000000 --workers 2` took 3.8-4.3 s dispatched and 4.7-4.9 s in-process
+    (three runs each, 2 cores).
     """
     if _check_int("worker count", workers, 1, error=DomainError) == 1 or N <= CHUNK_SIZE:
         return False
-    return streaming or N * _task_window(space, n, task) > _IN_PROCESS_EDGES
+    return N * _task_window(space, n, task) > _IN_PROCESS_EDGES
 
 
 def _prefetch(space: str, n: int, N: int, seed: int, stream_id: int, task,
@@ -380,13 +376,12 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
     submits every chunk before it waits for the first: a window idles the
     workers between small chunks. A streamed run keeps at most
     ``in_flight`` chunks submitted and not yet yielded, which bounds the
-    memory of a consumer that writes each result as it comes; it
-    dispatches at any size, because in-process its whole draws raised the
-    peak memory of ``symmpoly sample``. A list run prefetched in the block
-    starts from the handles it already has.
+    memory of a consumer that writes each result as it comes; in-process
+    it draws one chunk at a time. A list run prefetched in the block starts
+    from the handles it already has.
     """
     args = _chunk_args(space, n, N, seed, stream_id, task)
-    if not _dispatches(space, n, N, task, workers, in_flight is not None):
+    if not _dispatches(space, n, N, task, workers):
         for a in args:
             yield _eval_chunk(a)
         return
@@ -489,8 +484,7 @@ def segment_samples(space: str, n: int, k: int, N: int, seed: int, *,
     prefix of a longer segment sample on the same stream. At k = n it is
     the full polygon, drawn exactly as by the full sampler.
     """
-    if space not in SPACES:
-        raise DomainError(f"unknown space {space!r}; expected one of {SPACES}")
+    space_dim(space)
     _check_segment_length(n, k)
     results = _run_chunks(space, n, N, seed, stream_id, ("segments", k), workers)
     return np.concatenate([chunk[0] for chunk in results], axis=0)

@@ -5,18 +5,19 @@ value-like: the same (seed, stream_id) reproduces the same draws, and
 distinct stream_ids are statistically independent, so parallel workers can
 each own a stream without coordination.
 
-The batch internals ``_unit_blocks`` (real unit vectors, behind the arm
-spaces) and ``_frame2_blocks`` (real or complex orthonormal 2-frames,
-behind the pol spaces) draw from an explicit Generator for their one
-caller, ``polygons.space_edges_batch``. Each makes its random draws for all
-rows at once, as an unblocked sampler would, then normalises and
-orthonormalises them in blocks of about ``_BLOCK_COORDS`` coordinates, so
-that the temporaries stay in cache. Every row's arithmetic is the same
+The batch internal ``_frame_blocks`` draws the heads of Haar frames from
+an explicit Generator for its one caller, ``polygons.space_edges_batch``:
+real or complex orthonormal 2-frames behind the pol spaces, and real
+1-frames, uniform unit vectors, behind the arm spaces. It makes its random
+draws for all rows at once, as an unblocked sampler would, then normalises
+and orthonormalises them in blocks of about ``_BLOCK_COORDS`` coordinates,
+so that the temporaries stay in cache. Every row's arithmetic is the same
 whatever the block, so the bits do not depend on the block size. A row
-whose Gaussian draw is (near) degenerate is rejected and redrawn after the
-first pass, with masks only in the blocks that hold such a row; almost
-surely every row is accepted on the first pass. ``_haar_unitary_batch``
-draws whole Haar unitaries; no sampler uses it.
+whose Gaussian vector or residual is shorter than ``_RESIDUAL_TINY`` is
+rejected and redrawn after the first pass, with masks only in the blocks
+that hold such a row; almost surely every row is accepted on the first
+pass. ``_haar_unitary_batch`` draws whole Haar unitaries; no sampler uses
+it.
 """
 from __future__ import annotations
 
@@ -27,14 +28,14 @@ import numpy as np
 
 from .errors import InvalidDimensionError, _check_int
 
-# Norm thresholds below which a Gaussian draw is rejected and redrawn.
-# Degenerate draws have probability zero; resampling keeps samplers total.
-_SPHERE_TINY = 1e-300
+# Norm below which a Gaussian vector, or its residual after Gram-Schmidt, is
+# rejected and its row redrawn. Degenerate draws have probability zero;
+# resampling keeps the samplers total.
 _RESIDUAL_TINY = 1e-12
 
-# Real coordinates per row block of the sphere and frame arithmetic: 163
-# rows of a 100-edge spatial draw (4 coordinates per edge), 327 of a planar
-# one (2 per edge). Of the sizes from 12 800 to 327 680 timed on full
+# Real coordinates per row block of the frame arithmetic: 163 rows of a
+# 100-edge spatial draw (4 coordinates per edge), 327 of a planar one (2 per
+# edge). Of the sizes from 12 800 to 327 680 timed on full
 # 4096-sample chunks at n = 100 (2 cores), 2**16 was the fastest. A
 # 4096-sample head draw of up to 4 spatial or 8 planar edges is one block.
 _BLOCK_COORDS = 2 ** 16
@@ -121,18 +122,24 @@ def _chi2(rng: np.random.Generator, dof: float, count: int) -> np.ndarray:
     return 2.0 * rng.standard_gamma(dof / 2.0, count)
 
 
-def _tail_factor(rng: np.random.Generator, count: int, m: int, kind: str):
-    """Stand-ins for the last m coordinates of two Gaussian vectors.
+def _tail_factor(rng: np.random.Generator, count: int, m: int, kind: str,
+                 vectors: int):
+    """Stand-ins for the last m coordinates of ``vectors`` (1 or 2) Gaussian
+    vectors.
 
-    Gram-Schmidt sees those coordinates only through their 2x2 Gram matrix
-    W, which is Wishart. Bartlett's decomposition draws its triangular
-    factor R = [[c1, z], [0, c2]] (W = R^* R) directly: c1^2 and c2^2 are
+    Gram-Schmidt sees those coordinates only through their Gram matrix W,
+    which is Wishart. Bartlett's decomposition draws its triangular factor
+    R = [[c1, z], [0, c2]] (W = R^* R) directly: c1^2 and c2^2 are
     chi-square with f*m and f*(m-1) degrees of freedom and z is one Gaussian
-    scalar (f = 1 real; f = 2 complex, Goodman's form). The two columns of
-    R, shape (count, 2) each, have the inner products of the two tails.
+    scalar (f = 1 real; f = 2 complex, Goodman's form). The columns of R,
+    shape (count, vectors) each, have the inner products of the tails. One
+    vector's tail is its norm c1 alone, the sphere's chi-square tail; no
+    zero is padded next to it, so the norms it enters keep their bits.
     """
     f = 2 if kind == "complex" else 1
     c1 = np.sqrt(_chi2(rng, f * m, count))
+    if vectors == 1:
+        return (c1[:, None],)
     c2 = np.sqrt(_chi2(rng, f * (m - 1), count))
     z = _as_rows(_normals(rng, count, 1, kind), kind)[:, 0]
     return np.stack([c1, np.zeros(count)], axis=1), np.stack([z, c2], axis=1)
@@ -170,62 +177,38 @@ def _accepted_blocks(count: int, coords: int, draw, rows) -> Iterator:
         todo = todo[~ok]
 
 
-def _unit_blocks(rng: np.random.Generator, count: int, m: int,
-                 head: int) -> Iterator:
-    """Leading ``head`` coordinates of ``count`` uniform unit m-vectors, as
-    (rows, (unit rows,)) blocks of ``_accepted_blocks``.
+def _frame_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
+                  head: int, vectors: int) -> Iterator:
+    """Leading ``head`` coordinates of ``count`` orthonormal ``vectors``-frames
+    in R^n or C^n (``kind``), as (rows, (a,) or (a, b)) blocks of
+    ``_accepted_blocks``. A 1-frame is a uniform unit vector.
 
-    With head < m the other m - head coordinates are never drawn: the
-    normalisation sees them only through their norm, one chi-square draw
-    per row, so the cost is O(head).
-    """
-
-    def draw(c):
-        g = rng.standard_normal((c, head))
-        return g, (np.sqrt(_chi2(rng, m - head, c)) if head < m else None)
-
-    def rows(draws, sl):
-        g, tail = draws
-        g = g[sl]
-        if tail is not None:
-            g = np.concatenate([g, tail[sl, None]], axis=1)
-        norms = np.linalg.norm(g, axis=1)
-        ok = norms >= _SPHERE_TINY
-        if not ok.all():
-            norms = np.where(ok, norms, 1.0)
-        return (g[:, :head] / norms[:, None],), ok
-
-    return _accepted_blocks(count, head, draw, rows)
-
-
-def _frame2_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
-                   head: int) -> Iterator:
-    """Leading ``head`` coordinates (a, b) of ``count`` orthonormal pairs in
-    R^n or C^n (``kind``), as (rows, (a, b)) blocks of ``_accepted_blocks``.
-
-    With head < n the last n - head coordinates of the two Gaussian vectors
-    are replaced by the two columns of ``_tail_factor``, which have the same
-    inner products, so Gram-Schmidt gives the head exactly in law at O(head)
+    With head < n the last n - head coordinates of the Gaussian vectors are
+    replaced by the columns of ``_tail_factor``, which have the same inner
+    products, so Gram-Schmidt gives the head exactly in law at O(head)
     cost.
     """
 
     def draw(c):
-        g1, g2 = _normals(rng, c, head, kind), _normals(rng, c, head, kind)
-        return g1, g2, (_tail_factor(rng, c, n - head, kind) if head < n else None)
+        gs = [_normals(rng, c, head, kind) for _ in range(vectors)]
+        return gs, (_tail_factor(rng, c, n - head, kind, vectors) if head < n else None)
 
     def rows(draws, sl):
-        g1, g2, tails = draws
-        g1, g2 = _as_rows(g1[sl], kind), _as_rows(g2[sl], kind)
+        gs, tails = draws
+        gs = [_as_rows(g[sl], kind) for g in gs]
         if tails is not None:
-            g1 = np.concatenate([g1, tails[0][sl]], axis=1)
-            g2 = np.concatenate([g2, tails[1][sl]], axis=1)
+            gs = [np.concatenate([g, t[sl]], axis=1) for g, t in zip(gs, tails)]
         # A rejected row divides by 1 instead; every row is accepted almost
         # surely, and then no mask is applied.
+        g1 = gs[0]
         n1 = np.linalg.norm(g1, axis=1)
         ok1 = n1 >= _RESIDUAL_TINY
         if not ok1.all():
             g1, n1 = np.where(ok1[:, None], g1, 1.0), np.where(ok1, n1, 1.0)
         a = g1 / n1[:, None]
+        if vectors == 1:
+            return (a[:, :head],), ok1
+        g2 = gs[1]
         ip = np.einsum("ij,ij->i", a.conj(), g2)
         resid = g2 - ip[:, None] * a
         n2 = np.linalg.norm(resid, axis=1)
@@ -234,7 +217,8 @@ def _frame2_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
             resid, n2 = np.where(ok[:, None], resid, 1.0), np.where(ok, n2, 1.0)
         return (a[:, :head], resid[:, :head] / n2[:, None]), ok
 
-    return _accepted_blocks(count, (4 if kind == "complex" else 2) * head, draw, rows)
+    coords = (2 if kind == "complex" else 1) * vectors * head
+    return _accepted_blocks(count, coords, draw, rows)
 
 
 def _haar_unitary_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -21,9 +21,12 @@ images sum to zero exactly when the two vectors are orthonormal, which also
 pins the perimeter to 2 without any rescaling.
 
 ``space_edges_batch`` is the one sampler: ``sample_arm``, ``sample_pol`` and
-every ensemble draw go through it. It makes a batch's random draws at once,
-then maps each row block (see ``haar``) to edges in one (count, k, dim)
-array, with the bits of the same arithmetic on the whole batch.
+every ensemble draw go through it. Every space is drawn by one frame
+sampler, ``haar._frame_blocks``: an arm is its one-vector case, a unit
+vector of R^(2n) or R^(4n) read in coordinate pairs or quadruples, and a
+polygon its two-vector case. It makes a batch's random draws at once, then
+maps each row block (see ``haar``) to edges in one (count, k, dim) array,
+with the bits of the same arithmetic on the whole batch.
 """
 from __future__ import annotations
 
@@ -35,8 +38,7 @@ import numpy as np
 
 from .errors import (InvalidDimensionError, InvalidSizeError, _check_int,
                      _is_int)
-from .haar import (StreamLike, _complex, _frame2_blocks, _unit_blocks,
-                   ensure_generator)
+from .haar import StreamLike, _complex, _frame_blocks, ensure_generator
 
 SPACES = ("arm2", "pol2", "arm3", "pol3")
 
@@ -127,8 +129,9 @@ def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int,
     Returns the leading k edges (default all n) of ``count`` n-edge samples,
     shape (count, k, dim). For k < n the first k edges are drawn at O(k)
     cost, exactly in law: the rest of the Gaussian draw enters only through
-    a chi-square norm (arm) or a Wishart 2x2 Gram matrix (pol). At k = n the
-    draws and arithmetic are those of the full sampler.
+    its Bartlett factor, a chi-square norm (arm) or the factor of a Wishart
+    2x2 Gram matrix (pol). At k = n the draws and arithmetic are those of
+    the full sampler.
     """
     dim = space_dim(space)
     _check_space_args(dim, n)
@@ -137,12 +140,14 @@ def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int,
     if space.startswith("arm"):
         c = 2 if dim == 2 else 4  # real coordinates per edge
         blocks = ((sl, np.moveaxis((math.sqrt(2.0) * u).reshape(-1, k, c), -1, 0))
-                  for sl, (u,) in _unit_blocks(rng, count, c * n, c * k))
+                  for sl, (u,) in _frame_blocks(rng, count, c * n, "real", c * k,
+                                                vectors=1))
     elif dim == 2:
-        blocks = _frame2_blocks(rng, count, n, "real", k)
+        blocks = _frame_blocks(rng, count, n, "real", k, vectors=2)
     else:
         blocks = ((sl, (a.real, a.imag, b.real, b.imag))
-                  for sl, (a, b) in _frame2_blocks(rng, count, n, "complex", k))
+                  for sl, (a, b) in _frame_blocks(rng, count, n, "complex", k,
+                                                  vectors=2))
     # each block's coordinates: (re, im) squared, or (w, x, y, z) Hopf-mapped
     out = np.empty((count, k, dim))
     for sl, xs in blocks:

@@ -117,14 +117,14 @@ def test_desk_csv_digest_is_pinned(verify_results):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DESK_CSV_SHA256
 
 
-def test_criterion_10_byte_identical_across_workers(tmp_path):
+def test_criterion_10_byte_identical_across_workers(tmp_path, src_env):
     outputs = {}
     for workers in ("1", "4"):
         out = tmp_path / f"verify_w{workers}.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "symmpoly", "verify", "--level", "desk",
              "--seed", str(SEED), "--workers", workers, "--out", str(out)],
-            capture_output=True, text=True, timeout=1200)
+            env=src_env, capture_output=True, text=True, timeout=1200)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip().endswith("checks passed")
         outputs[workers] = out.read_bytes()

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 import csv
 import io
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -71,9 +72,30 @@ def test_sample_worker_count_is_invisible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_small_sample_forks_no_pool(tmp_path, monkeypatch):
+    # 5000 polygons of 10 edges are two chunks and 50,000 drawn edges, under
+    # the in-process cut that list runs follow too: no pool at 2 workers
+    opened = []
+
+    def counting_pool(processes):
+        opened.append(processes)
+        return multiprocessing.get_context().Pool(processes)
+
+    monkeypatch.setattr(ensembles, "_new_pool", counting_pool)
+    outs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"w{workers}.jsonl"
+        assert run(["sample", "--space", "pol3", "--n", "10", "--count", "5000",
+                    "--workers", workers, "--out", str(path), *SEED_ARGS]) == 0
+        outs.append(path.read_bytes())
+    assert opened == []
+    assert outs[0] == outs[1]
+    assert len(read_ensemble(io.StringIO(outs[0].decode()))) == 5000
+
+
 @pytest.mark.parametrize("space", ["arm2", "pol2", "arm3", "pol3"])
 def test_sample_streams_chunks_in_order(space, tmp_path, monkeypatch,
-                                        spill_root):
+                                        spill_root, dispatch_every_run):
     # 20 samples in chunks of 7 are three chunks, the last one short; the
     # file must be the whole ensemble, as one segment_samples draw gives it
     monkeypatch.setattr(ensembles, "CHUNK_SIZE", 7)
@@ -156,7 +178,8 @@ def test_sample_failing_after_its_first_chunk(tmp_path, monkeypatch, capsys,
     assert "disk full" in capsys.readouterr().err
 
 
-def test_sample_write_error_closes_the_stream(monkeypatch, capsys, spill_root):
+def test_sample_write_error_closes_the_stream(monkeypatch, capsys, spill_root,
+                                               dispatch_every_run):
     # a failed write ends the run with exit 2, terminates the pool that the
     # chunk stream opened, and then removes the spill directory
     monkeypatch.setattr(ensembles, "CHUNK_SIZE", 7)
@@ -404,11 +427,11 @@ def test_domain_errors_exit_two(tmp_path, capsys):
     assert "symmpoly:" in err
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, src_env):
     out = tmp_path / "entry.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "symmpoly", "bounds", "--dim", "2", "--k", "2",
          "--n", "100", "--out", str(out)],
-        capture_output=True, text=True)
+        env=src_env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert repr(b2(2, 100)) in out.read_text()

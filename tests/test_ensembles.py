@@ -19,7 +19,7 @@ from symmpoly import (CHUNK_SIZE, BoundUndefinedError, DomainError,
 from symmpoly import bounds, cli, densities, ensembles
 from symmpoly.ensembles import _build_plan, _worker_pool
 from symmpoly.functionals import _batch_torsion, _batch_turning
-from symmpoly.polygons import SPACES, space_edges_batch
+from symmpoly.polygons import SPACES, space_dim, space_edges_batch
 
 SEED = 7
 
@@ -171,7 +171,7 @@ def test_plan_validation():
         functional_samples("arm2", 10, 100, ["theta1", "theta1"], SEED)
     with pytest.raises(DomainError):
         functional_samples("arm2", 10, 100, [], SEED)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidDimensionError):
         functional_samples("ring2", 10, 100, ["theta1"], SEED)
     # closed polygons have n angles of each kind, open chains fewer
     functional_samples("pol2", 10, 100, ["theta10"], SEED, stream_id=7)
@@ -190,6 +190,26 @@ def test_plan_validation():
         f = LocalFunctional(k=1, bound_M=1.0, eval=wrong, name=name)
         with pytest.raises(DomainError, match=f"'{name}' returned shape"):
             functional_samples("arm2", 10, 100, [f], SEED)
+
+
+# Every entry point that takes a space name checks it through
+# polygons.space_dim, so an unknown name raises one error class everywhere.
+UNKNOWN_SPACE_CALLS = {
+    "space_dim": space_dim,
+    "space_edges_batch": lambda space: space_edges_batch(
+        SeedStream(SEED).generator(), 10, space, 10),
+    "functional_samples": lambda space: functional_samples(
+        space, 10, 100, ["theta1"], SEED),
+    "run_ensemble": lambda space: run_ensemble(space, 10, 100, ["theta1"], SEED),
+    "segment_samples": lambda space: segment_samples(space, 10, 2, 100, SEED),
+    "estimate_tv": lambda space: estimate_tv(space, "arm2", 10, 1, 1000, 4, SEED),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNKNOWN_SPACE_CALLS))
+def test_unknown_space_raises_one_error_class(entry):
+    with pytest.raises(InvalidDimensionError, match="'foo'"):
+        UNKNOWN_SPACE_CALLS[entry]("foo")
 
 
 def _case(name, call, out_of_range, error):
@@ -396,7 +416,7 @@ def test_segment_samples_shapes():
     assert np.max(np.abs(seg2.reshape(100, 10, 2).sum(axis=1))) <= 1e-10
     with pytest.raises(InvalidSizeError):
         segment_samples("arm2", 10, 11, 100, SEED)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidDimensionError):
         segment_samples("blob", 10, 1, 100, SEED)
     with pytest.raises(DomainError):
         segment_samples("arm2", 10, 1, 0, SEED)
@@ -717,7 +737,7 @@ class _RecordingPool:
         pass
 
 
-def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch):
+def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch, dispatch_every_run):
     _chunk_size(monkeypatch, 100)
     pool = _RecordingPool(monkeypatch)
     task = ("segments", 3)

@@ -8,8 +8,8 @@ from scipy import stats
 
 from symmpoly import (InvalidDimensionError, SeedStream, ensure_generator,
                       haar, ks_distance, space_dim)
-from symmpoly.haar import (_RESIDUAL_TINY, _SPHERE_TINY, _as_rows, _chi2,
-                           _haar_unitary_batch, _normals, _tail_factor)
+from symmpoly.haar import (_RESIDUAL_TINY, _as_rows, _chi2, _haar_unitary_batch,
+                           _normals, _tail_factor)
 from symmpoly.polygons import SPACES, space_edges_batch
 
 SEED = 7
@@ -110,7 +110,7 @@ def test_frame2_coordinate_second_moment():
 def _reference_unit_rows(rng, count, m, head):
     """The leading ``head`` coordinates of uniform unit m-vectors,
     unblocked: the whole draw, redrawn row by row until every norm clears
-    _SPHERE_TINY, then divided at once."""
+    _RESIDUAL_TINY, then divided at once."""
 
     def draw(c):
         g = rng.standard_normal((c, head))
@@ -121,8 +121,8 @@ def _reference_unit_rows(rng, count, m, head):
 
     g = draw(count)
     norms = np.linalg.norm(g, axis=1)
-    while np.any(norms < _SPHERE_TINY):
-        bad = norms < _SPHERE_TINY
+    while np.any(norms < _RESIDUAL_TINY):
+        bad = norms < _RESIDUAL_TINY
         g[bad] = draw(int(bad.sum()))
         norms[bad] = np.linalg.norm(g[bad], axis=1)
     return g[:, :head] / norms[:, None]
@@ -138,7 +138,7 @@ def _reference_frame2(rng, count, n, kind, head):
         g1 = _as_rows(_normals(rng, todo.size, head, kind), kind)
         g2 = _as_rows(_normals(rng, todo.size, head, kind), kind)
         if head < n:
-            t1, t2 = _tail_factor(rng, todo.size, n - head, kind)
+            t1, t2 = _tail_factor(rng, todo.size, n - head, kind, vectors=2)
             g1 = np.concatenate([g1, t1], axis=1)
             g2 = np.concatenate([g2, t2], axis=1)
         n1 = np.linalg.norm(g1, axis=1)

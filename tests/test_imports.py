@@ -3,7 +3,6 @@ bounds load numpy and the standard library only, and the checks that need
 scipy import it when they run. No module imports a name it does not use."""
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,12 +38,9 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_for_the_checks_that_use_it(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+def test_scipy_loads_only_for_the_checks_that_use_it(tmp_path, src_env):
     proc = subprocess.run([sys.executable, "-c", PROBE], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=src_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     for step in ("import", "sample", "tv", "stats", "bounds"):

@@ -292,3 +292,30 @@ def test_full_draws_match_golden_digests(space, n):
     edges = space_edges_batch(SeedStream(7, 13).chunk_generator(2), 4096, space, n)
     assert edges.shape == (4096, n, space_dim(space))
     assert hashlib.sha256(edges.tobytes()).hexdigest() == FULL_DRAW_SHA256[space, n]
+
+
+# sha256 of the bytes of space_edges_batch(SeedStream(7, 13).chunk_generator(2),
+# 4096, space, 100, k): heads, as the segment and window draws make them.
+# Most verify checks read heads (arm heads, TV heads, Haar-block heads), so
+# a change that moves these moves their outputs.
+HEAD_DRAW_SHA256 = {
+    ("arm2", 1): "72e0796f50bec6fd48a34545798ec50b3441a23e23d69a5e78258c832731f061",
+    ("arm2", 2): "8cbf598b1c5b2048b215b225ffebc2ac754fe08d082a86e471902424fba2e7f6",
+    ("arm2", 5): "ea6ead4079fd91cb9dfe45c89f7fb451bd204cbfea4d9cd74f529e13043bad86",
+    ("pol2", 1): "f71ad4bd21303f11f214621ec3d712c718133990b49d68de2625fd7dd0487ff0",
+    ("pol2", 2): "252ad33157b2556be545476849a0982ad31a1943532fbdcb510da4def7db2c8e",
+    ("pol2", 5): "8bd4125899cc2868cabd2839415cef619fec324d7cfe69edfe59988977c746e0",
+    ("arm3", 1): "5e5b72dc94b3520d9c03aca474579a94e1a2c3de4f07c32107bbad8c27087fef",
+    ("arm3", 2): "553fb62e40facdc396961c252ed13588967c37c024a73e86a2cb46171ef3b609",
+    ("arm3", 5): "a0ce178a85beb4e2bec84c6596514bf0fee77712004bbd108d5993115f2c6468",
+    ("pol3", 1): "7049d2c8eeb12efae36fa27fbb76dbd3366569802aea05617a39a874a0cbb021",
+    ("pol3", 2): "53f02d48ddc5a1b874f1495cb56d745d28856f405eca3fe77f9bf26d6c5641d0",
+    ("pol3", 5): "cfab14ea31034bbb8a1087d495fd837f9c23dd0cfd31632536a28029775d9fcd",
+}
+
+
+@pytest.mark.parametrize("space,k", sorted(HEAD_DRAW_SHA256))
+def test_head_draws_match_golden_digests(space, k):
+    edges = space_edges_batch(SeedStream(7, 13).chunk_generator(2), 4096, space, 100, k)
+    assert edges.shape == (4096, k, space_dim(space))
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == HEAD_DRAW_SHA256[space, k]
