@@ -516,13 +516,17 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
         raise ResolutionError(
             f"{cells} cells would be bias-dominated at N={N}; "
             f"need N >= {50 * cells} (50 samples per cell on average)")
-    if stream_ids[0] == stream_ids[1] and space_a == space_b:
+    try:
+        id_a, id_b = stream_ids
+    except (TypeError, ValueError):
+        raise DomainError(f"stream_ids must be a pair, got {stream_ids!r}") from None
+    if id_a == id_b and space_a == space_b:
         raise DomainError("same-law comparison needs distinct stream ids")
     # Two draws above the in-process cut share one pool; small ones fork none.
     with _worker_pool(workers):
-        seg_a = segment_samples(space_a, n, k, N, seed, stream_id=stream_ids[0],
+        seg_a = segment_samples(space_a, n, k, N, seed, stream_id=id_a,
                                 workers=workers)
-        seg_b = segment_samples(space_b, n, k, N, seed, stream_id=stream_ids[1],
+        seg_b = segment_samples(space_b, n, k, N, seed, stream_id=id_b,
                                 workers=workers)
     lo = np.minimum(seg_a.min(axis=0), seg_b.min(axis=0))
     hi = np.maximum(seg_a.max(axis=0), seg_b.max(axis=0))
@@ -548,7 +552,7 @@ def covariance_partition(space: str, n: int, N: int, seed: int, *,
     Draws theta1, theta2, theta3 as a window plan (four leading edges per
     sample) and assembles them with ``assemble_partition``.
     """
-    if space not in ("pol2", "arm2"):
+    if space_dim(space) != 2:
         raise DomainError(f"covariance partition applies to planar spaces, got {space!r}")
     _check_int("covariance partition n", n, 7, error=InvalidSizeError)
     values, _ = functional_samples(space, n, N, ["theta1", "theta2", "theta3"],

@@ -19,9 +19,20 @@ measures, so an occurrence signals a caller bug.
 
 The batch kernels take a batch in blocks of ``_BLOCK`` rows, so that each
 pass (norms, cross products, dot products) reads a block that fits in
-cache, and they compute each norm once. Their outputs are bit-equal to the
-unblocked formulas (``np.linalg.norm``, ``np.cross``, ``np.roll`` and
-``np.einsum`` over the whole batch), which the tests keep as references.
+cache, and they compute each norm once. A block is copied once into
+component planes (``_planes``): one contiguous row of B * m values per
+coordinate, each polygon's m columns holding its edges and, when closed,
+its first edges again. A window of consecutive edges then reads a column
+and the columns after it, so every pass is a whole-plane operation; the
+columns that straddle two polygons are computed and dropped.
+
+Their outputs are bit-equal to the unblocked formulas (``np.linalg.norm``,
+``np.cross``, ``np.roll`` and ``np.einsum`` over the whole batch), which the
+tests keep as references. For that the planes are summed in those
+functions' order: a norm as sqrt((c0*c0 + c1*c1) + c2*c2), and a dot
+product as einsum sums a length-3 axis, (p0 + p2) + p1 (p0 + p1 in 2D).
+einsum's sum starts from +0, so a dot product whose terms are all zeros is
++0, never -0; ``_dot`` adds the +0 too, because atan2 tells the two apart.
 """
 from __future__ import annotations
 
@@ -65,21 +76,43 @@ def _eval_windows(f: LocalFunctional, windows: np.ndarray) -> np.ndarray:
     return values
 
 
-def _cyclic(edges: np.ndarray, extra: int) -> np.ndarray:
-    """A closed edge block with its first ``extra`` edges appended (wrapping
-    as often as needed), so that its open-chain windows are the cyclic ones."""
-    return np.pad(edges, ((0, 0), (0, extra), (0, 0)), mode="wrap")
+def _planes(edges: np.ndarray, extra: int) -> np.ndarray:
+    """The component planes (dim, B * m + 1) of an edge block (B, n, dim).
 
-
-def _components(v: np.ndarray) -> np.ndarray:
-    """A component-major copy (dim, B, m) of a vector block (B, m, dim).
-
-    ``np.linalg.norm(_components(v), axis=0)`` equals
-    ``np.linalg.norm(v, axis=-1)`` bit for bit (both add the squared
-    components in order), but adds whole component planes instead of making
-    one short reduction per vector, which is several times faster.
+    Row r fills columns r * m to r * m + m - 1, m = n + extra: its edges, then
+    its first ``extra`` edges again (wrapping as often as needed), so that its
+    open-chain windows are the cyclic ones. The last column is zero, so that
+    ``planes[:, :-1]`` (each column) and ``planes[:, 1:]`` (the column after
+    it) are both (dim, B * m) and reshape to (dim, B, m).
     """
-    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
+    count, n, dim = edges.shape
+    planes = np.empty((dim, count * (n + extra) + 1))
+    planes[:, -1] = 0.0
+    rows = planes[:, :-1].reshape(dim, count, n + extra)
+    rows[..., :n] = np.moveaxis(edges, -1, 0)
+    rows[..., n:] = rows[..., np.arange(extra) % n]
+    return planes
+
+
+def _norms(planes: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of planes (dim, L): sqrt((c0*c0 +
+    c1*c1) + c2*c2), which is np.linalg.norm's sum."""
+    sq = np.square(planes[0])
+    tmp = np.empty_like(sq)
+    for c in planes[1:]:
+        sq += np.square(c, out=tmp)
+    return np.sqrt(sq, out=sq)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of the columns of planes (dim, L), summed as np.einsum
+    sums a (B, m, dim) layout: (p0 + p2) + p1 in 3D, p0 + p1 in 2D, + 0.0."""
+    dot = u[0] * v[0]
+    tmp = np.empty_like(dot)
+    for c in (2, 1) if len(u) == 3 else (1,):
+        dot += np.multiply(u[c], v[c], out=tmp)
+    dot += 0.0  # einsum's accumulator starts at +0: all -0 terms give +0
+    return dot
 
 
 def _batch_turning(edges: np.ndarray, closed: bool):
@@ -89,18 +122,20 @@ def _batch_turning(edges: np.ndarray, closed: bool):
     (C, n-1) for open input; ok flags rows whose edges are all nondegenerate.
     """
     count, n = edges.shape[:2]
-    angles = np.empty((count, n if closed else n - 1))
+    width = n if closed else n - 1
+    angles = np.empty((count, width))
     ok = np.empty(count, dtype=bool)
     for start in range(0, count, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        e = _cyclic(edges[rows], 1) if closed else edges[rows]
-        norms = np.linalg.norm(_components(e), axis=0)
+        unit = _planes(edges[rows], int(closed))
+        norms = _norms(unit[:, :-1])
         long = norms > _EDGE_TINY
-        ok[rows] = long.all(axis=-1)
+        ok[rows] = long.reshape(-1, width + 1).all(axis=-1)
         if not ok[rows].all():
             norms[~long] = 1.0
-        unit = e / norms[..., None]
-        dots = np.einsum("cij,cij->ci", unit[:, :-1], unit[:, 1:])
+        unit[:, :-1] /= norms
+        # dots[i] = unit_i . unit_{i+1}; the last of each row is the next row's
+        dots = _dot(unit[:, :-1], unit[:, 1:]).reshape(-1, width + 1)[:, :-1]
         np.arccos(np.clip(dots, -1.0, 1.0, out=dots), out=angles[rows])
     return angles, ok
 
@@ -114,34 +149,34 @@ def _batch_torsion(edges: np.ndarray, closed: bool):
     _PROJ_TINY |b|: both neighbors project normal to b longer than _PROJ_TINY.
     """
     count, n = edges.shape[:2]
-    tau = np.empty((count, n if closed else n - 2))
+    width = n if closed else n - 2
+    tau = np.empty((count, width))
     ok = np.empty(count, dtype=bool)
     for start in range(0, count, _BLOCK):
         rows = slice(start, start + _BLOCK)
-        e = _cyclic(edges[rows], 2) if closed else edges[rows]
-        comp = _components(e)
-        lo, hi = comp[..., :-1], comp[..., 1:]
-        # cross[:, :, i] = e_i x e_{i+1}, np.cross's formula component by
+        e = _planes(edges[rows], 2 if closed else 0)
+        lo, hi = e[:, :-1], e[:, 1:]
+        # cross[:, i] = e_i x e_{i+1}, np.cross's formula component by
         # component: a x b of window i and b x c of window i-1, so each norm
         # below is taken once
-        cross = np.empty(lo.shape)
+        cross = np.empty(e.shape)
+        cross[:, -1] = 0.0
         tmp = np.empty(lo.shape[1:])
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            np.multiply(lo[j], hi[k], out=cross[i])
-            cross[i] -= np.multiply(lo[k], hi[j], out=tmp)
-        nb = np.linalg.norm(comp[..., 1:-1], axis=0)
-        ncross = np.linalg.norm(cross, axis=0)
+            np.multiply(lo[j], hi[k], out=cross[i, :-1])
+            cross[i, :-1] -= np.multiply(lo[k], hi[j], out=tmp)
+        # Window i reads b = e_{i+1} and b x c = cross_{i+1}, the columns
+        # after a and a x b; each row's last two windows read the next row.
+        nb = _norms(e)[1:]
+        ncross = _norms(cross)
         floor = _PROJ_TINY * nb
-        ok[rows] = (np.all(nb > _EDGE_TINY, axis=-1)
-                    & np.all(ncross[:, :-1] > floor, axis=-1)
-                    & np.all(ncross[:, 1:] > floor, axis=-1))
-        # einsum adds the three products of a (B, m, 3) block as it does on a
-        # whole batch; on the component-major layout its sums can differ in
-        # the last bit
-        cross3 = np.ascontiguousarray(np.moveaxis(cross, 0, -1))
-        a, ab, bc = e[:, :-2], cross3[:, :-1], cross3[:, 1:]
-        y = nb * np.einsum("cij,cij->ci", a, bc)
-        t = np.arctan2(y, np.einsum("cij,cij->ci", ab, bc), out=tau[rows])
+        good = (nb > _EDGE_TINY) & (ncross[:-1] > floor) & (ncross[1:] > floor)
+        ok[rows] = good.reshape(-1, width + 2)[:, :-2].all(axis=-1)
+        y = _dot(lo, cross[:, 1:])
+        y *= nb
+        x = _dot(cross[:, :-1], cross[:, 1:])
+        t = np.arctan2(y.reshape(-1, width + 2)[:, :-2],
+                       x.reshape(-1, width + 2)[:, :-2], out=tau[rows])
         np.negative(t, out=t)
         t[t == -math.pi] = math.pi
     return tau, ok
@@ -181,7 +216,7 @@ def sliding_window_apply(p: Polygon, f: LocalFunctional) -> List[float]:
     """f on every k-edge window (cyclic when the polygon is closed), in one
     ``eval`` call; a window that comes back NaN raises DegenerateEdgeError."""
     _check_segment_length(p.n, f.k, f"window of functional {f.name!r}")
-    edges = _cyclic(p.edges[None], f.k - 1)[0] if p.closed else p.edges
+    edges = _planes(p.edges[None], f.k - 1 if p.closed else 0)[:, :-1].T.copy()
     # the view puts the window axis last: (B, dim, k) -> (B, k, dim)
     windows = np.lib.stride_tricks.sliding_window_view(edges, f.k, axis=0)
     values = _eval_windows(f, np.swapaxes(windows, 1, 2))

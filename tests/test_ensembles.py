@@ -203,6 +203,7 @@ UNKNOWN_SPACE_CALLS = {
     "run_ensemble": lambda space: run_ensemble(space, 10, 100, ["theta1"], SEED),
     "segment_samples": lambda space: segment_samples(space, 10, 2, 100, SEED),
     "estimate_tv": lambda space: estimate_tv(space, "arm2", 10, 1, 1000, 4, SEED),
+    "covariance_partition": lambda space: covariance_partition(space, 10, 100, SEED),
 }
 
 
@@ -847,6 +848,12 @@ def test_estimate_tv_resolution_guards():
     for k in (101, 5000):
         with pytest.raises(InvalidSizeError, match=f"1 <= k <= n, got k={k}"):
             estimate_tv("pol2", "arm2", 100, k, 1000, 4, SEED)
+
+
+@pytest.mark.parametrize("stream_ids", [(0,), 5, (0, 1, 2)])
+def test_estimate_tv_takes_a_pair_of_stream_ids(stream_ids):
+    with pytest.raises(DomainError, match="stream_ids must be a pair"):
+        estimate_tv("pol2", "arm2", 20, 1, 10_000, 8, SEED, stream_ids=stream_ids)
 
 
 def test_covariance_partition_open_chain_uncorrelated():

@@ -199,6 +199,27 @@ def test_blocked_kernels_on_short_polygons():
             assert np.array_equal(got, ref) and np.array_equal(ok, ref_ok)
 
 
+@pytest.mark.parametrize("space, n", [("pol2", 200), ("pol3", 100), ("arm3", 100)])
+def test_kernels_match_reference_bits_at_workload_shapes(space, n):
+    # One full chunk at each benchmark shape, compared byte for byte so that
+    # -0 and +0 differ. The last row's edges are all -0.0: each torsion dot
+    # product there adds -0 terms, which einsum sums to +0, so its torsions
+    # are -atan2(+0, +0) = -0.
+    edges = space_edges_batch(SeedStream(SEED, 6).generator(), 4096, space, n)
+    edges[-1] = -0.0
+    closed = space.startswith("pol")
+    pairs = [(_batch_turning, _reference_turning)]
+    if space.endswith("3"):
+        pairs.append((_batch_torsion, _reference_torsion))
+    for kernel, reference in pairs:
+        got, ok = kernel(edges, closed)
+        ref, ref_ok = reference(edges, closed)
+        assert got.tobytes() == ref.tobytes() and np.array_equal(ok, ref_ok)
+        assert np.array_equal(ok, np.arange(4096) != 4095)
+    if space.endswith("3"):
+        assert np.signbit(got[-1]).all() and not got[-1].any()
+
+
 def test_square_total_curvature():
     assert np.allclose(turning_angles(SQUARE2), math.pi / 2, rtol=0, atol=1e-15)
     assert abs(total_curvature(SQUARE2) - 2 * math.pi) < 1e-12
