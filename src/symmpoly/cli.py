@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import shutil
 import sys
@@ -154,22 +153,21 @@ def _cmd_sample(args) -> int:
     # in the workers, with at most 2 * workers chunks in flight, or here one
     # at a time when the run is under the in-process cut. Each chunk's
     # records go to a spill file, which is copied into the output in chunk
-    # order and deleted, so memory does not grow with --count.
-    with tempfile.TemporaryDirectory(prefix="symmpoly-") as spill_dir:
+    # order and deleted, so memory does not grow with --count. The output is
+    # opened first, as by the CSV commands, so that a bad path fails before
+    # any draw.
+    with _out_stream(args.out) as fh, \
+            tempfile.TemporaryDirectory(prefix="symmpoly-") as spill_dir:
         chunks = _iter_chunks(args.space, args.n, args.count, args.seed, 0,
                               ("jsonl", spill_dir), args.workers,
                               in_flight=2 * args.workers)
         # Closing the chunks terminates the pool before the directory goes,
         # so that no worker still writes into it.
         with contextlib.closing(chunks):
-            # The first chunk is drawn before the output is opened, so that a
-            # bad argument fails before the output is touched.
-            first = next(chunks)
-            with _out_stream(args.out) as fh:
-                for path, _ in itertools.chain([first], chunks):
-                    with open(path, encoding="utf-8", newline="") as spill:
-                        shutil.copyfileobj(spill, fh, 1 << 20)
-                    os.remove(path)
+            for path, _ in chunks:
+                with open(path, encoding="utf-8", newline="") as spill:
+                    shutil.copyfileobj(spill, fh, 1 << 20)
+                os.remove(path)
     return 0
 
 

@@ -45,8 +45,8 @@ run submits its chunks one by one and yields them in chunk order from one
 loop. A caller in such a block may ``_prefetch`` a list run: its chunks go
 to the pool at once, without waiting, and the later ``_iter_chunks`` call
 of the same run takes their results instead of submitting them again.
-``verify`` prefetches its whole-polygon ensembles and draws everything else
-in the parent while the workers draw.
+``verify`` prefetches its plans that read a total and draws everything
+else in the parent while the workers draw.
 """
 from __future__ import annotations
 
@@ -176,6 +176,9 @@ def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _P
     closed = space.startswith("pol")
     max_theta = n if closed else n - 1
     max_tau = n if closed else n - 2
+    if isinstance(functionals, str):
+        raise DomainError(f"functionals must be a list, got the string "
+                          f"{functionals!r}; pass [{functionals!r}]")
     if not functionals:
         raise DomainError("at least one functional is required")
     ops: List[_Op] = []
@@ -581,7 +584,11 @@ def chebyshev_coverage(samples, interval: Tuple[float, float]) -> float:
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
         raise DomainError("coverage needs a nonempty sample list")
-    lo, hi = float(interval[0]), float(interval[1])
+    try:
+        lo, hi = interval
+    except (TypeError, ValueError):
+        raise DomainError(f"interval must be a pair (lo, hi), got {interval!r}") from None
+    lo, hi = float(lo), float(hi)
     if not lo <= hi:
         raise DomainError(f"interval must satisfy lo <= hi, got ({lo}, {hi})")
     return float(np.mean((arr < lo) | (arr > hi)))

@@ -9,10 +9,12 @@ coverage, and the matrix-density checks.
 Each logical sampling task owns a fixed stream id of the master seed (the
 registry below), so checks are statistically independent, reruns are
 byte-identical, and the worker count never changes a single output value.
-The ensembles the checks read are a table of requests, each drawn once per
-run; the checks are small functions, one per criterion. At workers > 1
-the worker pool draws the whole-polygon ensembles while this process draws
-everything else and runs the checks that do not read them.
+The functional ensembles the checks read are a table of requests, each
+drawn once per run; the checks are small functions, one per criterion,
+and each gate rule that several rows share is one function. At workers > 1
+the worker pool draws the plans that read a total while this process draws
+everything else, criterion 1's structural polygons included, and runs the
+checks that do not read them.
 
 scipy (Beta CDFs and quadrature) is imported inside `density_checks` and
 `extended_density_checks`, the only checks that use it, so importing this
@@ -21,6 +23,7 @@ module loads numpy only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -35,7 +38,6 @@ from .ensembles import (_moments, _worker_pool, assemble_partition,
                         ks_distance)
 from .haar import SeedStream, _haar_unitary_batch
 from .io import format_cell, write_csv
-from .polygons import space_dim
 
 DESK_N = 100_000
 DESK_N_TV = 400_000
@@ -81,19 +83,15 @@ class CheckResult:
     passed: bool
 
 
+_COMPARE = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
+
+
 def _check(criterion: int, name: str, measured: float, op: str,
            threshold: float) -> CheckResult:
-    if op == "<=":
-        passed = measured <= threshold
-    elif op == ">=":
-        passed = measured >= threshold
-    elif op == "<":
-        passed = measured < threshold
-    elif op == ">":
-        passed = measured > threshold
-    else:
+    if op not in _COMPARE:
         raise ValueError(f"unknown comparison {op!r}")
-    return CheckResult(criterion, name, float(measured), float(threshold), op, passed)
+    return CheckResult(criterion, name, float(measured), float(threshold), op,
+                       _COMPARE[op](measured, threshold))
 
 
 def format_check_line(r: CheckResult) -> str:
@@ -114,15 +112,11 @@ def _tv_excess(hist) -> float:
     return 2.0 * (hist.tv_estimate - hist.null_calibration)
 
 
-# Ensemble requests: stream name -> (space, n, the functionals it reads, or
-# the segment length k of a whole-polygon segment draw). Each is drawn once
-# per run, N samples, or N_struct for the structural draws. The order sets
-# only the order of the pool's queue: at workers > 1 the pool draws the
-# whole-polygon ones in this order, the structural draws, read first, then
-# the three that criterion 7 bootstraps.
+# Functional ensemble requests: stream name -> (space, n, the functionals it
+# reads). Each is drawn once per run, N samples. The order sets only the
+# order of the pool's queue: at workers > 1 the pool draws the plans that
+# read a total in this order, the three that criterion 7 bootstraps first.
 _REQUESTS = {
-    "struct_pol2": ("pol2", 50, 50),
-    "struct_pol3": ("pol3", 50, 50),
     "pol2_200": ("pol2", 200, ("total_curvature",)),
     "pol3_100": ("pol3", 100, ("tau1", "total_torsion")),
     "pol2_100": ("pol2", 100, ("theta1", "theta2", "theta3", "total_curvature")),
@@ -137,12 +131,12 @@ class _Ensembles:
     """The requested ensembles of one run, each drawn when a check first
     reads it and then kept; its sample counts and seed.
 
-    At workers > 1 the whole-polygon requests (segment draws with k = n,
-    plans that read a total) go to the worker pool before any check runs.
-    Every other draw of a run runs in this process at one worker, so that
-    it does not queue behind them: at 2 workers on 2 cores, desk verify
-    took 9.5-10.4 s when its 400k-sample TV draws and its 5-edge arm3_50
-    plan queued on the pool, and 8.4-8.7 s with them in-process (4 runs).
+    At workers > 1 the plans that read a total, and so draw whole polygons,
+    go to the worker pool before any check runs. Every other draw of a run
+    runs in this process at one worker, so that it does not queue behind
+    them: at 2 workers on 2 cores, desk verify took 9.5-10.4 s when its
+    400k-sample TV draws and its 5-edge arm3_50 plan queued on the pool,
+    and 8.4-8.7 s with them in-process (4 runs).
     """
 
     def __init__(self, scale: int, seed: int, workers: int):
@@ -154,31 +148,25 @@ class _Ensembles:
 
     def _draw_args(self, name: str):
         space, n, reads = _REQUESTS[name]
-        if isinstance(reads, int):
-            N, task = self.N_struct, ("segments", reads)
-        else:
-            N, task = self.N, ("functionals", reads)
+        task = ("functionals", reads)
         whole = ensembles._task_window(space, n, task) == n
-        return space, n, N, task, self.workers if whole else 1
+        return space, n, task, self.workers if whole else 1
 
     def prefetch(self) -> None:
-        """Submit every whole-polygon request to the worker pool, so that
-        the workers draw while the checks that do not read them run."""
+        """Submit every request that reads a total to the worker pool, so
+        that the workers draw while the checks that do not read them run."""
         for name in _REQUESTS:
-            space, n, N, task, workers = self._draw_args(name)
+            space, n, task, workers = self._draw_args(name)
             if workers > 1:
-                ensembles._prefetch(space, n, N, self.seed, STREAM_IDS[name], task, workers)
+                ensembles._prefetch(space, n, self.N, self.seed, STREAM_IDS[name],
+                                    task, workers)
 
     def __getitem__(self, name: str):
         if name not in self._drawn:
-            space, n, N, (kind, reads), workers = self._draw_args(name)
-            kwargs = dict(stream_id=STREAM_IDS[name], workers=workers)
-            if kind == "segments":
-                flat = ensembles.segment_samples(space, n, reads, N, self.seed, **kwargs)
-                self._drawn[name] = flat.reshape(N, reads, space_dim(space))
-            else:
-                self._drawn[name] = functional_samples(space, n, N, list(reads),
-                                                       self.seed, **kwargs)[0]
+            space, n, (_, reads), workers = self._draw_args(name)
+            self._drawn[name] = functional_samples(
+                space, n, self.N, list(reads), self.seed,
+                stream_id=STREAM_IDS[name], workers=workers)[0]
         return self._drawn[name]
 
 
@@ -192,22 +180,59 @@ def run_verify(level: str = "desk", seed: int = 7,
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     with _worker_pool(workers):
-        return _run_checks(10 if level == "deep" else 1, seed, workers)
-
-
-def _run_checks(scale: int, seed: int, workers: int) -> List[CheckResult]:
-    e = _Ensembles(scale, seed, workers)
-    e.prefetch()
-    results = [r for check in _CHECKS for r in check(e)]
+        e = _Ensembles(10 if level == "deep" else 1, seed, workers)
+        e.prefetch()
+        results = [r for check in _CHECKS for r in check(e)]
     results.sort(key=lambda r: r.criterion)  # stable: a check's rows keep their order
     return results
 
 
+def _mean_check(criterion: int, name: str, samples: np.ndarray,
+                target: float) -> CheckResult:
+    """Mean within 4 SE of its target: |mean - target| <= 4 SE of the mean."""
+    mean, _, se = _moments(samples)
+    return _check(criterion, name, abs(mean - target), "<=", 4 * se)
+
+
+def _transfer_check(name: str, closed: np.ndarray, open_: np.ndarray,
+                    gap: float) -> CheckResult:
+    """Expectation transfer: the closed and open means differ by at most
+    the transfer gap plus 4 (SE_closed + SE_open)."""
+    closed_mean, _, closed_se = _moments(closed)
+    open_mean, _, open_se = _moments(open_)
+    return _check(4, name, abs(closed_mean - open_mean), "<=",
+                  gap + 4 * (closed_se + open_se))
+
+
+def _variance_check(name: str, samples: np.ndarray, bound: float,
+                    stream: SeedStream) -> CheckResult:
+    """Variance bound: the unbiased sample variance is at most the bound
+    plus 4 bootstrap SE of that variance, resampled from ``stream``."""
+    se = bootstrap_se(samples, lambda a: a.var(ddof=1), stream)
+    return _check(7, name, float(samples.var(ddof=1)), "<=", bound + 4 * se)
+
+
+def _normalization_check(name: str, density, upper: float = 1.0) -> CheckResult:
+    """Normalization by quadrature: |integral of density over [0, upper] - 1|
+    <= 1e-8, by ``quad`` at 1e-12 absolute and relative tolerance."""
+    from scipy import integrate
+
+    integral, _ = integrate.quad(density, 0.0, upper, epsabs=1e-12,
+                                 epsrel=1e-12, limit=200)
+    return _check(9, name, abs(integral - 1.0), "<=", 1e-8)
+
+
 def _structural_checks(e: _Ensembles) -> List[CheckResult]:
-    """Criterion 1: every closed sample closes and has perimeter 2."""
+    """Criterion 1: every closed sample closes and has perimeter 2.
+
+    The whole 50-gons are drawn here at one worker: a segment draw returns
+    every edge, so on the pool the parent spends its time receiving them.
+    """
     out = []
     for space in ("pol2", "pol3"):
-        edges = e[f"struct_{space}"]
+        edges = ensembles.segment_samples(
+            space, 50, 50, e.N_struct, e.seed,
+            stream_id=STREAM_IDS[f"struct_{space}"]).reshape(e.N_struct, 50, -1)
         residual = float(np.max(np.linalg.norm(edges.sum(axis=1), axis=1)))
         perim_gap = float(np.max(np.abs(np.linalg.norm(edges, axis=2).sum(axis=1) - 2.0)))
         out.append(_check(1, f"structural_{space}_closure", residual, "<=", 1e-10))
@@ -217,31 +242,28 @@ def _structural_checks(e: _Ensembles) -> List[CheckResult]:
 
 def _open_chain_checks(e: _Ensembles) -> List[CheckResult]:
     """Criterion 2: open-chain angle moments."""
-    t1_mean, _, t1_se = _moments(e["arm2_100"]["theta1"])
-    t1sq_mean, _, t1sq_se = _moments(e["arm2_100"]["theta1^2"])
-    tau1, tau3 = e["arm3_50"]["tau1"], e["arm3_50"]["tau3"]
-    tau1_mean, tau1_var, tau1_se = _moments(tau1)
-    rho = float(np.corrcoef(tau1, tau3)[0, 1])
+    arm2, arm3 = e["arm2_100"], e["arm3_50"]
+    tau1 = arm3["tau1"]
+    rho = float(np.corrcoef(tau1, arm3["tau3"])[0, 1])
     return [
-        _check(2, "arm_turning_mean", abs(t1_mean - math.pi / 2), "<=", 4 * t1_se),
-        _check(2, "arm_turning_second_moment",
-               abs(t1sq_mean - math.pi**2 / 3), "<=", 4 * t1sq_se),
-        _check(2, "arm_torsion_mean", abs(tau1_mean), "<=", 4 * tau1_se),
+        _mean_check(2, "arm_turning_mean", arm2["theta1"], math.pi / 2),
+        _mean_check(2, "arm_turning_second_moment", arm2["theta1^2"], math.pi**2 / 3),
+        _mean_check(2, "arm_torsion_mean", tau1, 0.0),
         _check(2, "arm_torsion_variance",
-               abs(tau1_var - math.pi**2 / 3) / (math.pi**2 / 3), "<=", 0.05),
+               abs(_moments(tau1)[1] - math.pi**2 / 3) / (math.pi**2 / 3), "<=", 0.05),
         _check(2, "arm_torsion_correlation", abs(rho), "<=", 4 / math.sqrt(tau1.size)),
     ]
 
 
 def _curvature_checks(e: _Ensembles) -> List[CheckResult]:
     """Criterion 3: closed-polygon curvature means."""
-    k50_mean, _, k50_se = _moments(e["pol3_50"]["total_curvature"])
-    expected = 25 * math.pi + (math.pi / 4) * (100 / 97)
     k100_mean, _, k100_se = _moments(e["pol2_100"]["total_curvature"])
     excess = k100_mean - 50 * math.pi
     return [
-        _check(3, "closed_curvature_mean_spatial", abs(k50_mean - expected), "<=",
-               4 * k50_se),
+        # n pi/2 + (pi/4) 2n/(2n - 3) at n = 50: Cantarella, Grosberg, Kusner
+        # and Shonkwiler, "The expected total curvature of random polygons"
+        _mean_check(3, "closed_curvature_mean_spatial", e["pol3_50"]["total_curvature"],
+                    25 * math.pi + (math.pi / 4) * (100 / 97)),
         _check(3, "closed_curvature_excess_nonneg", excess, ">=", 0.0),
         _check(3, "closed_curvature_excess_bound", excess, "<=",
                100 * math.pi * bounds.b2(2, 100) + 4 * k100_se),
@@ -250,17 +272,11 @@ def _curvature_checks(e: _Ensembles) -> List[CheckResult]:
 
 def _transfer_checks(e: _Ensembles) -> List[CheckResult]:
     """Criterion 4: expectation transfer between closed and open chains."""
-    t1_mean, _, t1_se = _moments(e["arm2_100"]["theta1"])
-    p_t1_mean, _, p_t1_se = _moments(e["pol2_100"]["theta1"])
-    p_tau_mean, _, p_tau_se = _moments(e["pol3_100"]["tau1"])
-    a_tau_mean, _, a_tau_se = _moments(e["arm3_100"]["tau1"])
     return [
-        _check(4, "transfer_turning", abs(p_t1_mean - t1_mean), "<=",
-               bounds.expectation_transfer_gap(math.pi, 2, 2, 100)
-               + 4 * (p_t1_se + t1_se)),
-        _check(4, "transfer_torsion", abs(p_tau_mean - a_tau_mean), "<=",
-               bounds.expectation_transfer_gap(math.pi, 3, 3, 100)
-               + 4 * (p_tau_se + a_tau_se)),
+        _transfer_check("transfer_turning", e["pol2_100"]["theta1"], e["arm2_100"]["theta1"],
+                        bounds.expectation_transfer_gap(math.pi, 2, 2, 100)),
+        _transfer_check("transfer_torsion", e["pol3_100"]["tau1"], e["arm3_100"]["tau1"],
+                        bounds.expectation_transfer_gap(math.pi, 3, 3, 100)),
     ]
 
 
@@ -284,14 +300,14 @@ def _tv_checks(e: _Ensembles) -> List[CheckResult]:
 
 def _variance_checks(e: _Ensembles) -> List[CheckResult]:
     """Criterion 7: variance bounds with bootstrap slack."""
-    kappa200 = e["pol2_200"]["total_curvature"]
-    var200 = float(kappa200.var(ddof=1))
-    se_var200 = bootstrap_se(kappa200, lambda a: a.var(ddof=1),
-                             SeedStream(e.seed, STREAM_IDS["boot_var_planar"]))
-    torsion100 = e["pol3_100"]["total_torsion"]
-    var_t100 = float(torsion100.var(ddof=1))
-    se_var_t100 = bootstrap_se(torsion100, lambda a: a.var(ddof=1),
-                               SeedStream(e.seed, STREAM_IDS["boot_var_spatial"]))
+    out = [
+        _variance_check("variance_bound_planar", e["pol2_200"]["total_curvature"],
+                        bounds.curvature_variance_bound(200),
+                        SeedStream(e.seed, STREAM_IDS["boot_var_planar"])),
+        _variance_check("variance_bound_spatial", e["pol3_100"]["total_torsion"],
+                        bounds.torsion_variance_bound(100),
+                        SeedStream(e.seed, STREAM_IDS["boot_var_spatial"])),
+    ]
     pol2_100 = e["pol2_100"]
     t1a, t2a, t3a = pol2_100["theta1"], pol2_100["theta2"], pol2_100["theta3"]
     kappa100 = pol2_100["total_curvature"]
@@ -303,14 +319,10 @@ def _variance_checks(e: _Ensembles) -> List[CheckResult]:
 
     se_gap = bootstrap_stat_se(t1a.size, partition_gap,
                                SeedStream(e.seed, STREAM_IDS["boot_partition"]))
-    return [
-        _check(7, "variance_bound_planar", var200, "<=",
-               bounds.curvature_variance_bound(200) + 4 * se_var200),
-        _check(7, "variance_bound_spatial", var_t100, "<=",
-               bounds.torsion_variance_bound(100) + 4 * se_var_t100),
-        _check(7, "covariance_partition_agree",
-               abs(part.assembled_variance - _moments(kappa100)[1]), "<=", 4 * se_gap),
-    ]
+    out.append(_check(7, "covariance_partition_agree",
+                      abs(part.assembled_variance - _moments(kappa100)[1]), "<=",
+                      4 * se_gap))
+    return out
 
 
 def _coverage_checks(e: _Ensembles) -> List[CheckResult]:
@@ -329,10 +341,10 @@ def _coverage_checks(e: _Ensembles) -> List[CheckResult]:
     ]
 
 
-# Every check, in the order they run. The ones that read no whole-polygon
-# ensemble come first: at workers > 1 the parent computes them while the
-# workers draw the prefetched ensembles that the rest read. Criterion 7
-# comes next, so that its bootstraps overlap the last draws.
+# Every check, in the order they run. The ones that read no pooled ensemble
+# come first: at workers > 1 the parent computes them while the workers
+# draw the prefetched ensembles that the rest read. Criterion 7 comes next,
+# so that its bootstraps overlap the last draws.
 _CHECKS = (
     _structural_checks,
     _open_chain_checks,
@@ -348,28 +360,24 @@ _CHECKS = (
 
 def formula_checks() -> List[CheckResult]:
     """Arithmetic checks of the bound formulas (no sampling)."""
-    out: List[CheckResult] = []
-    mono2 = min(bounds.b2(k + 1, n) - bounds.b2(k, n)
-                for n in (10, 50, 100, 1000)
-                for k in range(1, n - 5))
-    out.append(_check(6, "bound_monotone_planar", mono2, ">", 0.0))
-    mono3 = min(bounds.b3(k + 1, n) - bounds.b3(k, n)
-                for n in (10, 50, 100, 1000)
-                for k in range(1, n - 5))
-    out.append(_check(6, "bound_monotone_spatial", mono3, ">", 0.0))
+    # name, dimension, segment bound, its block term, real coordinates per
+    # edge in its sphere term, first k of its asymptote rows
+    families = (("planar", 2, bounds.b2, bounds.ortho_block_bound, 2, 1),
+                ("spatial", 3, bounds.b3, bounds.unitary_block_bound, 4, 2))
+    out = [_check(6, f"bound_monotone_{name}",
+                  min(b(k + 1, n) - b(k, n) for n in (10, 50, 100, 1000)
+                      for k in range(1, n - 5)), ">", 0.0)
+           for name, _, b, _, _, _ in families]
     big_n = 10**6
-    spot_ks = [k for k in (1, 10, 100, 1000, 10**4, big_n // 2 - 1)]
     dominance = min(min(bounds.b2(k, 100) - (6 * k + 19) / 100
                         for k in range(1, 50)),
                     min(bounds.b2(k, big_n) - (6 * k + 19) / big_n
-                        for k in spot_ks))
+                        for k in (1, 10, 100, 1000, 10**4, big_n // 2 - 1)))
     out.append(_check(6, "bound_planar_dominates_asymptote", dominance, ">", 0.0))
-    gap2 = max(abs(big_n * bounds.b2(k, big_n) - bounds.asymptotic_slope(2, k))
-               for k in range(1, 11))
-    out.append(_check(6, "bound_planar_asymptote_gap", gap2, "<=", 0.01))
-    gap3 = max(abs(big_n * bounds.b3(k, big_n) - bounds.asymptotic_slope(3, k))
-               for k in range(2, 11))
-    out.append(_check(6, "bound_spatial_asymptote_gap", gap3, "<=", 0.01))
+    out += [_check(6, f"bound_{name}_asymptote_gap",
+                   max(abs(big_n * b(k, big_n) - bounds.asymptotic_slope(dim, k))
+                       for k in range(k0, 11)), "<=", 0.01)
+            for name, dim, b, _, _, k0 in families]
     out.append(_check(6, "alpha_threshold_planar",
                       abs(bounds.alpha_threshold(2) - (4 - math.sqrt(11)) / 5),
                       "<=", 1e-9))
@@ -380,16 +388,11 @@ def formula_checks() -> List[CheckResult]:
                       abs(bounds.alpha_threshold(3) - alpha3_root), "<=", 1e-6))
     grid = [(k, n) for n in (20, 50, 100, 1000)
             for k in range(2, min(8, n - 7) + 1)]
-    assembly2 = max(abs(bounds.b2(k, n)
-                        - (bounds.ortho_block_bound(k, 2, n)
-                           + bounds.sphere_marginal_bound(2 * k, 2 * n)))
-                    for k, n in grid)
-    out.append(_check(6, "assembly_identity_planar", assembly2, "<=", 1e-12))
-    assembly3 = max(abs(bounds.b3(k, n)
-                        - (bounds.unitary_block_bound(k, 2, n)
-                           + bounds.sphere_marginal_bound(4 * k, 4 * n)))
-                    for k, n in grid)
-    out.append(_check(6, "assembly_identity_spatial", assembly3, "<=", 1e-12))
+    out += [_check(6, f"assembly_identity_{name}",
+                   max(abs(b(k, n) - (block(k, 2, n)
+                                      + bounds.sphere_marginal_bound(c * k, c * n)))
+                       for k, n in grid), "<=", 1e-12)
+            for name, _, b, block, c, _ in families]
     return out
 
 
@@ -401,28 +404,23 @@ def _block_gram_scalars(seed: int, stream_id: int, N: int,
     A Haar column u is uniform on the unit sphere of C^n, as in the arm2
     construction, whose edges are e_j = 2 u_j^2: so |u_j|^2 = |e_j| / 2.
     """
-    from .ensembles import segment_samples
-
-    heads = segment_samples("arm2", n, 2, N, seed, stream_id=stream_id)
+    heads = ensembles.segment_samples("arm2", n, 2, N, seed, stream_id=stream_id)
     half = np.linalg.norm(heads.reshape(N, 2, 2), axis=2) / 2.0
     return {1: half[:, 0], 2: half[:, 0] + half[:, 1]}
 
 
 def density_checks(seed: int, N: int) -> List[CheckResult]:
     """Normalization, sampled-law, and ratio-maximizer checks."""
-    grams10 = _block_gram_scalars(seed, STREAM_IDS["unitary_blocks"], N, 10)
-    return _density_checks(grams10)
+    return _density_checks(_block_gram_scalars(seed, STREAM_IDS["unitary_blocks"], N, 10))
 
 
 def _density_checks(grams10: Dict[int, np.ndarray]) -> List[CheckResult]:
     """``density_checks`` on the Haar-block scalars of its n = 10 stream."""
-    from scipy import integrate, stats
+    from scipy import stats
 
-    out: List[CheckResult] = []
-    integral, _ = integrate.quad(
-        lambda u: math.pi * densities.block_density(complex(math.sqrt(u)), 10),
-        0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    out.append(_check(9, "block_normalization", abs(integral - 1.0), "<=", 1e-8))
+    out = [_normalization_check(
+        "block_normalization",
+        lambda u: math.pi * densities.block_density(complex(math.sqrt(u)), 10))]
     ks = ks_distance(grams10[1], stats.beta(1, 9).cdf)
     out.append(_check(9, "block_radial_law", ks, "<", 0.01))
     for r, loc in ((1, 0.10), (2, 0.15)):
@@ -442,29 +440,23 @@ def extended_density_checks(seed: int, N: int) -> List[CheckResult]:
     Delta* Delta with the CBI law, i.e. Beta(p, n-p), for p in {1, 2} and
     n in {6, 10}. Each Haar-block stream is drawn once.
     """
-    from scipy import integrate, stats
+    from scipy import stats
 
     grams = {n: _block_gram_scalars(seed, STREAM_IDS[key], N, n)
              for n, key in ((6, "unitary_blocks_n6"), (10, "unitary_blocks"))}
     out = _density_checks(grams[10])
     # Lebesgue measure on a 2 x 1 complex block with |Delta|^2 = u has
     # radial volume element pi^2 u du on the unit ball of C^2.
-    integral, _ = integrate.quad(
+    out.append(_normalization_check(
+        "block_normalization_p2",
         lambda u: math.pi**2 * u * densities.block_density(
-            np.array([[math.sqrt(u)], [0.0]]), 10),
-        0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    out.append(_check(9, "block_normalization_p2",
-                      abs(integral - 1.0), "<=", 1e-8))
+            np.array([[math.sqrt(u)], [0.0]]), 10)))
     for n in (2, 5, 10):
-        integral, _ = integrate.quad(
-            lambda v: densities.wishart_density(v, 1, n, 1.0),
-            0.0, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-        out.append(_check(9, f"wishart_normalization_n{n}",
-                          abs(integral - 1.0), "<=", 1e-8))
-    integral, _ = integrate.quad(
-        lambda u: densities.cbi_density(u, 1, 2.0, 8.0),
-        0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    out.append(_check(9, "cbi_normalization", abs(integral - 1.0), "<=", 1e-8))
+        out.append(_normalization_check(
+            f"wishart_normalization_n{n}",
+            lambda v: densities.wishart_density(v, 1, n, 1.0), np.inf))
+    out.append(_normalization_check(
+        "cbi_normalization", lambda u: densities.cbi_density(u, 1, 2.0, 8.0)))
     for n in (6, 10):
         for p in (1, 2):
             ks = ks_distance(grams[n][p], stats.beta(p, n - p).cdf)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 import csv
+import hashlib
 import io
 import multiprocessing
 import os
@@ -138,6 +139,22 @@ def test_sample_errors_leave_the_output_alone(tmp_path, capsys, spill_root):
         assert out.read_text() == "earlier contents\n", bad
         assert not any(spill_root.iterdir()), bad
     assert "symmpoly:" in capsys.readouterr().err
+
+
+def test_sample_opens_its_output_before_drawing(tmp_path, monkeypatch, capsys):
+    drawn = []
+    eval_chunk = ensembles._eval_chunk
+
+    def logged(args):
+        drawn.append(args[4])
+        return eval_chunk(args)
+
+    monkeypatch.setattr(ensembles, "_eval_chunk", logged)
+    missing = tmp_path / "missing" / "x.jsonl"
+    assert run(["sample", "--space", "pol3", "--n", "20", "--count", "100",
+                "--out", str(missing), *SEED_ARGS]) == 2
+    assert capsys.readouterr().err.startswith("symmpoly: ")
+    assert drawn == []
 
 
 def test_sample_without_a_spill_directory_leaves_the_output_alone(
@@ -307,6 +324,16 @@ def test_density_check_small_count_fails(tmp_path, capsys):
     assert verdicts["block_normalization"] == "true"
     assert verdicts["cbi_normalization"] == "true"
     assert "false" in {r[3] for r in rows[1:]}
+
+
+DENSITY_CHECK_SHA256 = "9b4e792baf6c0d9b5e8612d61ab6f592168fa7007fe51d30809a2afba86d8b28"
+
+
+def test_density_check_digest_is_pinned(tmp_path):
+    out = tmp_path / "den.csv"
+    assert run(["density-check", "--count", "40000", "--out", str(out),
+                *SEED_ARGS]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DENSITY_CHECK_SHA256
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -924,6 +924,19 @@ def test_chebyshev_coverage_counts_strictly_outside():
         chebyshev_coverage([1.0], (2.0, 1.0))
 
 
+@pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), 5, (1.0,)])
+def test_chebyshev_coverage_takes_a_pair(interval):
+    with pytest.raises(DomainError, match="interval must be a pair"):
+        chebyshev_coverage([0.5], interval)
+
+
+@pytest.mark.parametrize("call", [functional_samples, run_ensemble])
+def test_functionals_refuse_a_bare_string(call):
+    # a string is a sequence of names one character long
+    with pytest.raises(DomainError, match="got the string 'theta1'"):
+        call("arm2", 10, 100, "theta1", SEED)
+
+
 def test_ks_distance_values():
     from scipy import stats
 

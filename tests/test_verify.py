@@ -218,6 +218,17 @@ def test_pool_does_not_depend_on_the_request_order(monkeypatch,
     assert {e[2] for e in events} == POOL_STREAMS
 
 
+def test_structural_draws_stay_in_the_parent(monkeypatch, dispatch_every_run):
+    # criterion 1's whole 50-gons span several chunks and would dispatch;
+    # they are drawn in the parent all the same
+    _small_desk(monkeypatch)
+    monkeypatch.setattr(verify, "DESK_N_STRUCT", 2 * ensembles.CHUNK_SIZE + 1)
+    events = []
+    _log_pool(monkeypatch, events)
+    run_verify("desk", SEED, 2)
+    assert {e[2] for e in events} == POOL_STREAMS
+
+
 def test_failing_check_stops_the_pending_draws(monkeypatch):
     # large enough that the workers are still drawing when the parent
     # reaches formula_checks
