@@ -22,8 +22,8 @@ import numpy as np
 
 from . import bounds
 from .errors import BoundUndefinedError, SymmpolyError
-# segment_samples and write_ensemble have no caller here; they stay
-# importable from this module because benchmark tracers wrap them by name.
+# segment_samples has no caller here; it stays importable from this module
+# because benchmark tracers wrap it by name.
 from .ensembles import _iter_chunks, estimate_tv, run_ensemble, segment_samples
 from .io import write_csv, write_ensemble
 from .polygons import SPACES, space_dim
@@ -155,12 +155,13 @@ def _cmd_sample(args) -> int:
     # records go to a spill file, which is copied into the output in chunk
     # order and deleted, so memory does not grow with --count. The output is
     # opened first, as by the CSV commands, so that a bad path fails before
-    # any draw.
+    # any draw. The task carries this module's write_ensemble, looked up
+    # here, so that a wrapper installed on the name sees each chunk's write.
     with _out_stream(args.out) as fh, \
             tempfile.TemporaryDirectory(prefix="symmpoly-") as spill_dir:
+        task = ("jsonl", spill_dir, write_ensemble)
         chunks = _iter_chunks(args.space, args.n, args.count, args.seed, 0,
-                              ("jsonl", spill_dir), args.workers,
-                              in_flight=2 * args.workers)
+                              task, args.workers, in_flight=2 * args.workers)
         # Closing the chunks terminates the pool before the directory goes,
         # so that no worker still writes into it.
         with contextlib.closing(chunks):

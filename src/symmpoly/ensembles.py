@@ -31,10 +31,13 @@ Every chunk run goes through one ordered generator, ``_iter_chunks``,
 which yields the chunk results in chunk order. The estimators take them as
 a list (``_run_chunks``); ``symmpoly sample`` consumes the generator
 directly with a bounded number of chunks in flight. Its chunk task,
-``("jsonl", spill_dir)``, draws whole polygons and writes their records
-with ``io.write_ensemble`` to the spill file ``spill_dir/<chunk>.jsonl`` in
-the process that drew them; only the file's path returns, and the caller
-copies the files into its output in chunk order.
+``("jsonl", spill_dir, writer)``, draws whole polygons and writes their
+records with the caller's ``writer(handle, polygons)`` (``symmpoly sample``
+passes ``io.write_ensemble``; a pooled run needs a picklable one) to the
+spill file ``spill_dir/<chunk>.jsonl`` in the process that drew them; only
+the file's path returns, and the caller copies the files into its output in
+chunk order. The task carries the writer, so this module does not import
+``io``.
 
 Which runs go to the worker pool depends only on the run (``_dispatches``):
 a run of at most ``_IN_PROCESS_EDGES`` drawn edges (N x window), listed or
@@ -62,7 +65,6 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 
 import numpy as np
 
-from . import io
 from .errors import (DomainError, InvalidDimensionError, InvalidSizeError,
                      ReliabilityError, ResolutionError, _check_int)
 from .functionals import (LocalFunctional, _batch_torsion, _batch_turning,
@@ -264,8 +266,8 @@ def _eval_chunk(args):
         edges = space_edges_batch(rng, count, space, n)
         path = os.path.join(task[1], f"{chunk}.jsonl")
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            io.write_ensemble(fh, (Polygon(dim=dim, closed=closed, edges=e)
-                                   for e in edges))
+            task[2](fh, (Polygon(dim=dim, closed=closed, edges=e)
+                         for e in edges))
         return path, 0
     return space_edges_batch(rng, count, space, n, task[1]).reshape(count, -1), 0
 
@@ -370,8 +372,8 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
     """The results of the chunks of one stream, in chunk order.
 
     ``task`` is ``("functionals", specs)``, ``("segments", k)`` or
-    ``("jsonl", spill_dir)``; the last yields (spill file path, 0) per
-    chunk and leaves the file for the caller to copy and delete.
+    ``("jsonl", spill_dir, writer)``; the last yields (spill file path, 0)
+    per chunk and leaves the file for the caller to copy and delete.
     Chunks are evaluated in-process, each when it is asked for, unless
     ``_dispatches`` sends the run to the pool of the enclosing
     ``_worker_pool`` block. A pooled run submits its chunks one by one and

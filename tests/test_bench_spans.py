@@ -57,8 +57,10 @@ def test_traced_torsion_moments_sees_the_kernels(tmp_path):
 
 
 def test_traced_sample_jsonl_sees_the_writer(tmp_path):
-    # The records are formatted where the chunk is drawn; a formatter bound
-    # where the wrappers cannot reach it drops the io layer from the trace.
+    # The records are formatted where the chunk is drawn, by the writer the
+    # command hands to the chunk task; a writer bound where the wrappers
+    # cannot reach it drops the io layer from the trace. Each chunk is one
+    # io span: the writer formats its records in blocks, not one by one.
     spans = _load("spans")
     workloads = _load("workloads")
     wl = workloads.WORKLOADS["sample-jsonl"]
@@ -72,7 +74,10 @@ def test_traced_sample_jsonl_sees_the_writer(tmp_path):
     checked = wl.check(symmpoly, out, size)
     assert all(op.ok for op in checked.ops)
     layers = {layer for _, layer, _, _, _ in tracer.spans}
-    assert {"polygons", "io"} <= layers
+    assert "polygons" in layers
+    io_spans = [name for name, layer, _, _, _ in tracer.spans if layer == "io"]
+    assert io_spans == ["cli.write_ensemble"] * tracer.counts["chunks"]
+    assert tracer.counts["chunks"] == 1
     assert checked.counts["records"] == size["count"] == 300
     assert tracer.counts["edges_drawn"] == 300 * 20
 

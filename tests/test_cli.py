@@ -94,6 +94,25 @@ def test_small_sample_forks_no_pool(tmp_path, monkeypatch):
     assert len(read_ensemble(io.StringIO(outs[0].decode()))) == 5000
 
 
+# `sample` output, pinned by digest: the block formatter must write the
+# bytes of "%.17g" per coordinate. In the arm2 file about 13% of the
+# coordinates fall outside [1e-4, 1) and take the "%.17g" fallback.
+SAMPLE_JSONL_SHA256 = {
+    ("pol3", "100", "300"): "3ca7050a83956c76c8174532bb43f14fe36b47555de27d0f2f168648b6d53c0e",
+    ("arm2", "1000", "50"): "265e8c1cda197a90503a3a13709fb354eb99013ff81eda3222f347e2e9344c38",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("space,n,count", sorted(SAMPLE_JSONL_SHA256))
+def test_sample_digest_is_pinned(space, n, count, workers, tmp_path):
+    out = tmp_path / "s.jsonl"
+    assert run(["sample", "--space", space, "--n", n, "--count", count,
+                "--workers", workers, "--out", str(out), *SEED_ARGS]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SAMPLE_JSONL_SHA256[(space, n, count)]
+
+
 @pytest.mark.parametrize("space", ["arm2", "pol2", "arm3", "pol3"])
 def test_sample_streams_chunks_in_order(space, tmp_path, monkeypatch,
                                         spill_root, dispatch_every_run):

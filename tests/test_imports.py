@@ -52,7 +52,7 @@ def test_scipy_loads_only_for_the_checks_that_use_it(tmp_path, src_env):
 # Imported and never used, on purpose: the benchmark's tracers wrap these
 # names on these modules, so they stay importable there until the benchmark
 # reads the library's events instead (ROADMAP item 6).
-BENCH_PINNED_IMPORTS = {("cli", "segment_samples"), ("cli", "write_ensemble"),
+BENCH_PINNED_IMPORTS = {("cli", "segment_samples"),
                         ("verify", "covariance_partition"),
                         ("verify", "_haar_unitary_batch")}
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import symmpoly.io
-from symmpoly import (ParseError, Polygon, SeedStream, polygon_record_line,
-                      read_ensemble, sample_pol, write_csv, write_ensemble)
+from symmpoly import (DomainError, ParseError, Polygon, SeedStream,
+                      polygon_record_line, read_ensemble, sample_pol, write_csv,
+                      write_ensemble)
 from symmpoly.io import format_cell
 
 SEED = 7
@@ -31,11 +32,27 @@ def _reference_record_line(p):
     return f'{{"dim": {p.dim}, "closed": {closed}, "edges": [{rows}]}}'
 
 
+def _hard_values():
+    # ties at the 17th digit, above 1 and in the block formatter's range
+    # (one rounds down to even, one up); each power of ten around that range
+    # with its neighbours; values that round up to the next power; the
+    # zeros, subnormals and the largest exact power of ten
+    values = [1234567890123456.25, 1234567890123456.75,
+              0.00100040435791015625, 0.00100231170654296875,
+              0.99999999999999994,
+              0.99999999999999989, 9.9999999999999995e-5, 0.0, -0.0, 5e-324,
+              2.2250738585072009e-308, 1e-300, 0.1, 1.0, 2.0 ** 53 + 1, 1e22]
+    for p in range(-6, 1):
+        power = float(f"1e{p}")
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, 2.0)]
+    return [float(v) for v in values] + [-float(v) for v in values]
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("closed", [False, True])
 @pytest.mark.parametrize("n", [1, 7])
 def test_record_template_matches_reference_formatter(dim, closed, n):
-    values = [-0.0, 5e-324, 1e-300, 0.1, 1.0, 2.0 ** 53 + 1, -1e22]
+    values = _hard_values()
     # every value lands in every coordinate slot across the rotations
     for shift in range(len(values)):
         coords = [values[(shift + i) % len(values)] for i in range(n * dim)]
@@ -45,6 +62,73 @@ def test_record_template_matches_reference_formatter(dim, closed, n):
         assert line == _reference_record_line(p)
         back = read_ensemble(io.StringIO(line))[0]
         assert np.array_equal(back.edges, p.edges)
+
+
+def test_block_formatter_matches_reference_on_a_sweep():
+    # 1.2M finite doubles: random bit patterns, normals scaled from 1e-7 to
+    # 1e3, and dyadic rationals, written as 2-D polygons of 1000 edges
+    rng = np.random.default_rng(2024)
+    size = 400_000
+    bits = rng.integers(0, 2 ** 64, size=size, dtype=np.uint64,
+                        endpoint=False).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, 0.5)
+    normals = rng.standard_normal(size) * 10.0 ** rng.uniform(-7, 3, size)
+    dyadic = (rng.integers(-2 ** 30, 2 ** 30, size)
+              / 2.0 ** rng.integers(0, 60, size))
+    polygons = [Polygon(dim=2, closed=bool(i % 2), edges=block.reshape(-1, 2))
+                for i, block in enumerate(
+                    np.concatenate([bits, normals, dyadic]).reshape(-1, 2000))]
+    buf = io.StringIO()
+    write_ensemble(buf, polygons)
+    # compared line by line, and only the first differing coordinate is
+    # shown: pytest's diff of the whole 30 MB text would take minutes
+    lines = buf.getvalue().split("\n")
+    assert lines.pop() == "" and len(lines) == len(polygons)
+    for line, p in zip(lines, polygons):
+        want = _reference_record_line(p)
+        if line != want:
+            pairs = zip(line.split(", "), want.split(", "))
+            pytest.fail(next(f"wrote {got!r} for {ref!r}"
+                             for got, ref in pairs if got != ref))
+
+
+def test_write_ensemble_mixes_shapes():
+    # blocks are formatted per shape; a change of dim, closed or n starts a
+    # new one, and the records stay in order
+    rng = np.random.default_rng(5)
+    shapes = ([(2, False, 3)] * 3 + [(3, False, 3), (3, True, 3)] * 2
+              + [(2, True, 1), (2, True, 9)] + [(3, True, 4)] * 70)
+    polygons = [Polygon(dim=d, closed=c, edges=rng.standard_normal((n, d)) / n)
+                for d, c, n in shapes]
+    buf = io.StringIO()
+    write_ensemble(buf, polygons)
+    assert buf.getvalue() == "".join(polygon_record_line(p) + "\n"
+                                     for p in polygons)
+    assert buf.getvalue() == "".join(_reference_record_line(p) + "\n"
+                                     for p in polygons)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_are_refused(bad):
+    # nan and inf are not JSON: the writer refuses the record by number,
+    # before any text of its block goes out
+    rng = SeedStream(SEED, 2).generator()
+    polygons = [sample_pol(2, 5, rng) for _ in range(70)]
+    edges = polygons[65].edges.copy()
+    edges[2, 1] = bad
+    polygons[65] = Polygon(dim=2, closed=True, edges=edges)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    with pytest.raises(DomainError, match="record 66"):
+        write_ensemble(Recorder(), polygons)
+    assert "".join(writes) == "".join(polygon_record_line(p) + "\n"
+                                      for p in polygons[:64])
+    with pytest.raises(DomainError, match="record 1: edge coordinates"):
+        polygon_record_line(polygons[65])
 
 
 def test_write_ensemble_writes_in_pieces():
