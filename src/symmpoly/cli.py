@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import shutil
 import sys
@@ -26,7 +27,7 @@ from .errors import BoundUndefinedError, SymmpolyError
 # because benchmark tracers wrap it by name.
 from .ensembles import _iter_chunks, estimate_tv, run_ensemble, segment_samples
 from .io import write_csv, write_ensemble
-from .polygons import SPACES, space_dim
+from .polygons import SPACES, Polygon, space_dim
 from .verify import (extended_density_checks, format_check_line, run_verify,
                      write_results_csv)
 
@@ -148,20 +149,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _spill_chunk(spill_dir, space, chunk, edges) -> str:
+    """Write one chunk's polygons, an edge array (count, n, dim), as JSONL
+    records to the spill file ``spill_dir/<chunk>.jsonl``; return its path.
+    ``write_ensemble`` is this module's, looked up at call time, so that a
+    wrapper installed on the name sees each chunk's write."""
+    dim, closed = space_dim(space), space.startswith("pol")
+    path = os.path.join(spill_dir, f"{chunk}.jsonl")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_ensemble(fh, (Polygon(dim=dim, closed=closed, edges=e) for e in edges))
+    return path
+
+
 def _cmd_sample(args) -> int:
-    # The whole polygons of stream 0 are drawn and formatted chunk by chunk:
-    # in the workers, with at most 2 * workers chunks in flight, or here one
-    # at a time when the run is under the in-process cut. Each chunk's
-    # records go to a spill file, which is copied into the output in chunk
-    # order and deleted, so memory does not grow with --count. The output is
-    # opened first, as by the CSV commands, so that a bad path fails before
-    # any draw. The task carries this module's write_ensemble, looked up
-    # here, so that a wrapper installed on the name sees each chunk's write.
+    # The whole polygons of stream 0 are drawn and formatted chunk by chunk,
+    # in the workers or here, and each chunk's records go to a spill file in
+    # the process that drew them. The files are copied into the output in
+    # chunk order and deleted; a pooled run keeps at most 2 * workers chunks
+    # in flight, so memory does not grow with --count. The output is opened
+    # first, as by the CSV commands, so that a bad path fails before any
+    # draw.
     with _out_stream(args.out) as fh, \
             tempfile.TemporaryDirectory(prefix="symmpoly-") as spill_dir:
-        task = ("jsonl", spill_dir, write_ensemble)
+        task = ("polygons", functools.partial(_spill_chunk, spill_dir, args.space))
         chunks = _iter_chunks(args.space, args.n, args.count, args.seed, 0,
-                              task, args.workers, in_flight=2 * args.workers)
+                              task, args.workers)
         # Closing the chunks terminates the pool before the directory goes,
         # so that no worker still writes into it.
         with contextlib.closing(chunks):

@@ -30,24 +30,21 @@ that wraps around, and full-length segments (k = n), draw whole polygons.
 Every chunk run goes through one ordered generator, ``_iter_chunks``,
 which yields the chunk results in chunk order. The estimators take them as
 a list (``_run_chunks``); ``symmpoly sample`` consumes the generator
-directly with a bounded number of chunks in flight. Its chunk task,
-``("jsonl", spill_dir, writer)``, draws whole polygons and writes their
-records with the caller's ``writer(handle, polygons)`` (``symmpoly sample``
-passes ``io.write_ensemble``; a pooled run needs a picklable one) to the
-spill file ``spill_dir/<chunk>.jsonl`` in the process that drew them; only
-the file's path returns, and the caller copies the files into its output in
-chunk order. The task carries the writer, so this module does not import
-``io``.
+directly with the task ``("polygons", fn)``, which draws each chunk's whole
+polygons and returns ``fn(chunk, edges)`` from the process that drew them
+(a pooled run needs a picklable ``fn``). What ``fn`` does with them, such
+as writing them to a file, is the caller's: this module opens no file.
 
 Which runs go to the worker pool depends only on the run (``_dispatches``):
 a run of at most ``_IN_PROCESS_EDGES`` drawn edges (N x window), listed or
 streamed, runs in-process at any worker count, because a pool costs more
 than such a draw. Chunk runs inside ``_worker_pool(workers)`` share one
-process pool, forked when the first of them dispatches, and every pooled
-run submits its chunks one by one and yields them in chunk order from one
-loop. A caller in such a block may ``_prefetch`` a list run: its chunks go
-to the pool at once, without waiting, and the later ``_iter_chunks`` call
-of the same run takes their results instead of submitting them again.
+process pool, forked when the first of them dispatches. Every pooled run
+goes through one loop: it keeps at most 2 x the block's worker count of
+chunks submitted and not yet yielded, and yields them in chunk order. A
+caller in such a block may ``_prefetch`` a list run: its chunks go to the
+pool at once, without waiting, and the later ``_iter_chunks`` call of the
+same run takes their results instead of submitting them again.
 ``verify`` prefetches its plans that read a total and draws everything
 else in the parent while the workers draw.
 """
@@ -57,7 +54,6 @@ import collections
 import contextlib
 import math
 import multiprocessing
-import os
 import re
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
@@ -70,8 +66,7 @@ from .errors import (DomainError, InvalidDimensionError, InvalidSizeError,
 from .functionals import (LocalFunctional, _batch_torsion, _batch_turning,
                           _eval_windows)
 from .haar import SeedStream, StreamLike, ensure_generator
-from .polygons import (Polygon, _check_segment_length, space_dim,
-                       space_edges_batch)
+from .polygons import _check_segment_length, space_dim, space_edges_batch
 
 CHUNK_SIZE = 4096
 
@@ -230,9 +225,8 @@ def _build_plan(space: str, n: int, functionals: Sequence[FunctionalSpec]) -> _P
     return _Plan(tuple(ops), min(n, max(op.reads for op in ops)))
 
 
-def _chunk_functionals(space: str, n: int, count: int, stream: SeedStream,
-                       chunk: int, plan: _Plan) -> Tuple[Dict[str, np.ndarray], int]:
-    rng = stream.chunk_generator(chunk)
+def _chunk_functionals(space: str, n: int, count: int, rng: np.random.Generator,
+                       plan: _Plan) -> Tuple[Dict[str, np.ndarray], int]:
     # At window n this is the full draw. A shorter window does not wrap, so
     # the open-chain kernels on the head give the angles at the same indices
     # as the closed ones.
@@ -256,19 +250,11 @@ def _chunk_functionals(space: str, n: int, count: int, stream: SeedStream,
 
 def _eval_chunk(args):
     space, n, seed, stream_id, chunk, count, task = args
-    stream = SeedStream(seed, stream_id)
+    rng = SeedStream(seed, stream_id).chunk_generator(chunk)
     if task[0] == "functionals":
-        plan = _build_plan(space, n, task[1])
-        return _chunk_functionals(space, n, count, stream, chunk, plan)
-    rng = stream.chunk_generator(chunk)
-    if task[0] == "jsonl":
-        dim, closed = space_dim(space), space.startswith("pol")
-        edges = space_edges_batch(rng, count, space, n)
-        path = os.path.join(task[1], f"{chunk}.jsonl")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            task[2](fh, (Polygon(dim=dim, closed=closed, edges=e)
-                         for e in edges))
-        return path, 0
+        return _chunk_functionals(space, n, count, rng, _build_plan(space, n, task[1]))
+    if task[0] == "polygons":
+        return task[1](chunk, space_edges_batch(rng, count, space, n)), 0
     return space_edges_batch(rng, count, space, n, task[1]).reshape(count, -1), 0
 
 
@@ -327,9 +313,7 @@ def _task_window(space: str, n: int, task) -> int:
     """Leading edges each sample of a chunk task draws."""
     if task[0] == "functionals":
         return _build_plan(space, n, task[1]).window
-    if task[0] == "jsonl":
-        return n
-    return task[1]
+    return task[1] if task[0] == "segments" else n
 
 
 def _chunk_args(space: str, n: int, N: int, seed: int, stream_id: int,
@@ -368,22 +352,19 @@ def _prefetch(space: str, n: int, N: int, seed: int, stream_id: int, task,
 
 
 def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
-                 workers: int, in_flight: Optional[int] = None) -> Iterator:
+                 workers: int) -> Iterator:
     """The results of the chunks of one stream, in chunk order.
 
     ``task`` is ``("functionals", specs)``, ``("segments", k)`` or
-    ``("jsonl", spill_dir, writer)``; the last yields (spill file path, 0)
-    per chunk and leaves the file for the caller to copy and delete.
-    Chunks are evaluated in-process, each when it is asked for, unless
-    ``_dispatches`` sends the run to the pool of the enclosing
-    ``_worker_pool`` block. A pooled run submits its chunks one by one and
-    yields their results in chunk order. A list run (``in_flight`` None)
-    submits every chunk before it waits for the first: a window idles the
-    workers between small chunks. A streamed run keeps at most
-    ``in_flight`` chunks submitted and not yet yielded, which bounds the
-    memory of a consumer that writes each result as it comes; in-process
-    it draws one chunk at a time. A list run prefetched in the block starts
-    from the handles it already has.
+    ``("polygons", fn)``; the last draws each chunk's whole polygons as an
+    edge array (count, n, dim) and yields (fn(chunk, edges), 0). Chunks are
+    evaluated in-process, each when it is asked for, unless ``_dispatches``
+    sends the run to the pool of the enclosing ``_worker_pool`` block. A
+    pooled run keeps at most 2 x the block's worker count of chunks
+    submitted and not yet yielded: the workers stay busy while the consumer
+    takes a result, and a consumer that writes each result as it comes
+    holds a bounded number of them. A list run prefetched in the block
+    starts from the handles it already has.
     """
     args = _chunk_args(space, n, N, seed, stream_id, task)
     if not _dispatches(space, n, N, task, workers):
@@ -394,7 +375,7 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
         ready = _BLOCK.prefetched.pop((seed, stream_id), None)
         pending = collections.deque(ready[1] if ready and ready[0] == args else ())
         for a in args[len(pending):]:
-            if len(pending) == (in_flight or len(args)):
+            if len(pending) == 2 * _BLOCK.workers:
                 yield pending.popleft().get()
             pending.append(_BLOCK.submit(a))
         while pending:
@@ -581,11 +562,20 @@ def assemble_partition(n: int, t1: np.ndarray, t2: np.ndarray,
     return CovariancePartition(c_self, c_adjacent, c_distant, assembled)
 
 
-def chebyshev_coverage(samples, interval: Tuple[float, float]) -> float:
-    """Fraction of samples strictly outside [lo, hi]."""
+def _finite_samples(samples, what: str) -> np.ndarray:
+    """The samples as a flat float array: nonempty, and every value finite,
+    since a NaN would pass through a comparison or a sort unseen."""
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size == 0:
-        raise DomainError("coverage needs a nonempty sample list")
+        raise DomainError(f"{what} needs a nonempty sample list")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} needs finite samples, got a NaN or infinity")
+    return arr
+
+
+def chebyshev_coverage(samples, interval: Tuple[float, float]) -> float:
+    """Fraction of samples strictly outside [lo, hi]."""
+    arr = _finite_samples(samples, "coverage")
     try:
         lo, hi = interval
     except (TypeError, ValueError):
@@ -602,9 +592,7 @@ def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     Over the sorted samples x_(1) <= ... <= x_(N) this is the larger of
     D+ = max_i (i/N - cdf(x_(i))) and D- = max_i (cdf(x_(i)) - (i-1)/N).
     """
-    arr = np.sort(np.asarray(samples, dtype=float).ravel())
-    if arr.size == 0:
-        raise DomainError("KS distance needs a nonempty sample list")
+    arr = np.sort(_finite_samples(samples, "KS distance"))
     try:
         fitted = np.asarray(cdf(arr), dtype=float)
         if fitted.shape != arr.shape:

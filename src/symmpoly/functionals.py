@@ -15,7 +15,11 @@ Conventions
 Both angles are invariant under global rotations and positive scalings.
 Degenerate inputs (near-zero edges or projections) raise instead of
 returning silent zeros: they have probability zero under the sampled
-measures, so an occurrence signals a caller bug.
+measures, so an occurrence signals a caller bug. The single-polygon
+functions first scale the polygon by a power of two to unit size, so their
+cut-offs are relative to the polygon's largest coordinate; the batch
+kernels compare raw edges with ``_EDGE_TINY`` and ``_PROJ_TINY``, which
+suits sampled polygons, whose perimeter is 2.
 
 The batch kernels take a batch in blocks of ``_BLOCK`` rows, so that each
 pass (norms, cross products, dot products) reads a block that fits in
@@ -182,9 +186,16 @@ def _batch_torsion(edges: np.ndarray, closed: bool):
     return tau, ok
 
 
+def _unit_scaled(edges: np.ndarray) -> np.ndarray:
+    """The edges times the power of two that puts the largest |coordinate|
+    in [0.5, 1). The product is exact, so the angles keep their bits, and the
+    kernels' absolute cut-offs act relative to the polygon's size."""
+    return np.ldexp(edges, -math.frexp(float(np.abs(edges).max()))[1])
+
+
 def turning_angles(p: Polygon) -> np.ndarray:
     """All turning angles of a polygon (n if closed, n-1 if open)."""
-    angles, ok = _batch_turning(p.edges[None], p.closed)
+    angles, ok = _batch_turning(_unit_scaled(p.edges)[None], p.closed)
     if not ok[0]:
         raise DegenerateEdgeError("polygon has a near-zero edge")
     return angles[0]
@@ -196,7 +207,7 @@ def torsion_angles(p: Polygon) -> np.ndarray:
         raise InvalidDimensionError("torsion is defined for spatial polygons")
     if (p.n if p.closed else p.n - 2) < 1:
         raise InvalidSizeError("polygon too short for a torsion angle")
-    taus, ok = _batch_torsion(p.edges[None], p.closed)
+    taus, ok = _batch_torsion(_unit_scaled(p.edges)[None], p.closed)
     if not ok[0]:
         raise DegenerateTorsionError("polygon has a degenerate torsion window")
     return taus[0]
@@ -216,7 +227,7 @@ def sliding_window_apply(p: Polygon, f: LocalFunctional) -> List[float]:
     """f on every k-edge window (cyclic when the polygon is closed), in one
     ``eval`` call; a window that comes back NaN raises DegenerateEdgeError."""
     _check_segment_length(p.n, f.k, f"window of functional {f.name!r}")
-    edges = _planes(p.edges[None], f.k - 1 if p.closed else 0)[:, :-1].T.copy()
+    edges = np.concatenate([p.edges, p.edges[:f.k - 1 if p.closed else 0]])
     # the view puts the window axis last: (B, dim, k) -> (B, k, dim)
     windows = np.lib.stride_tricks.sliding_window_view(edges, f.k, axis=0)
     values = _eval_windows(f, np.swapaxes(windows, 1, 2))

@@ -1,10 +1,20 @@
 """Shared fixtures."""
+import multiprocessing
 import os
 from pathlib import Path
 
 import pytest
 
 from symmpoly import ensembles
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    # every pool a test opens, directly or through a chunk run, must be
+    # ended by the time the test returns; a leaked Pool raises no
+    # ResourceWarning, so its processes are counted here
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

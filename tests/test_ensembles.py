@@ -742,8 +742,7 @@ def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch, dispatch_every_ru
     _chunk_size(monkeypatch, 100)
     pool = _RecordingPool(monkeypatch)
     task = ("segments", 3)
-    stream = ensembles._iter_chunks("arm3", 10, 1050, SEED, 4, task, 2,
-                                    in_flight=4)
+    stream = ensembles._iter_chunks("arm3", 10, 1050, SEED, 4, task, 2)
     got = []
     for result in stream:
         # the consumer logs when it is done with each result
@@ -762,13 +761,16 @@ def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch, dispatch_every_ru
     assert np.array_equal(np.concatenate(got), expected)
 
 
-def test_chunk_list_submits_every_chunk_first(monkeypatch, dispatch_every_run):
+def test_chunk_list_keeps_the_window(monkeypatch, dispatch_every_run):
+    # a list run goes through the same window as a streamed one: 2 x workers
+    # chunks submitted first, then one more each time one is taken
     _chunk_size(monkeypatch, 100)
     pool = _RecordingPool(monkeypatch)
     for result in ensembles._iter_chunks("pol2", 10, 1050, SEED, 4,
                                          ("segments", 2), 2):
         pool.log.append("used")
-    assert pool.log == ["submit"] * 11 + ["get", "used"] * 11
+    assert pool.log == (["submit"] * 4 + ["get", "used", "submit"] * 7
+                        + ["get", "used"] * 4)
     results = ensembles._run_chunks("pol2", 10, 1050, SEED, 4,
                                     ("segments", 2), 2)
     assert isinstance(results, list) and len(results) == 11
@@ -776,16 +778,40 @@ def test_chunk_list_submits_every_chunk_first(monkeypatch, dispatch_every_run):
     assert np.array_equal(np.concatenate([r[0] for r in results]), expected)
 
 
+def test_prefetched_run_submits_each_chunk_once(monkeypatch, dispatch_every_run):
+    # a prefetched run hands all its chunks to the pool at once; the run
+    # then takes their results and submits none again
+    _chunk_size(monkeypatch, 100)
+    pool = _RecordingPool(monkeypatch)
+    task = ("functionals", ("theta1", "total_curvature"))
+    with _worker_pool(2):
+        ensembles._prefetch("pol2", 10, 1050, SEED, 4, task, 2)
+        assert pool.log == ["submit"] * 11
+        results = ensembles._run_chunks("pol2", 10, 1050, SEED, 4, task, 2)
+    assert pool.log == ["submit"] * 11 + ["get"] * 11
+    # the same run without a prefetch goes through the window
+    pool.log.clear()
+    with _worker_pool(2):
+        again = ensembles._run_chunks("pol2", 10, 1050, SEED, 4, task, 2)
+    assert pool.log == ["submit"] * 4 + ["get", "submit"] * 7 + ["get"] * 4
+    expected = ensembles._run_chunks("pol2", 10, 1050, SEED, 4, task, 1)
+    for got in (results, again):
+        for a, b in zip(got, expected):
+            assert a[1] == b[1]
+            for name in a[0]:
+                assert np.array_equal(a[0][name], b[0][name])
+
+
 def test_list_runs_dispatch_above_the_cut(monkeypatch):
     # a list run of exactly _IN_PROCESS_EDGES drawn edges stays in-process;
-    # a run two edges longer goes to the pool, all chunks at once
+    # a run two edges longer goes to the pool
     cut = ensembles._IN_PROCESS_EDGES
     pool = _RecordingPool(monkeypatch)
     at_cut = ensembles._run_chunks("arm2", 10, cut, SEED, 4, ("segments", 1), 2)
     assert len(at_cut) > 1 and pool.log == []
     above = ensembles._run_chunks("arm2", 10, cut // 2 + 1, SEED, 4,
                                   ("segments", 2), 2)
-    assert pool.log == ["submit"] * len(above) + ["get"] * len(above)
+    assert pool.log.count("submit") == pool.log.count("get") == len(above)
     # a window plan counts its window, not n: two edges for theta1
     pool.log.clear()
     ensembles._run_chunks("pol2", 10, cut // 2, SEED, 4,
@@ -922,6 +948,9 @@ def test_chebyshev_coverage_counts_strictly_outside():
         chebyshev_coverage([], (0.0, 1.0))
     with pytest.raises(DomainError):
         chebyshev_coverage([1.0], (2.0, 1.0))
+    # a NaN would count as inside every interval
+    with pytest.raises(DomainError, match="finite samples"):
+        chebyshev_coverage([float("nan"), float("nan"), 5.0], (0.0, 1.0))
 
 
 @pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), 5, (1.0,)])
@@ -954,6 +983,9 @@ def test_ks_distance_values():
                 lambda x: np.clip(x, 0.0, 1.0)[:-1], lambda x: 0.5):
         with pytest.raises(DomainError, match="cdf must map an array to an array"):
             ks_distance(u[:1000], cdf)
+    # a NaN sorts last and would give a NaN distance
+    with pytest.raises(DomainError, match="finite samples"):
+        ks_distance([0.1, float("nan"), 0.5], lambda x: np.clip(x, 0.0, 1.0))
     with pytest.raises(DomainError):
         ks_distance([], stats.norm.cdf)
     # the two-sided textbook statistic, as scipy computes it

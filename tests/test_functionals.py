@@ -291,6 +291,31 @@ def test_rotation_and_scale_invariance():
                                rtol=0, atol=1e-10)
 
 
+def test_single_polygon_angles_ignore_the_polygon_size():
+    # the cut-offs act relative to the polygon's size: at 1e-14 the raw edges
+    # are shorter than _EDGE_TINY, yet no angle is degenerate
+    p = sample_pol(3, 20, SeedStream(SEED))
+    turning, torsion = turning_angles(p), torsion_angles(p)
+    for scale in (2.0 ** -60, 2.0 ** 40, 1e-20, 1e-14, 1e20):
+        scaled = Polygon(dim=3, closed=True, edges=scale * p.edges)
+        exact = math.frexp(scale)[0] == 0.5
+        for got, want in ((turning_angles(scaled), turning),
+                          (torsion_angles(scaled), torsion)):
+            if exact:  # a power of two scales every coordinate exactly
+                assert got.tobytes() == want.tobytes(), scale
+            else:
+                assert np.allclose(got, want, rtol=0, atol=1e-14), scale
+        assert total_curvature(scaled) == pytest.approx(total_curvature(p), abs=1e-12)
+        assert total_torsion(scaled) == pytest.approx(total_torsion(p), abs=1e-12)
+
+
+def test_kernels_exclude_nothing_at_ten_thousand_edges():
+    # sampled edges are about 2/n = 2e-4 long, far above the absolute cut-offs
+    _, excluded = functional_samples("pol3", 10_000, 64,
+                                     ["total_curvature", "total_torsion"], SEED)
+    assert excluded == 0
+
+
 def test_closed_curvature_bounds():
     # Fenchel: total curvature of a closed polygon is at least 2*pi; each of
     # the n turning angles is at most pi.
