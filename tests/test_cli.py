@@ -345,7 +345,7 @@ def test_density_check_small_count_fails(tmp_path, capsys):
     assert "false" in {r[3] for r in rows[1:]}
 
 
-DENSITY_CHECK_SHA256 = "9b4e792baf6c0d9b5e8612d61ab6f592168fa7007fe51d30809a2afba86d8b28"
+DENSITY_CHECK_SHA256 = "5c69350704ad9037b12dae261ec7ef69bcacd0807ae47235cf909fcda04fb4a6"
 
 
 def test_density_check_digest_is_pinned(tmp_path):

@@ -2,12 +2,13 @@
 test_acceptance.py)."""
 import collections
 import io
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
 
-from symmpoly import ensembles, verify
+from symmpoly import densities, ensembles, verify
 from symmpoly.ensembles import GridHistogram, segment_samples
 from symmpoly.haar import SeedStream
 from symmpoly.verify import (CheckResult, _check, density_checks,
@@ -86,6 +87,53 @@ def test_extended_density_checks_draw_each_stream_once(monkeypatch):
     extended_density_checks(SEED, 2000)
     assert sorted(drawn) == [(SEED, verify.STREAM_IDS["unitary_blocks"]),
                              (SEED, verify.STREAM_IDS["unitary_blocks_n6"])]
+
+
+def test_gauss_rule_is_as_strict_as_quad(monkeypatch):
+    from scipy import integrate
+
+    checked = []
+    check = verify._normalization_check
+
+    def against_quad(name, density, upper=1.0):
+        # compared as the check is made: the Wishart integrands read their
+        # n from the loop that makes them
+        expected, _ = integrate.quad(density, 0.0, upper, epsabs=1e-12,
+                                     epsrel=1e-12, limit=200)
+        assert abs(verify._gauss_integral(density, upper) - expected) <= 1e-13, name
+        result = check(name, density, upper)
+        assert result.measured <= 1e-12, name
+        checked.append(name)
+        return result
+
+    monkeypatch.setattr(verify, "_normalization_check", against_quad)
+    extended_density_checks(SEED, 2000)
+    assert len(checked) == 6
+
+
+def test_gauss_rule_fails_wrong_block_densities():
+    def block(u):
+        return math.pi * densities.block_density(complex(math.sqrt(u)), 10)
+
+    # the pi^(+pq) constant: pi^2 times the density
+    assert not verify._normalization_check("sign", lambda u: math.pi**2 * block(u)).passed
+    # det(I - delta* delta) to the power n - p - q + 1
+    assert not verify._normalization_check("power", lambda u: (1 - u) * block(u)).passed
+
+
+def test_betainc_is_the_beta_cdf_bit_for_bit():
+    # The KS rows take their Beta CDFs from betainc; stats.beta(p, q).cdf
+    # is Boost's ibeta too. If a scipy release parts the two, the desk and
+    # density-check digests move, and this test names the cause.
+    from scipy import stats
+    from scipy.special import betainc
+
+    for n, key in ((6, "unitary_blocks_n6"), (10, "unitary_blocks")):
+        grams = verify._block_gram_scalars(SEED, verify.STREAM_IDS[key], 100_000, n)
+        for p in (1, 2):
+            x = np.concatenate([grams[p], [0.0, 1.0]])
+            assert np.array_equal(betainc(p, n - p, x).view(np.uint64),
+                                  stats.beta(p, n - p).cdf(x).view(np.uint64)), (p, n)
 
 
 @pytest.mark.parametrize("n, key", [(6, "unitary_blocks_n6"), (10, "unitary_blocks")])
