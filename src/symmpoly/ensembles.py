@@ -17,7 +17,7 @@ sample. Custom functionals must be picklable (module-level callables) when
 workers > 1; ``functional_samples`` checks that before any chunk runs and
 raises DomainError otherwise.
 
-Segment draws (``segment_samples``, hence ``estimate_tv``) cost O(k) per
+Segment draws (``segment_samples``, and ``estimate_tv``'s) cost O(k) per
 sample for a length-k segment of an n-edge polygon: only the k leading
 edges are built, from a chi-square (arm) or Wishart (pol) summary of the
 rest. A length-k draw is therefore not a prefix of a longer segment draw on
@@ -29,7 +29,9 @@ that wraps around, and full-length segments (k = n), draw whole polygons.
 
 Every chunk run goes through one ordered generator, ``_iter_chunks``,
 which yields the chunk results in chunk order. The estimators take them as
-a list (``_run_chunks``); ``symmpoly sample`` consumes the generator
+a list (``_run_chunks``). ``estimate_tv`` reduces its two lists chunk by
+chunk, grid extrema and cell counts alike, so it holds the chunks and
+nothing else the size of a sample. ``symmpoly sample`` consumes the generator
 directly with the task ``("polygons", fn)``, which draws each chunk's whole
 polygons and returns ``fn(chunk, edges)`` from the process that drew them
 (a pooled run needs a picklable ``fn``). What ``fn`` does with them, such
@@ -327,9 +329,12 @@ def _dispatches(space: str, n: int, N: int, task, workers: int) -> bool:
 
     Never at one worker or for a single chunk. Otherwise a run dispatches
     when it draws more than ``_IN_PROCESS_EDGES`` edges (N x window), head
-    draws included: on an idle pool they gain too, `symmpoly tv --count
-    4000000 --workers 2` took 3.8-4.3 s dispatched and 4.7-4.9 s in-process
-    (three runs each, 2 cores).
+    draws included, though for them the pool loses: `symmpoly tv
+    --space pol2 --n 100 --k 1 --count 4000000 --bins 12` took 4.47-4.98 s
+    at `--workers 2` (dispatched) and 2.96-3.61 s at `--workers 1`
+    (in-process), in-process faster in 7 of 7 alternating pairs (2 cores,
+    from `import symmpoly` to exit). No benchmark workload dispatches a
+    head draw, so the cut stays until one can measure a change to it.
     """
     if _check_int("worker count", workers, 1, error=DomainError) == 1 or N <= CHUNK_SIZE:
         return False
@@ -487,6 +492,15 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
     TV together with a same-law null calibration (first half of sample A
     vs second half, same grid). The two samples use distinct substreams of
     the given seed.
+
+    The two samples stay the chunk lists ``_run_chunks`` returns; they are
+    never concatenated. The grid's extrema are taken per chunk and column,
+    each chunk is binned on its own by ``np.histogramdd``'s rules, and its
+    cells are counted into int64 totals for A's first half (rows below
+    N // 2), A's second half and B; counts_a is the sum of the halves. So
+    past the samples it holds one chunk's temporaries and three cell-count
+    arrays, and the counts, ranges and both TV values are those of
+    ``np.histogramdd`` on the whole samples, bit for bit.
     """
     dim = space_dim(space_a)
     if space_dim(space_b) != dim:
@@ -508,26 +522,50 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
         raise DomainError(f"stream_ids must be a pair, got {stream_ids!r}") from None
     if id_a == id_b and space_a == space_b:
         raise DomainError("same-law comparison needs distinct stream ids")
+    task = ("segments", k)
     # Two draws above the in-process cut share one pool; small ones fork none.
     with _worker_pool(workers):
-        seg_a = segment_samples(space_a, n, k, N, seed, stream_id=id_a,
-                                workers=workers)
-        seg_b = segment_samples(space_b, n, k, N, seed, stream_id=id_b,
-                                workers=workers)
-    lo = np.minimum(seg_a.min(axis=0), seg_b.min(axis=0))
-    hi = np.maximum(seg_a.max(axis=0), seg_b.max(axis=0))
+        chunks_a = [c for c, _ in _run_chunks(space_a, n, N, seed, id_a, task, workers)]
+        chunks_b = [c for c, _ in _run_chunks(space_b, n, N, seed, id_b, task, workers)]
+    # Column by column: min(axis=0) on a (rows, d) chunk is ten times slower.
+    both = chunks_a + chunks_b
+    lo = np.array([min(c[:, j].min() for c in both) for j in range(d)])
+    hi = np.array([max(c[:, j].max() for c in both) for j in range(d)])
     pad = np.maximum(0.005 * (hi - lo), 1e-12)
     ranges = tuple((float(l), float(h)) for l, h in zip(lo - pad, hi + pad))
+    # np.histogramdd's edges. Every sample lies inside the grid, so its bin
+    # is the number of interior edges at or below it: a sample on the last
+    # edge falls in the last bin, as np.histogramdd puts it.
+    inner = [np.linspace(l, h, bins_per_axis + 1)[1:-1] for l, h in ranges]
+    shape = (bins_per_axis,) * d
 
-    def binned_tv(x: np.ndarray, y: np.ndarray):
-        counts_x, _ = np.histogramdd(x, bins=bins_per_axis, range=ranges)
-        counts_y, _ = np.histogramdd(y, bins=bins_per_axis, range=ranges)
-        tv = 0.5 * float(np.abs(counts_x / len(x) - counts_y / len(y)).sum())
-        return counts_x, counts_y, tv
+    def cells_of(rows: np.ndarray) -> np.ndarray:
+        return np.ravel_multi_index(
+            [np.searchsorted(e, rows[:, j], side="right") for j, e in enumerate(inner)],
+            shape)
 
-    counts_a, counts_b, tv = binned_tv(seg_a, seg_b)
-    null = binned_tv(seg_a[:N // 2], seg_a[N // 2:])[2]
-    return GridHistogram(d, bins_per_axis, ranges, counts_a, counts_b, tv, null)
+    # Counted by add.at, not bincount: a cell-long bincount per chunk would
+    # cost cells x chunks, which grows as N**2 at the finest grid allowed.
+    half1, half2, counts_b = (np.zeros(cells, dtype=np.int64) for _ in range(3))
+    start = 0
+    for chunk in chunks_a:
+        flat = cells_of(chunk)
+        cut = min(max(N // 2 - start, 0), len(flat))
+        np.add.at(half1, flat[:cut], 1)
+        np.add.at(half2, flat[cut:], 1)
+        start += len(flat)
+    for chunk in chunks_b:
+        np.add.at(counts_b, cells_of(chunk), 1)
+
+    def tv(x: np.ndarray, y: np.ndarray) -> float:
+        # every sample is in a cell, so a count total is its sample's size
+        return 0.5 * float(np.abs(x / x.sum() - y / y.sum()).sum())
+
+    counts_a = half1 + half2
+    return GridHistogram(d, bins_per_axis, ranges,
+                         counts_a.astype(np.float64).reshape(shape),
+                         counts_b.astype(np.float64).reshape(shape),
+                         tv(counts_a, counts_b), tv(half1, half2))
 
 
 def covariance_partition(space: str, n: int, N: int, seed: int, *,

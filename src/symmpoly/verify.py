@@ -488,7 +488,7 @@ def extended_density_checks(seed: int, N: int) -> List[CheckResult]:
     for n in (2, 5, 10):
         out.append(_normalization_check(
             f"wishart_normalization_n{n}",
-            lambda v: densities.wishart_density(v, 1, n, 1.0), np.inf))
+            lambda v, n=n: densities.wishart_density(v, 1, n, 1.0), np.inf))
     out.append(_normalization_check(
         "cbi_normalization", lambda u: densities.cbi_density(u, 1, 2.0, 8.0)))
     for n in (6, 10):

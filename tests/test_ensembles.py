@@ -4,6 +4,7 @@ and bootstrap helpers."""
 import math
 import multiprocessing
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -858,6 +859,74 @@ def test_estimate_tv_deterministic_across_workers(dispatch_every_run):
     assert a.tv_estimate == b.tv_estimate
     assert a.null_calibration == b.null_calibration
     assert np.array_equal(a.counts_a, b.counts_a)
+
+
+def _whole_sample_tv(space_a, space_b, n, k, N, bins, stream_ids, workers):
+    """The whole-sample form of estimate_tv: both samples concatenated, the
+    grid from their pooled min/max(axis=0), four np.histogramdd calls."""
+    seg_a, seg_b = (segment_samples(space, n, k, N, SEED, stream_id=sid,
+                                    workers=workers)
+                    for space, sid in ((space_a, stream_ids[0]),
+                                       (space_b, stream_ids[1])))
+    lo = np.minimum(seg_a.min(axis=0), seg_b.min(axis=0))
+    hi = np.maximum(seg_a.max(axis=0), seg_b.max(axis=0))
+    pad = np.maximum(0.005 * (hi - lo), 1e-12)
+    ranges = tuple((float(l), float(h)) for l, h in zip(lo - pad, hi + pad))
+
+    def binned_tv(x, y):
+        counts_x, _ = np.histogramdd(x, bins=bins, range=ranges)
+        counts_y, _ = np.histogramdd(y, bins=bins, range=ranges)
+        tv = 0.5 * float(np.abs(counts_x / len(x) - counts_y / len(y)).sum())
+        return counts_x, counts_y, tv
+
+    counts_a, counts_b, tv = binned_tv(seg_a, seg_b)
+    null = binned_tv(seg_a[:N // 2], seg_a[N // 2:])[2]
+    return ranges, counts_a, counts_b, tv, null
+
+
+@pytest.mark.parametrize(
+    "space_a, space_b, n, k, N, bins, chunk, workers",
+    [("pol2", "arm2", 20, 1, 4 * CHUNK_SIZE, 8, CHUNK_SIZE, 1),  # N // 2 on a chunk edge
+     ("pol2", "arm2", 20, 1, 5 * CHUNK_SIZE, 8, CHUNK_SIZE, 1),  # N // 2 inside a chunk
+     ("pol2", "arm2", 20, 1, 20_000, 8, CHUNK_SIZE, 1),          # a short last chunk
+     ("pol3", "arm3", 30, 1, 12_345, 4, CHUNK_SIZE, 1),          # odd N, d = 3
+     ("pol2", "arm2", 30, 2, 13_001, 4, CHUNK_SIZE, 1),          # d = 4
+     ("arm2", "arm2", 50, 1, 9_000, 8, CHUNK_SIZE, 1),           # the control pair
+     ("pol2", "arm2", 20, 1, 7_777, 8, 1000, 2)])                # pooled
+def test_estimate_tv_matches_whole_sample_binning(
+        monkeypatch, dispatch_every_run, space_a, space_b, n, k, N, bins,
+        chunk, workers):
+    _chunk_size(monkeypatch, chunk)
+    ids = (20, 21)
+    hist = estimate_tv(space_a, space_b, n, k, N, bins, SEED, stream_ids=ids,
+                       workers=workers)
+    ranges, counts_a, counts_b, tv, null = _whole_sample_tv(
+        space_a, space_b, n, k, N, bins, ids, workers)
+    assert hist.ranges == ranges
+    for got, want in ((hist.counts_a, counts_a), (hist.counts_b, counts_b)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert hist.tv_estimate == tv
+    assert hist.null_calibration == null
+
+
+@pytest.mark.parametrize("N", [100_000, 400_000])
+def test_estimate_tv_holds_only_the_samples(N):
+    # numpy reports its buffers to tracemalloc. The call must hold both
+    # samples, 2 x N x d float64; past them it needs about a chunk's
+    # temporaries (0.4 MB measured at either N), where binning the whole
+    # samples took 2.5 MB more at N = 100k and 10 MB at 400k.
+    args = ("pol2", "arm2", 100, 1)
+    estimate_tv(*args, 20_000, 12, SEED)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        estimate_tv(*args, N, 12, SEED)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * N * 2 * 8 < 1.5e6
 
 
 def test_estimate_tv_resolution_guards():

@@ -96,8 +96,6 @@ def test_gauss_rule_is_as_strict_as_quad(monkeypatch):
     check = verify._normalization_check
 
     def against_quad(name, density, upper=1.0):
-        # compared as the check is made: the Wishart integrands read their
-        # n from the loop that makes them
         expected, _ = integrate.quad(density, 0.0, upper, epsabs=1e-12,
                                      epsrel=1e-12, limit=200)
         assert abs(verify._gauss_integral(density, upper) - expected) <= 1e-13, name
@@ -109,6 +107,26 @@ def test_gauss_rule_is_as_strict_as_quad(monkeypatch):
     monkeypatch.setattr(verify, "_normalization_check", against_quad)
     extended_density_checks(SEED, 2000)
     assert len(checked) == 6
+
+
+def test_wishart_integrands_keep_their_n(monkeypatch):
+    # an integrand kept past the call integrates the density it was made
+    # for, not the one of the last n its loop (or a later loop) bound
+    kept, in_place = {}, {}
+    check = verify._normalization_check
+
+    def recording(name, density, upper=1.0):
+        kept[name] = (density, upper)
+        in_place[name] = verify._gauss_integral(density, upper)
+        return check(name, density, upper)
+
+    monkeypatch.setattr(verify, "_normalization_check", recording)
+    extended_density_checks(SEED, 2000)
+    wishart = [f"wishart_normalization_n{n}" for n in (2, 5, 10)]
+    assert set(wishart) <= set(kept)
+    for name, (density, upper) in kept.items():
+        assert verify._gauss_integral(density, upper) == in_place[name], name
+    assert len({in_place[name] for name in wishart}) == 3
 
 
 def test_gauss_rule_fails_wrong_block_densities():
