@@ -163,6 +163,8 @@ def chebyshev_interval(center: float, var_bound: float, lam: float
     At least max(0, 1 - 1/lambda^2) of the mass lies in [lo, hi] whenever
     var_bound dominates the true variance.
     """
+    if not math.isfinite(center):
+        raise DomainError(f"center must be finite, got {center}")
     if not var_bound >= 0.0:
         raise DomainError(f"variance bound must be nonnegative, got {var_bound}")
     if not lam > 0.0:

@@ -37,10 +37,12 @@ polygons and returns ``fn(chunk, edges)`` from the process that drew them
 (a pooled run needs a picklable ``fn``). What ``fn`` does with them, such
 as writing them to a file, is the caller's: this module opens no file.
 
-Which runs go to the worker pool depends only on the run (``_dispatches``):
-a run of at most ``_IN_PROCESS_EDGES`` drawn edges (N x window), listed or
-streamed, runs in-process at any worker count, because a pool costs more
-than such a draw. Chunk runs inside ``_worker_pool(workers)`` share one
+Which runs go to the worker pool depends only on the run (``_dispatches``).
+Segment runs (``segment_samples``, ``estimate_tv``) run in-process at any
+worker count, because each of their chunks sends back every edge it draws.
+A functional or polygon run of at most ``_IN_PROCESS_EDGES`` drawn edges
+(N x window), listed or streamed, runs in-process too, because a pool costs
+more than such a draw. Chunk runs inside ``_worker_pool(workers)`` share one
 process pool, forked when the first of them dispatches. Every pooled run
 goes through one loop: it keeps at most 2 x the block's worker count of
 chunks submitted and not yet yielded, and yields them in chunk order. A
@@ -72,8 +74,9 @@ from .polygons import _check_segment_length, space_dim, space_edges_batch
 
 CHUNK_SIZE = 4096
 
-# Chunk runs that draw at most this many edges (N x window) run in-process
-# at any worker count. On 2 cores, head draws of up to 200k edges took
+# Functional and polygon chunk runs that draw at most this many edges
+# (N x window) run in-process at any worker count; segment runs always do
+# (``_dispatches``). On 2 cores, head draws of up to 200k edges took
 # 0.8-1.04x their time on an open 2-worker pool in-process, and
 # whole-polygon draws of 410k edges and more took 1.7-2x theirs.
 _IN_PROCESS_EDGES = 2 ** 18
@@ -291,11 +294,11 @@ def _worker_pool(workers: int) -> Iterator[None]:
 
     The pool is lazy: it is forked when the first chunk run in the block
     dispatches, and a block whose runs all stay in-process (one worker, one
-    chunk, or a small list run) forks none. Later runs reuse it, and the
-    block terminates it on exit, prefetched runs still pending included. A
-    block opened inside an open block is that block, whatever its worker
-    count, so a caller that wraps many sampling calls in one block starts
-    its workers at most once.
+    chunk, a segment run or a small run) forks none. Later runs reuse it,
+    and the block terminates it on exit, prefetched runs still pending
+    included. A block opened inside an open block is that block, whatever
+    its worker count, so a caller that wraps many sampling calls in one
+    block starts its workers at most once.
     """
     global _BLOCK
     _check_int("worker count", workers, 1, error=DomainError)
@@ -311,13 +314,6 @@ def _worker_pool(workers: int) -> Iterator[None]:
             block.pool.terminate()
 
 
-def _task_window(space: str, n: int, task) -> int:
-    """Leading edges each sample of a chunk task draws."""
-    if task[0] == "functionals":
-        return _build_plan(space, n, task[1]).window
-    return task[1] if task[0] == "segments" else n
-
-
 def _chunk_args(space: str, n: int, N: int, seed: int, stream_id: int,
                 task) -> list:
     return [(space, n, seed, stream_id, chunk, count, task)
@@ -327,18 +323,20 @@ def _chunk_args(space: str, n: int, N: int, seed: int, stream_id: int,
 def _dispatches(space: str, n: int, N: int, task, workers: int) -> bool:
     """Whether a chunk run, listed or streamed, goes to the worker pool.
 
-    Never at one worker or for a single chunk. Otherwise a run dispatches
-    when it draws more than ``_IN_PROCESS_EDGES`` edges (N x window), head
-    draws included, though for them the pool loses: `symmpoly tv
-    --space pol2 --n 100 --k 1 --count 4000000 --bins 12` took 4.47-4.98 s
-    at `--workers 2` (dispatched) and 2.96-3.61 s at `--workers 1`
-    (in-process), in-process faster in 7 of 7 alternating pairs (2 cores,
-    from `import symmpoly` to exit). No benchmark workload dispatches a
-    head draw, so the cut stays until one can measure a change to it.
+    Never at one worker, for a single chunk, or for a ``("segments", k)``
+    run at any k: a segment chunk sends back every edge it draws, and the
+    parent takes longer to receive them than to draw them. On 2 cores, 1M
+    one-edge heads of pol2 n = 100 took 0.25-0.40 s in-process and
+    0.42-0.53 s when sent to 2 workers, and 100k whole pol2 20-gons
+    0.12-0.17 s and 0.22-0.32 s (5 runs each). Functional and
+    ``("polygons", fn)`` runs send back a reduction, and dispatch when they
+    draw more than ``_IN_PROCESS_EDGES`` edges (N x window).
     """
-    if _check_int("worker count", workers, 1, error=DomainError) == 1 or N <= CHUNK_SIZE:
+    workers = _check_int("worker count", workers, 1, error=DomainError)
+    if workers == 1 or N <= CHUNK_SIZE or task[0] == "segments":
         return False
-    return N * _task_window(space, n, task) > _IN_PROCESS_EDGES
+    window = _build_plan(space, n, task[1]).window if task[0] == "functionals" else n
+    return N * window > _IN_PROCESS_EDGES
 
 
 def _prefetch(space: str, n: int, N: int, seed: int, stream_id: int, task,
@@ -350,10 +348,9 @@ def _prefetch(space: str, n: int, N: int, seed: int, stream_id: int, task,
     results; runs dispatched later in the block queue behind them. A run
     that would stay in-process, or a call outside a block, submits nothing.
     """
-    if _BLOCK is None or not _dispatches(space, n, N, task, workers):
-        return
-    args = _chunk_args(space, n, N, seed, stream_id, task)
-    _BLOCK.prefetched[(seed, stream_id)] = (args, [_BLOCK.submit(a) for a in args])
+    if _BLOCK is not None and _dispatches(space, n, N, task, workers):
+        args = _chunk_args(space, n, N, seed, stream_id, task)
+        _BLOCK.prefetched[(seed, stream_id)] = (args, [_BLOCK.submit(a) for a in args])
 
 
 def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
@@ -373,8 +370,7 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
     """
     args = _chunk_args(space, n, N, seed, stream_id, task)
     if not _dispatches(space, n, N, task, workers):
-        for a in args:
-            yield _eval_chunk(a)
+        yield from map(_eval_chunk, args)
         return
     with _worker_pool(workers):
         ready = _BLOCK.prefetched.pop((seed, stream_id), None)
@@ -428,8 +424,7 @@ def functional_samples(space: str, n: int, N: int,
     same.
     """
     plan = _build_plan(space, n, functionals)
-    _check_int("worker count", workers, 1, error=DomainError)
-    if workers > 1:
+    if _check_int("worker count", workers, 1, error=DomainError) > 1:
         _check_picklable(functionals)
     results = _run_chunks(space, n, N, seed, stream_id,
                           ("functionals", tuple(functionals)), workers)
@@ -474,6 +469,9 @@ def segment_samples(space: str, n: int, k: int, N: int, seed: int, *,
     stream differently from a full draw, so a length-k sample is not the
     prefix of a longer segment sample on the same stream. At k = n it is
     the full polygon, drawn exactly as by the full sampler.
+
+    ``workers`` must be a positive integer, but the draw runs in-process at
+    any worker count: a segment run never goes to the pool (``_dispatches``).
     """
     space_dim(space)
     _check_segment_length(n, k)
@@ -501,6 +499,9 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
     past the samples it holds one chunk's temporaries and three cell-count
     arrays, and the counts, ranges and both TV values are those of
     ``np.histogramdd`` on the whole samples, bit for bit.
+
+    ``workers`` must be a positive integer, but both draws run in-process at
+    any worker count: a segment run never goes to the pool (``_dispatches``).
     """
     dim = space_dim(space_a)
     if space_dim(space_b) != dim:
@@ -523,10 +524,8 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
     if id_a == id_b and space_a == space_b:
         raise DomainError("same-law comparison needs distinct stream ids")
     task = ("segments", k)
-    # Two draws above the in-process cut share one pool; small ones fork none.
-    with _worker_pool(workers):
-        chunks_a = [c for c, _ in _run_chunks(space_a, n, N, seed, id_a, task, workers)]
-        chunks_b = [c for c, _ in _run_chunks(space_b, n, N, seed, id_b, task, workers)]
+    chunks_a = [c for c, _ in _run_chunks(space_a, n, N, seed, id_a, task, workers)]
+    chunks_b = [c for c, _ in _run_chunks(space_b, n, N, seed, id_b, task, workers)]
     # Column by column: min(axis=0) on a (rows, d) chunk is ten times slower.
     both = chunks_a + chunks_b
     lo = np.array([min(c[:, j].min() for c in both) for j in range(d)])
@@ -591,8 +590,12 @@ def assemble_partition(n: int, t1: np.ndarray, t2: np.ndarray,
     Estimates C(theta1,theta1), C(theta1,theta2), C(theta1,theta3) and
     assembles n*c_self + 2n*c_adjacent + (n^2-3n)*c_distant, which for a
     closed planar n-gon equals Var(total curvature) by exchangeability of
-    the turning angles.
+    the turning angles. n is an integer >= 7, as in ``covariance_partition``,
+    and the three samples have one length.
     """
+    n = _check_int("covariance partition n", n, 7, error=InvalidSizeError)
+    if not len(t1) == len(t2) == len(t3):
+        raise DomainError(f"theta samples differ in length: {len(t1)}, {len(t2)}, {len(t3)}")
     c_self = float(t1.var(ddof=1))
     c_adjacent = float(np.cov(t1, t2, ddof=1)[0, 1])
     c_distant = float(np.cov(t1, t3, ddof=1)[0, 1])
@@ -637,6 +640,8 @@ def ks_distance(samples, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
             raise ValueError(f"got shape {fitted.shape} for {arr.shape}")
     except (TypeError, ValueError) as exc:
         raise DomainError(f"the cdf must map an array to an array: {exc}") from exc
+    if not np.isfinite(fitted).all():
+        raise DomainError("the cdf returned a NaN or infinity")
     steps = np.arange(arr.size + 1) / arr.size
     return float(max(np.max(steps[1:] - fitted), np.max(fitted - steps[:-1])))
 
@@ -657,6 +662,6 @@ def bootstrap_stat_se(size: int, stat: Callable[[np.ndarray], float],
 def bootstrap_se(values, stat: Callable[[np.ndarray], float], s: StreamLike,
                  n_resamples: int = 200) -> float:
     """Bootstrap SE of stat(values) under resampling with replacement."""
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = _finite_samples(values, "bootstrap")
     return bootstrap_stat_se(arr.size, lambda idx: float(stat(arr[idx])), s,
                              n_resamples)

@@ -135,11 +135,13 @@ class _Ensembles:
     reads it and then kept; its sample counts and seed.
 
     At workers > 1 the plans that read a total, and so draw whole polygons,
-    go to the worker pool before any check runs. Every other draw of a run
-    runs in this process at one worker, so that it does not queue behind
-    them: at 2 workers on 2 cores, desk verify took 9.5-10.4 s when its
-    400k-sample TV draws and its 5-edge arm3_50 plan queued on the pool,
-    and 8.4-8.7 s with them in-process (4 runs).
+    go to the worker pool before any check runs. The head-draw plans run in
+    this process at one worker, so that they do not queue behind them, and
+    so does every segment draw (structural polygons, TV samples, Haar-block
+    heads) at any worker count, by ``ensembles._dispatches``. At 2 workers
+    on 2 cores, desk verify took 9.5-10.4 s when its 400k-sample TV draws
+    and its 5-edge arm3_50 plan queued on the pool, and 8.4-8.7 s with them
+    in-process (4 runs).
     """
 
     def __init__(self, scale: int, seed: int, workers: int):
@@ -151,18 +153,16 @@ class _Ensembles:
 
     def _draw_args(self, name: str):
         space, n, reads = _REQUESTS[name]
-        task = ("functionals", reads)
-        whole = ensembles._task_window(space, n, task) == n
-        return space, n, task, self.workers if whole else 1
+        whole = ensembles._build_plan(space, n, reads).window == n
+        return space, n, ("functionals", reads), self.workers if whole else 1
 
     def prefetch(self) -> None:
         """Submit every request that reads a total to the worker pool, so
         that the workers draw while the checks that do not read them run."""
         for name in _REQUESTS:
             space, n, task, workers = self._draw_args(name)
-            if workers > 1:
-                ensembles._prefetch(space, n, self.N, self.seed, STREAM_IDS[name],
-                                    task, workers)
+            ensembles._prefetch(space, n, self.N, self.seed, STREAM_IDS[name],
+                                task, workers)
 
     def __getitem__(self, name: str):
         if name not in self._drawn:
@@ -256,11 +256,7 @@ def _normalization_check(name: str, density, upper: float = 1.0) -> CheckResult:
 
 
 def _structural_checks(e: _Ensembles) -> List[CheckResult]:
-    """Criterion 1: every closed sample closes and has perimeter 2.
-
-    The whole 50-gons are drawn here at one worker: a segment draw returns
-    every edge, so on the pool the parent spends its time receiving them.
-    """
+    """Criterion 1: every closed sample closes and has perimeter 2."""
     out = []
     for space in ("pol2", "pol3"):
         edges = ensembles.segment_samples(

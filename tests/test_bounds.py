@@ -232,6 +232,13 @@ def test_chebyshev_interval_values():
         chebyshev_interval(0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+def test_chebyshev_interval_needs_a_finite_center(center):
+    # a NaN center gave (nan, nan, 0.75), an interval that covers nothing
+    with pytest.raises(DomainError, match="center must be finite"):
+        chebyshev_interval(center, 1.0, 2.0)
+
+
 def test_chebyshev_curvature_interval_clears_two_pi():
     # With center n*pi/2, the simple variance bound, and lambda = sqrt(2)
     # (coverage 1/2), the interval's lower end first exceeds 2*pi at n = 363.

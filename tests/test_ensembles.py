@@ -33,6 +33,12 @@ def _all_degenerate(windows):
     return np.full(len(windows), np.nan)
 
 
+def _edge_sums(chunk, edges):
+    # a ("polygons", fn) task: each polygon's edge sum, drawn where it is
+    # reduced; module-level, so that a worker can take it
+    return edges.sum(axis=1)
+
+
 EDGE_LENGTH = LocalFunctional(k=1, bound_M=2.0, eval=_first_edge_lengths,
                               name="edge_length")
 BROKEN = LocalFunctional(k=1, bound_M=1.0, eval=_all_degenerate,
@@ -443,12 +449,14 @@ def test_sample_counts_accept_numpy_integers(monkeypatch):
 
 
 def test_worker_count_must_be_positive():
-    for workers in (0, -2, 1.5):
+    for workers in (0, -2, 1.5, True):
         with pytest.raises(DomainError):
             segment_samples("arm2", 10, 1, 100, SEED, workers=workers)
         with pytest.raises(DomainError):
             functional_samples("arm2", 10, 100, ["theta1"], SEED,
                                workers=workers)
+        with pytest.raises(DomainError, match="worker count"):
+            estimate_tv("pol2", "arm2", 10, 1, 2000, 4, SEED, workers=workers)
 
 
 def test_plan_window_counts_leading_edges():
@@ -577,16 +585,49 @@ def _count_pools(monkeypatch):
     return opened
 
 
-def test_estimate_tv_opens_one_pool(monkeypatch, dispatch_every_run):
+def test_runs_in_one_block_open_one_pool(monkeypatch, dispatch_every_run):
+    # a whole-polygon plan and a polygon task, two streams, one pool
+    _chunk_size(monkeypatch, 1024)
     opened = _count_pools(monkeypatch)
-    a = estimate_tv("pol2", "arm2", 20, 1, 20_000, 8, SEED,
-                    stream_ids=(24, 25), workers=2)
+
+    def draws(workers):
+        with _worker_pool(workers):
+            vals, _ = functional_samples("pol2", 20, 3000, ["total_curvature"],
+                                         SEED, stream_id=24, workers=workers)
+            sums = ensembles._run_chunks("arm2", 20, 3000, SEED, 25,
+                                         ("polygons", _edge_sums), workers)
+        return vals["total_curvature"], np.concatenate([r[0] for r in sums])
+
+    pooled = draws(2)
     assert opened == [2]
-    b = estimate_tv("pol2", "arm2", 20, 1, 20_000, 8, SEED,
-                    stream_ids=(24, 25), workers=1)
+    in_process = draws(1)
     assert opened == [2]
-    assert np.array_equal(a.counts_a, b.counts_a)
-    assert np.array_equal(a.counts_b, b.counts_b)
+    for a, b in zip(pooled, in_process):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_segment_runs_fork_no_pool(monkeypatch, dispatch_every_run):
+    # a segment chunk sends back every edge it draws, so segment runs stay
+    # in-process at any worker count, heads (k = 1) and whole polygons
+    # (k = n) alike, while every other multi-chunk run here dispatches
+    _chunk_size(monkeypatch, 1000)
+    opened = _count_pools(monkeypatch)
+    for k in (1, 20):
+        s1 = segment_samples("pol2", 20, k, 5000, SEED, stream_id=3)
+        s2 = segment_samples("pol2", 20, k, 5000, SEED, stream_id=3, workers=2)
+        with _worker_pool(2):
+            s3 = segment_samples("pol2", 20, k, 5000, SEED, stream_id=3,
+                                 workers=2)
+        assert opened == []
+        assert s1.tobytes() == s2.tobytes() == s3.tobytes()
+    tv_args = ("pol2", "arm2", 20, 1, 20_000, 8, SEED)
+    h1 = estimate_tv(*tv_args, stream_ids=(24, 25))
+    h2 = estimate_tv(*tv_args, stream_ids=(24, 25), workers=2)
+    assert opened == []
+    assert h1.counts_a.tobytes() == h2.counts_a.tobytes()
+    assert h1.counts_b.tobytes() == h2.counts_b.tobytes()
+    assert (h1.tv_estimate, h1.null_calibration) == (h2.tv_estimate,
+                                                     h2.null_calibration)
 
 
 def test_worker_pool_is_shared_by_nested_blocks(monkeypatch,
@@ -594,19 +635,22 @@ def test_worker_pool_is_shared_by_nested_blocks(monkeypatch,
     opened = _count_pools(monkeypatch)
     _chunk_size(monkeypatch, 1024)
     kwargs = dict(stream_id=2)
+    torsion = ["tau1", "total_torsion"]
     with _worker_pool(2):
         v2, _ = functional_samples("pol2", 20, 5000, ["total_curvature"],
                                    SEED, workers=2, **kwargs)
         with _worker_pool(2):
-            s2 = segment_samples("arm3", 20, 2, 3000, SEED, workers=2,
-                                 **kwargs)
+            t2, _ = functional_samples("arm3", 20, 3000, torsion, SEED,
+                                       workers=2, **kwargs)
     assert opened == [2]
     v1, _ = functional_samples("pol2", 20, 5000, ["total_curvature"], SEED,
                                workers=1, **kwargs)
-    s1 = segment_samples("arm3", 20, 2, 3000, SEED, workers=1, **kwargs)
+    t1, _ = functional_samples("arm3", 20, 3000, torsion, SEED, workers=1,
+                               **kwargs)
     assert opened == [2]
     assert np.array_equal(v1["total_curvature"], v2["total_curvature"])
-    assert np.array_equal(s1, s2)
+    for name in torsion:
+        assert np.array_equal(t1[name], t2[name]), name
     with pytest.raises(DomainError):
         with _worker_pool(0):
             pass
@@ -642,30 +686,33 @@ def test_small_list_runs_fork_no_pool(monkeypatch):
 
 def test_worker_pool_forks_on_first_dispatch(monkeypatch):
     opened = _count_pools(monkeypatch)
-    kwargs = dict(stream_id=2)
+    task = ("polygons", _edge_sums)
+
+    def sums(workers):
+        return np.concatenate([r[0] for r in ensembles._run_chunks(
+            "arm2", 20, 20_000, SEED, 3, task, workers)])
+
     with _worker_pool(2):
-        head2 = segment_samples("arm2", 20, 1, 20_000, SEED, workers=2,
-                                **kwargs)
+        # a two-edge window: 40k drawn edges, below the cut
+        head2, _ = functional_samples("arm2", 20, 20_000, ["theta1"], SEED,
+                                      stream_id=2, workers=2)
         assert opened == []
         # whole 20-gons: 400k drawn edges, above the cut
         v2, _ = functional_samples("pol2", 20, 20_000, ["total_curvature"],
-                                   SEED, workers=2, **kwargs)
+                                   SEED, stream_id=2, workers=2)
         assert opened == [2]
-        full2 = segment_samples("arm2", 20, 20, 20_000, SEED, workers=2,
-                                **kwargs)
+        full2 = sums(2)
     assert opened == [2]
     # outside a block, a run above the cut opens a pool of its own
-    assert np.array_equal(
-        full2, segment_samples("arm2", 20, 20, 20_000, SEED, workers=2,
-                               **kwargs))
+    assert np.array_equal(full2, sums(2))
     assert opened == [2, 2]
     v1, _ = functional_samples("pol2", 20, 20_000, ["total_curvature"], SEED,
-                               workers=1, **kwargs)
+                               stream_id=2, workers=1)
     assert np.array_equal(v1["total_curvature"], v2["total_curvature"])
-    assert np.array_equal(head2, segment_samples("arm2", 20, 1, 20_000, SEED,
-                                                 **kwargs))
-    assert np.array_equal(full2, segment_samples("arm2", 20, 20, 20_000, SEED,
-                                                 **kwargs))
+    head1, _ = functional_samples("arm2", 20, 20_000, ["theta1"], SEED,
+                                  stream_id=2)
+    assert np.array_equal(head1["theta1"], head2["theta1"])
+    assert np.array_equal(full2, sums(1))
 
 
 @pytest.mark.parametrize("method", [m for m in multiprocessing.get_all_start_methods()
@@ -742,7 +789,7 @@ class _RecordingPool:
 def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch, dispatch_every_run):
     _chunk_size(monkeypatch, 100)
     pool = _RecordingPool(monkeypatch)
-    task = ("segments", 3)
+    task = ("polygons", _edge_sums)
     stream = ensembles._iter_chunks("arm3", 10, 1050, SEED, 4, task, 2)
     got = []
     for result in stream:
@@ -758,8 +805,9 @@ def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch, dispatch_every_ru
         consumed += event == "used"
         worst = max(worst, submitted - consumed)
     assert worst == 4
-    expected = segment_samples("arm3", 10, 3, 1050, SEED, stream_id=4)
-    assert np.array_equal(np.concatenate(got), expected)
+    expected = segment_samples("arm3", 10, 10, 1050, SEED, stream_id=4)
+    assert np.array_equal(np.concatenate(got),
+                          expected.reshape(1050, 10, 3).sum(axis=1))
 
 
 def test_chunk_list_keeps_the_window(monkeypatch, dispatch_every_run):
@@ -767,16 +815,18 @@ def test_chunk_list_keeps_the_window(monkeypatch, dispatch_every_run):
     # chunks submitted first, then one more each time one is taken
     _chunk_size(monkeypatch, 100)
     pool = _RecordingPool(monkeypatch)
-    for result in ensembles._iter_chunks("pol2", 10, 1050, SEED, 4,
-                                         ("segments", 2), 2):
+    task = ("functionals", ("total_curvature",))
+    for result in ensembles._iter_chunks("pol2", 10, 1050, SEED, 4, task, 2):
         pool.log.append("used")
     assert pool.log == (["submit"] * 4 + ["get", "used", "submit"] * 7
                         + ["get", "used"] * 4)
-    results = ensembles._run_chunks("pol2", 10, 1050, SEED, 4,
-                                    ("segments", 2), 2)
+    results = ensembles._run_chunks("pol2", 10, 1050, SEED, 4, task, 2)
     assert isinstance(results, list) and len(results) == 11
-    expected = segment_samples("pol2", 10, 2, 1050, SEED, stream_id=4)
-    assert np.array_equal(np.concatenate([r[0] for r in results]), expected)
+    expected, _ = functional_samples("pol2", 10, 1050, ["total_curvature"],
+                                     SEED, stream_id=4)
+    assert np.array_equal(
+        np.concatenate([r[0]["total_curvature"] for r in results]),
+        expected["total_curvature"])
 
 
 def test_prefetched_run_submits_each_chunk_once(monkeypatch, dispatch_every_run):
@@ -805,14 +855,19 @@ def test_prefetched_run_submits_each_chunk_once(monkeypatch, dispatch_every_run)
 
 def test_list_runs_dispatch_above_the_cut(monkeypatch):
     # a list run of exactly _IN_PROCESS_EDGES drawn edges stays in-process;
-    # a run two edges longer goes to the pool
+    # a run one polygon longer goes to the pool
     cut = ensembles._IN_PROCESS_EDGES
     pool = _RecordingPool(monkeypatch)
-    at_cut = ensembles._run_chunks("arm2", 10, cut, SEED, 4, ("segments", 1), 2)
+    whole = ("functionals", ("total_curvature",))
+    at_cut = ensembles._run_chunks("arm2", 16, cut // 16, SEED, 4, whole, 2)
     assert len(at_cut) > 1 and pool.log == []
-    above = ensembles._run_chunks("arm2", 10, cut // 2 + 1, SEED, 4,
-                                  ("segments", 2), 2)
+    above = ensembles._run_chunks("arm2", 16, cut // 16 + 1, SEED, 4,
+                                  ("polygons", _edge_sums), 2)
     assert pool.log.count("submit") == pool.log.count("get") == len(above)
+    # a segment run stays in-process however many edges it draws
+    pool.log.clear()
+    ensembles._run_chunks("arm2", 16, cut // 16 + 1, SEED, 4, ("segments", 16), 2)
+    assert pool.log == []
     # a window plan counts its window, not n: two edges for theta1
     pool.log.clear()
     ensembles._run_chunks("pol2", 10, cut // 2, SEED, 4,
@@ -892,7 +947,7 @@ def _whole_sample_tv(space_a, space_b, n, k, N, bins, stream_ids, workers):
      ("pol3", "arm3", 30, 1, 12_345, 4, CHUNK_SIZE, 1),          # odd N, d = 3
      ("pol2", "arm2", 30, 2, 13_001, 4, CHUNK_SIZE, 1),          # d = 4
      ("arm2", "arm2", 50, 1, 9_000, 8, CHUNK_SIZE, 1),           # the control pair
-     ("pol2", "arm2", 20, 1, 7_777, 8, 1000, 2)])                # pooled
+     ("pol2", "arm2", 20, 1, 7_777, 8, 1000, 2)])                # 2 workers, in-process
 def test_estimate_tv_matches_whole_sample_binning(
         monkeypatch, dispatch_every_run, space_a, space_b, n, k, N, bins,
         chunk, workers):
@@ -1009,6 +1064,18 @@ def test_covariance_partition_validation():
         covariance_partition("pol3", 100, 100, SEED)
 
 
+def test_assemble_partition_checks_its_arguments():
+    t = SeedStream(SEED, 37).generator().standard_normal(50)
+    assert assemble_partition(np.int64(100), t, t, t) == assemble_partition(100, t, t, t)
+    # n by the one integer rule, as in covariance_partition
+    for n in (True, 2.5, 6, 100.0):
+        with pytest.raises(InvalidSizeError, match="covariance partition n"):
+            assemble_partition(n, t, t, t)
+    for t2, t3 in ((t[:49], t), (t, t[1:]), (t[:10], t[:20])):
+        with pytest.raises(DomainError, match="differ in length"):
+            assemble_partition(100, t, t2, t3)
+
+
 def test_chebyshev_coverage_counts_strictly_outside():
     assert chebyshev_coverage([0.0, 1.0, 2.0, 3.0], (0.5, 2.5)) == 0.5
     assert chebyshev_coverage([1.0, 2.0], (1.0, 2.0)) == 0.0
@@ -1078,6 +1145,24 @@ def test_bootstrap_se_behaviour():
     assert bootstrap_se(np.ones(100), np.mean, SeedStream(SEED, 34)) == 0.0
     with pytest.raises(DomainError):
         bootstrap_stat_se(1, lambda idx: 0.0, SeedStream(SEED, 35))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_bootstrap_se_needs_finite_values(bad):
+    # a NaN gave a NaN SE without a word, an infinity a RuntimeWarning first
+    with pytest.raises(DomainError, match="finite samples"):
+        bootstrap_se([1.0, bad, 2.0], np.mean, SeedStream(SEED, 35))
+
+
+def test_ks_distance_refuses_a_nan_cdf():
+    # np.max passes a NaN through, so the distance read NaN
+    def cdf(x):
+        out = np.clip(x, 0.0, 1.0)
+        out[1] = np.nan
+        return out
+
+    with pytest.raises(DomainError, match="NaN"):
+        ks_distance([0.1, 0.5, 0.9], cdf)
 
 
 def test_bootstrap_needs_two_resamples():
