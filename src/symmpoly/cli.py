@@ -129,21 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--level", choices=("desk", "deep"), default="desk",
                    help="desk: default sample counts; deep: 10x")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"master seed (default {DEFAULT_SEED})")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes; never changes output bytes")
-    p.add_argument("--out", default="verify_results.csv",
-                   help="CSV path for check results (default verify_results.csv)")
+    add_common(p, workers=True, out_default="verify_results.csv")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("density-check",
                        help="matrix-density normalization and law checks")
-    p.add_argument("--count", type=int, default=100_000,
-                   help="samples per law-agreement check (default 100000)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"master seed (default {DEFAULT_SEED})")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+    add_common(p, count=100_000)
     p.set_defaults(func=_cmd_density_check)
 
     return parser

@@ -37,20 +37,17 @@ polygons and returns ``fn(chunk, edges)`` from the process that drew them
 (a pooled run needs a picklable ``fn``). What ``fn`` does with them, such
 as writing them to a file, is the caller's: this module opens no file.
 
-Which runs go to the worker pool depends only on the run (``_dispatches``).
-Segment runs (``segment_samples``, ``estimate_tv``) run in-process at any
-worker count, because each of their chunks sends back every edge it draws.
-A functional or polygon run of at most ``_IN_PROCESS_EDGES`` drawn edges
-(N x window), listed or streamed, runs in-process too, because a pool costs
-more than such a draw. Chunk runs inside ``_worker_pool(workers)`` share one
-process pool, forked when the first of them dispatches. Every pooled run
-goes through one loop: it keeps at most 2 x the block's worker count of
-chunks submitted and not yet yielded, and yields them in chunk order. A
-caller in such a block may ``_prefetch`` a list run: its chunks go to the
-pool at once, without waiting, and the later ``_iter_chunks`` call of the
-same run takes their results instead of submitting them again.
-``verify`` prefetches its plans that read a total and draws everything
-else in the parent while the workers draw.
+Which runs go to the worker pool depends only on the run, by one rule,
+``_dispatches``; every other run is drawn in-process. Chunk runs inside
+``_worker_pool(workers)`` share one process pool, forked when the first of
+them dispatches. Every pooled run goes through one loop: it keeps at most
+2 x the block's worker count of chunks submitted and not yet yielded, and
+yields them in chunk order. A caller in such a block may ``_prefetch`` a
+list run: its chunks go to the pool at once, without waiting, and the
+later ``_iter_chunks`` call of the same run takes their results instead
+of submitting them again.
+``verify`` prefetches every plan it reads, so the ones that dispatch are
+drawn while the parent draws and checks everything else.
 """
 from __future__ import annotations
 
@@ -74,11 +71,7 @@ from .polygons import _check_segment_length, space_dim, space_edges_batch
 
 CHUNK_SIZE = 4096
 
-# Functional and polygon chunk runs that draw at most this many edges
-# (N x window) run in-process at any worker count; segment runs always do
-# (``_dispatches``). On 2 cores, head draws of up to 200k edges took
-# 0.8-1.04x their time on an open 2-worker pool in-process, and
-# whole-polygon draws of 410k edges and more took 1.7-2x theirs.
+# The drawn-edge cut of ``_dispatches``, which says what it measured.
 _IN_PROCESS_EDGES = 2 ** 18
 
 # Worker pools fork where the platform can, so that each worker starts with
@@ -293,12 +286,11 @@ def _worker_pool(workers: int) -> Iterator[None]:
     """A block whose chunk runs share one pool of ``workers`` processes.
 
     The pool is lazy: it is forked when the first chunk run in the block
-    dispatches, and a block whose runs all stay in-process (one worker, one
-    chunk, a segment run or a small run) forks none. Later runs reuse it,
-    and the block terminates it on exit, prefetched runs still pending
-    included. A block opened inside an open block is that block, whatever
-    its worker count, so a caller that wraps many sampling calls in one
-    block starts its workers at most once.
+    dispatches (``_dispatches``), and a block whose runs all stay in-process
+    forks none. Later runs reuse it, and the block terminates it on exit,
+    prefetched runs still pending included. A block opened inside an open
+    block is that block, whatever its worker count, so a caller that wraps
+    many sampling calls in one block starts its workers at most once.
     """
     global _BLOCK
     _check_int("worker count", workers, 1, error=DomainError)
@@ -330,7 +322,11 @@ def _dispatches(space: str, n: int, N: int, task, workers: int) -> bool:
     0.42-0.53 s when sent to 2 workers, and 100k whole pol2 20-gons
     0.12-0.17 s and 0.22-0.32 s (5 runs each). Functional and
     ``("polygons", fn)`` runs send back a reduction, and dispatch when they
-    draw more than ``_IN_PROCESS_EDGES`` edges (N x window).
+    draw more than ``_IN_PROCESS_EDGES`` edges (N x window), head plans and
+    whole plans alike: in-process, head draws of up to 200k edges took
+    0.8-1.04x their time on an open 2-worker pool, and whole-polygon draws
+    of 410k edges and more 1.7-2x theirs. This is the only rule; no caller
+    adds its own.
     """
     workers = _check_int("worker count", workers, 1, error=DomainError)
     if workers == 1 or N <= CHUNK_SIZE or task[0] == "segments":

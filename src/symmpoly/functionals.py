@@ -17,7 +17,8 @@ Degenerate inputs (near-zero edges or projections) raise instead of
 returning silent zeros: they have probability zero under the sampled
 measures, so an occurrence signals a caller bug. The single-polygon
 functions first scale the polygon by a power of two to unit size, so their
-cut-offs are relative to the polygon's largest coordinate; the batch
+cut-offs are relative to the polygon's largest coordinate, and they refuse
+a NaN or infinite coordinate with DomainError; the batch
 kernels compare raw edges with ``_EDGE_TINY`` and ``_PROJ_TINY``, which
 suits sampled polygons, whose perimeter is 2.
 
@@ -189,8 +190,12 @@ def _batch_torsion(edges: np.ndarray, closed: bool):
 def _unit_scaled(edges: np.ndarray) -> np.ndarray:
     """The edges times the power of two that puts the largest |coordinate|
     in [0.5, 1). The product is exact, so the angles keep their bits, and the
-    kernels' absolute cut-offs act relative to the polygon's size."""
-    return np.ldexp(edges, -math.frexp(float(np.abs(edges).max()))[1])
+    kernels' absolute cut-offs act relative to the polygon's size. A NaN or
+    infinite coordinate raises DomainError."""
+    top = float(np.abs(edges).max())
+    if not math.isfinite(top):
+        raise DomainError("polygon has a non-finite coordinate")
+    return np.ldexp(edges, -math.frexp(top)[1])
 
 
 def turning_angles(p: Polygon) -> np.ndarray:

@@ -12,9 +12,10 @@ byte-identical, and the worker count never changes a single output value.
 The functional ensembles the checks read are a table of requests, each
 drawn once per run; the checks are small functions, one per criterion,
 and each gate rule that several rows share is one function. At workers > 1
-the worker pool draws the plans that read a total while this process draws
-everything else, criterion 1's structural polygons included, and runs the
-checks that do not read them.
+every request that ``ensembles._dispatches`` sends to the worker pool is
+submitted there when the run starts, and this process draws everything
+else, criterion 1's structural polygons included, and runs the checks in
+the meantime.
 
 The density checks take their Beta CDFs from ``scipy.special.betainc``,
 imported inside `density_checks` and `extended_density_checks`, and
@@ -116,17 +117,17 @@ def _tv_excess(hist) -> float:
 
 
 # Functional ensemble requests: stream name -> (space, n, the functionals it
-# reads). Each is drawn once per run, N samples. The order sets only the
-# order of the pool's queue: at workers > 1 the pool draws the plans that
-# read a total in this order, the three that criterion 7 bootstraps first.
+# reads). Each is drawn once per run, N samples. They are listed in the
+# order the checks first read them, which is the order the pool draws the
+# ones that ``ensembles._dispatches`` sends to it.
 _REQUESTS = {
+    "arm2_100": ("arm2", 100, ("theta1", "theta1^2")),
+    "arm3_50": ("arm3", 50, ("tau1", "tau3")),
     "pol2_200": ("pol2", 200, ("total_curvature",)),
     "pol3_100": ("pol3", 100, ("tau1", "total_torsion")),
     "pol2_100": ("pol2", 100, ("theta1", "theta2", "theta3", "total_curvature")),
     "pol3_50": ("pol3", 50, ("total_curvature",)),
     "arm3_100": ("arm3", 100, ("tau1", "total_torsion")),
-    "arm2_100": ("arm2", 100, ("theta1", "theta1^2")),
-    "arm3_50": ("arm3", 50, ("tau1", "tau3")),
 }
 
 
@@ -134,14 +135,9 @@ class _Ensembles:
     """The requested ensembles of one run, each drawn when a check first
     reads it and then kept; its sample counts and seed.
 
-    At workers > 1 the plans that read a total, and so draw whole polygons,
-    go to the worker pool before any check runs. The head-draw plans run in
-    this process at one worker, so that they do not queue behind them, and
-    so does every segment draw (structural polygons, TV samples, Haar-block
-    heads) at any worker count, by ``ensembles._dispatches``. At 2 workers
-    on 2 cores, desk verify took 9.5-10.4 s when its 400k-sample TV draws
-    and its 5-edge arm3_50 plan queued on the pool, and 8.4-8.7 s with them
-    in-process (4 runs).
+    Every request is prefetched when the run starts: the ones that
+    ``ensembles._dispatches`` sends to the pool are drawn there, in request
+    order, while this process runs the checks that do not read them.
     """
 
     def __init__(self, scale: int, seed: int, workers: int):
@@ -150,26 +146,16 @@ class _Ensembles:
         self.N_struct = DESK_N_STRUCT * scale
         self.seed, self.workers = seed, workers
         self._drawn: Dict[str, object] = {}
-
-    def _draw_args(self, name: str):
-        space, n, reads = _REQUESTS[name]
-        whole = ensembles._build_plan(space, n, reads).window == n
-        return space, n, ("functionals", reads), self.workers if whole else 1
-
-    def prefetch(self) -> None:
-        """Submit every request that reads a total to the worker pool, so
-        that the workers draw while the checks that do not read them run."""
-        for name in _REQUESTS:
-            space, n, task, workers = self._draw_args(name)
-            ensembles._prefetch(space, n, self.N, self.seed, STREAM_IDS[name],
-                                task, workers)
+        for name, (space, n, reads) in _REQUESTS.items():
+            ensembles._prefetch(space, n, self.N, seed, STREAM_IDS[name],
+                                ("functionals", reads), workers)
 
     def __getitem__(self, name: str):
         if name not in self._drawn:
-            space, n, (_, reads), workers = self._draw_args(name)
+            space, n, reads = _REQUESTS[name]
             self._drawn[name] = functional_samples(
                 space, n, self.N, list(reads), self.seed,
-                stream_id=STREAM_IDS[name], workers=workers)[0]
+                stream_id=STREAM_IDS[name], workers=self.workers)[0]
         return self._drawn[name]
 
 
@@ -184,7 +170,6 @@ def run_verify(level: str = "desk", seed: int = 7,
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     with _worker_pool(workers):
         e = _Ensembles(10 if level == "deep" else 1, seed, workers)
-        e.prefetch()
         results = [r for check in _CHECKS for r in check(e)]
     results.sort(key=lambda r: r.criterion)  # stable: a check's rows keep their order
     return results
@@ -370,10 +355,11 @@ def _coverage_checks(e: _Ensembles) -> List[CheckResult]:
     ]
 
 
-# Every check, in the order they run. The ones that read no pooled ensemble
-# come first: at workers > 1 the parent computes them while the workers
-# draw the prefetched ensembles that the rest read. Criterion 7 comes next,
-# so that its bootstraps overlap the last draws.
+# Every check, in the order they run; ``_REQUESTS`` lists the ensembles in
+# the order these first read them. The checks that read head plans or no
+# ensemble come first: at workers > 1 the parent computes them while the
+# workers draw the whole-polygon plans that the rest read. Criterion 7 comes
+# next, so that its bootstraps overlap the last draws.
 _CHECKS = (
     _structural_checks,
     _open_chain_checks,

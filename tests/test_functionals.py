@@ -270,6 +270,17 @@ def test_degenerate_polygon_rejected():
         torsion_angles(collinear)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [turning_angles, torsion_angles, total_curvature,
+                                total_torsion])
+def test_non_finite_coordinate_rejected(fn, bad):
+    # a non-finite coordinate is a bad argument, not a near-zero edge, and
+    # must not come back as NaN angles with a RuntimeWarning
+    p = Polygon(dim=3, closed=False, edges=[[1, 0, 0], [0, bad, 0], [0, 0, 1]])
+    with pytest.raises(DomainError, match="non-finite coordinate"):
+        fn(p)
+
+
 def _random_rotation(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     q = q * np.sign(np.diag(r))

@@ -319,3 +319,51 @@ def test_head_draws_match_golden_digests(space, k):
     edges = space_edges_batch(SeedStream(7, 13).chunk_generator(2), 4096, space, 100, k)
     assert edges.shape == (4096, k, space_dim(space))
     assert hashlib.sha256(edges.tobytes()).hexdigest() == HEAD_DRAW_SHA256[space, k]
+
+
+# Exact moments of the four laws at perimeter 2. The squared chord R^2 of
+# the first k edges has mean 8k(n-k)/(n(n-1)(n+2)) (pol2),
+# 6k(n-k)/(n(n^2-1)) (pol3), 8k/(n(n+1)) (arm2) and 12k/(n(2n+1)) (arm3);
+# on a closed polygon, summing the pol chords over all vertex pairs gives
+# the gyradius means 2(n+1)/(3n(n+2)) (pol2) and 1/(2n) (pol3). The
+# samplers must hit each within MOMENT_SE standard errors. Small n makes
+# them sensitive to a wrong tail: one chi-square dof short in the Bartlett
+# factor moves these head chords by 6-49 SE at seed 7.
+CHORD_MEAN = {
+    "pol2": lambda n, k: 8 * k * (n - k) / (n * (n - 1) * (n + 2)),
+    "pol3": lambda n, k: 6 * k * (n - k) / (n * (n * n - 1)),
+    "arm2": lambda n, k: 8 * k / (n * (n + 1)),
+    "arm3": lambda n, k: 12 * k / (n * (2 * n + 1)),
+}
+GYRADIUS_MEAN = {"pol2": lambda n: 2 * (n + 1) / (3 * n * (n + 2)),
+                 "pol3": lambda n: 1 / (2 * n)}
+MOMENT_SE = 4
+
+
+def _z_score(values, target):
+    """(mean - target) in standard errors of the mean."""
+    return (values.mean() - target) / (values.std(ddof=1) / math.sqrt(values.size))
+
+
+@pytest.mark.parametrize("space", sorted(CHORD_MEAN))
+def test_head_chord_matches_exact_second_moment(space):
+    zs = {}
+    for i, (n, k) in enumerate(((6, 1), (6, 3), (10, 1), (10, 3))):
+        head = space_edges_batch(SeedStream(SEED, 70 + i).generator(), 100_000,
+                                 space, n, k)
+        chord2 = np.square(head.sum(axis=1)).sum(axis=1)
+        zs[n, k] = _z_score(chord2, CHORD_MEAN[space](n, k))
+    assert max(map(abs, zs.values())) <= MOMENT_SE, zs
+
+
+@pytest.mark.parametrize("space", sorted(GYRADIUS_MEAN))
+def test_gyradius_matches_exact_mean(space):
+    zs = {}
+    for i, n in enumerate((20, 100)):
+        edges = space_edges_batch(SeedStream(SEED, 80 + i).generator(), 20_000,
+                                  space, n)
+        vertices = np.cumsum(edges, axis=1)
+        vertices -= vertices.mean(axis=1, keepdims=True)
+        zs[n] = _z_score(np.square(vertices).sum(axis=2).mean(axis=1),
+                         GYRADIUS_MEAN[space](n))
+    assert max(map(abs, zs.values())) <= MOMENT_SE, zs

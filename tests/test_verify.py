@@ -178,9 +178,18 @@ def _small_desk(monkeypatch, N=8192):
     monkeypatch.setattr(verify, "DESK_N_STRUCT", 64)
 
 
-# the whole-polygon ensembles, the ones a desk run sends to the pool
-POOL_STREAMS = {verify.STREAM_IDS[name] for name in
-                ("pol3_50", "pol2_100", "pol3_100", "arm3_100", "pol2_200")}
+def _pool_streams():
+    """The stream ids of the requests that ``ensembles._dispatches`` sends to
+    a 2-worker pool at the current desk size: verify adds no rule of its own."""
+    return {verify.STREAM_IDS[name]
+            for name, (space, n, reads) in verify._REQUESTS.items()
+            if ensembles._dispatches(space, n, verify.DESK_N,
+                                     ("functionals", reads), 2)}
+
+
+# the whole-polygon ensembles, the ones the small desk sends to the pool
+WHOLE_STREAMS = {verify.STREAM_IDS[name] for name in
+                 ("pol3_50", "pol2_100", "pol3_100", "arm3_100", "pol2_200")}
 
 
 def _log_pool(monkeypatch, events):
@@ -264,7 +273,8 @@ def test_run_verify_opens_one_pool(monkeypatch):
     # at 2 workers the whole-polygon ensembles, and only they, go to the
     # pool, every chunk of them before the parent draws or checks anything
     kinds = [e[0] for e in events]
-    assert {e[2] for e in events if e[0] == "pool"} == POOL_STREAMS
+    pooled = {e[2] for e in events if e[0] == "pool"}
+    assert pooled == _pool_streams() == WHOLE_STREAMS
     assert kinds.index("parent") == kinds.count("pool")
     assert kinds.index("formula_checks") > kinds.count("pool")
     assert csv[1] == csv[2]
@@ -274,14 +284,15 @@ def test_run_verify_opens_one_pool(monkeypatch):
 def test_pool_does_not_depend_on_the_request_order(monkeypatch,
                                                    dispatch_every_run):
     # with every multi-chunk run above the cut and the table reversed, the
-    # head-draw plans are handed out first; they still stay in the parent
+    # pool draws what _dispatches sends it, head-draw plans included
     _small_desk(monkeypatch)
     monkeypatch.setattr(verify, "_REQUESTS",
                         dict(reversed(verify._REQUESTS.items())))
     events = []
     _log_pool(monkeypatch, events)
     run_verify("desk", SEED, 2)
-    assert {e[2] for e in events} == POOL_STREAMS
+    assert {e[2] for e in events} == _pool_streams() == {
+        verify.STREAM_IDS[name] for name in verify._REQUESTS}
 
 
 def test_structural_draws_stay_in_the_parent(monkeypatch, dispatch_every_run):
@@ -292,7 +303,7 @@ def test_structural_draws_stay_in_the_parent(monkeypatch, dispatch_every_run):
     events = []
     _log_pool(monkeypatch, events)
     run_verify("desk", SEED, 2)
-    assert {e[2] for e in events} == POOL_STREAMS
+    assert {e[2] for e in events} == _pool_streams()
 
 
 def test_failing_check_stops_the_pending_draws(monkeypatch):
@@ -310,6 +321,6 @@ def test_failing_check_stops_the_pending_draws(monkeypatch):
     monkeypatch.setattr(verify, "formula_checks", formula_checks)
     with pytest.raises(RuntimeError, match="check failed"):
         run_verify("desk", SEED, 2)
-    assert set(pending) == POOL_STREAMS and any(pending.values())
+    assert set(pending) == _pool_streams() and any(pending.values())
     assert multiprocessing.active_children() == []
     assert ensembles._BLOCK is None
