@@ -157,9 +157,11 @@ def _cmd_sample(args) -> int:
     # in the workers or here, and each chunk's records go to a spill file in
     # the process that drew them. The files are copied into the output in
     # chunk order and deleted; a pooled run keeps at most 2 * workers chunks
-    # in flight, so memory does not grow with --count. The output is opened
-    # first, as by the CSV commands, so that a bad path fails before any
-    # draw.
+    # in flight, so memory does not grow with --count. The files are ASCII
+    # and are copied as bytes into the byte layer under the output's text
+    # stream, flushed first so that any text it holds goes out before them.
+    # The output is opened first, as by the CSV commands, so that a bad path
+    # fails before any draw.
     with _out_stream(args.out) as fh, \
             tempfile.TemporaryDirectory(prefix="symmpoly-") as spill_dir:
         task = ("polygons", functools.partial(_spill_chunk, spill_dir, args.space))
@@ -168,9 +170,10 @@ def _cmd_sample(args) -> int:
         # Closing the chunks terminates the pool before the directory goes,
         # so that no worker still writes into it.
         with contextlib.closing(chunks):
+            fh.flush()
             for path, _ in chunks:
-                with open(path, encoding="utf-8", newline="") as spill:
-                    shutil.copyfileobj(spill, fh, 1 << 20)
+                with open(path, "rb") as spill:
+                    shutil.copyfileobj(spill, fh.buffer, 1 << 20)
                 os.remove(path)
     return 0
 

@@ -95,8 +95,9 @@ def test_small_sample_forks_no_pool(tmp_path, monkeypatch):
 
 
 # `sample` output, pinned by digest: the block formatter must write the
-# bytes of "%.17g" per coordinate. In the arm2 file about 13% of the
-# coordinates fall outside [1e-4, 1) and take the "%.17g" fallback.
+# bytes of "%.17g" per coordinate. In the arm2 file 12.8% of the
+# coordinates lie in [1e-6, 1e-4) and are written in exponent form, and
+# 0.26% fall outside [1e-6, 1) and take the "%.17g" fallback.
 SAMPLE_JSONL_SHA256 = {
     ("pol3", "100", "300"): "3ca7050a83956c76c8174532bb43f14fe36b47555de27d0f2f168648b6d53c0e",
     ("arm2", "1000", "50"): "265e8c1cda197a90503a3a13709fb354eb99013ff81eda3222f347e2e9344c38",
@@ -145,6 +146,42 @@ def test_sample_streams_chunks_in_order(space, tmp_path, monkeypatch,
     write_ensemble(buf, [Polygon(dim=dim, closed=space.startswith("pol"),
                                  edges=row.reshape(n, dim)) for row in flat])
     assert outs[0] == outs[1] == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sample_stdout_and_file_bytes_agree(workers, tmp_path, monkeypatch,
+                                            src_env, dispatch_every_run):
+    # the spill files of both chunks are copied into the byte layer below
+    # the text stream, of stdout as of a file, after the text that the
+    # stream still holds
+    argv = ["sample", "--space", "arm3", "--n", "6", "--count", "5000",
+            "--workers", workers, *SEED_ARGS]
+    out = tmp_path / "s.jsonl"
+    assert run(argv + ["--out", str(out)]) == 0
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    stdout.write("before\n")
+    assert run(argv + ["--out", "-"]) == 0
+    stdout.flush()
+    assert raw.getvalue() == b"before\n" + out.read_bytes()
+    # and the real stdout of a process
+    proc = subprocess.run([sys.executable, "-m", "symmpoly", *argv, "--out", "-"],
+                          env=src_env, capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout == out.read_bytes()
+
+
+def test_sample_over_a_longer_file_leaves_only_its_records(tmp_path, monkeypatch):
+    # the copy goes through the byte layer, and the file is still cut to it
+    monkeypatch.setattr(ensembles, "CHUNK_SIZE", 7)
+    argv = ["sample", "--space", "pol2", "--n", "5", "--count", "20", *SEED_ARGS]
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    assert run(argv + ["--out", str(new)]) == 0
+    old.write_text("earlier contents\n" * 10_000)
+    assert run(argv + ["--out", str(old)]) == 0
+    assert old.read_bytes() == new.read_bytes()
+    assert len(read_ensemble(str(old))) == 20
 
 
 def test_sample_errors_leave_the_output_alone(tmp_path, capsys, spill_root):
@@ -235,8 +272,17 @@ def test_sample_write_error_closes_the_stream(monkeypatch, capsys, spill_root,
             return types.SimpleNamespace(get=lambda: result)
 
     class Broken:
-        def write(self, text):
+        # a stdout whose byte layer, where `sample` copies its records,
+        # fails as its text layer does
+        def write(self, data):
             raise OSError("disk full")
+
+        def flush(self):
+            pass
+
+        @property
+        def buffer(self):
+            return self
 
     monkeypatch.setattr(ensembles, "_new_pool", Pool)
     monkeypatch.setattr(sys, "stdout", Broken())

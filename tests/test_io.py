@@ -24,7 +24,7 @@ def test_record_line_shape():
 
 
 def _reference_record_line(p):
-    # the per-float f-string formatter that the record template replaced
+    # the per-float f-string formatter, the reference for the byte formatter
     rows = ", ".join(
         "[" + ", ".join(f"{float(x):.17g}" for x in edge) + "]"
         for edge in p.edges)
@@ -62,6 +62,39 @@ def test_record_template_matches_reference_formatter(dim, closed, n):
         assert line == _reference_record_line(p)
         back = read_ensemble(io.StringIO(line))[0]
         assert np.array_equal(back.edges, p.edges)
+
+
+def _significant_digits(text):
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.strip("0"))
+
+
+def test_block_formatter_digit_structure():
+    # for each exponent class from 1e-7 to 1 and each count k of significant
+    # digits, a decimal whose "%.17g" has exactly k: its 17 - k trailing
+    # zeros cross every boundary of the formatter's 4-digit groups. One-digit
+    # decimals are tried exhaustively: below 1e-4 none is a double that
+    # keeps one digit, so the exponent form always has its "."
+    rng = np.random.default_rng(11)
+    values = []
+    for e in range(-7, 1):
+        for k in range(1, 18):
+            candidates = ([str(d) for d in range(1, 10)] if k == 1 else
+                          ["".join(map(str, rng.integers(1, 10, size=k)))
+                           for _ in range(100)])
+            exact = [v for v in (float(f"{d[0]}.{d[1:]}e{e}") for d in candidates)
+                     if _significant_digits("%.17g" % v) == k]
+            assert exact or (k == 1 and e < -4), (e, k)
+            v = exact[0] if exact else float(f"1e{e}")
+            values += [v, -v]
+    polygons = [Polygon(dim=2, closed=False, edges=np.reshape(values, (-1, 2))),
+                Polygon(dim=3, closed=True, edges=np.reshape(values[:-2], (-1, 3)))]
+    polygons += [Polygon(dim=2, closed=True, edges=[[v, -v]]) for v in values]
+    buf = io.StringIO()
+    write_ensemble(buf, polygons)
+    want = [_reference_record_line(p) for p in polygons]
+    assert buf.getvalue() == "".join(line + "\n" for line in want)
+    assert [polygon_record_line(p) for p in polygons] == want
 
 
 def test_block_formatter_matches_reference_on_a_sweep():
