@@ -318,15 +318,15 @@ def _dispatches(space: str, n: int, N: int, task, workers: int) -> bool:
     Never at one worker, for a single chunk, or for a ``("segments", k)``
     run at any k: a segment chunk sends back every edge it draws, and the
     parent takes longer to receive them than to draw them. On 2 cores, 1M
-    one-edge heads of pol2 n = 100 took 0.25-0.40 s in-process and
-    0.42-0.53 s when sent to 2 workers, and 100k whole pol2 20-gons
+    one-edge heads of pol2 n = 100 took 0.14-0.18 s in-process and
+    0.27-0.32 s when sent to 2 workers, and 100k whole pol2 20-gons
     0.12-0.17 s and 0.22-0.32 s (5 runs each). Functional and
     ``("polygons", fn)`` runs send back a reduction, and dispatch when they
     draw more than ``_IN_PROCESS_EDGES`` edges (N x window), head plans and
     whole plans alike: in-process, head draws of up to 200k edges took
-    0.8-1.04x their time on an open 2-worker pool, and whole-polygon draws
-    of 410k edges and more 1.7-2x theirs. This is the only rule; no caller
-    adds its own.
+    0.75-1.14x their time on an open 2-worker pool (arm2 n = 100 theta1,
+    100k samples, 5 runs), and whole-polygon draws of 410k edges and more
+    1.7-2x theirs. This is the only rule; no caller adds its own.
     """
     workers = _check_int("worker count", workers, 1, error=DomainError)
     if workers == 1 or N <= CHUNK_SIZE or task[0] == "segments":

@@ -8,19 +8,23 @@ each own a stream without coordination.
 The batch internal ``_frame_blocks`` draws the heads of Haar frames from
 an explicit Generator for its one caller, ``polygons.space_edges_batch``:
 real or complex orthonormal 2-frames behind the pol spaces, and real
-1-frames, uniform unit vectors, behind the arm spaces. It makes its random
-draws for all rows at once, as an unblocked sampler would, then normalises
-and orthonormalises them in blocks of about ``_BLOCK_COORDS`` coordinates,
-so that the temporaries stay in cache. Every row's arithmetic is the same
-whatever the block, so the bits do not depend on the block size. A row
-whose Gaussian vector or residual is shorter than ``_RESIDUAL_TINY`` is
-rejected and redrawn after the first pass, with masks only in the blocks
-that hold such a row; almost surely every row is accepted on the first
-pass. ``_haar_unitary_batch`` draws whole Haar unitaries; no sampler uses
-it.
+1-frames, uniform unit vectors, behind the arm spaces. A whole frame is
+orthonormalised on complex rows. A head, the leading coordinates only, is
+orthonormalised on its real coordinates, and the rest of each Gaussian
+vector enters as the per-row Gram terms of a Bartlett factor, so a head
+costs O(head) whatever n. It makes its random draws for all rows at once,
+as an unblocked sampler would, then normalises and orthonormalises them in
+blocks of about ``_BLOCK_COORDS`` coordinates, so that the temporaries stay
+in cache. Every row's arithmetic is the same whatever the block, so the
+bits do not depend on the block size. A row whose Gaussian vector or
+residual is shorter than ``_RESIDUAL_TINY`` is rejected and redrawn after
+the first pass, with masks only in the blocks that hold such a row; almost
+surely every row is accepted on the first pass. ``_haar_unitary_batch``
+draws whole Haar unitaries; no sampler uses it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, List, Union
 
@@ -124,25 +128,31 @@ def _chi2(rng: np.random.Generator, dof: float, count: int) -> np.ndarray:
 
 def _tail_factor(rng: np.random.Generator, count: int, m: int, kind: str,
                  vectors: int):
-    """Stand-ins for the last m coordinates of ``vectors`` (1 or 2) Gaussian
-    vectors.
+    """The Bartlett factor that stands in for the last m coordinates of
+    ``vectors`` (1 or 2) Gaussian vectors: (c1,) or (c1, z, c2), one entry
+    per row.
 
     Gram-Schmidt sees those coordinates only through their Gram matrix W,
     which is Wishart. Bartlett's decomposition draws its triangular factor
     R = [[c1, z], [0, c2]] (W = R^* R) directly: c1^2 and c2^2 are
     chi-square with f*m and f*(m-1) degrees of freedom and z is one Gaussian
-    scalar (f = 1 real; f = 2 complex, Goodman's form). The columns of R,
-    shape (count, vectors) each, have the inner products of the tails. One
-    vector's tail is its norm c1 alone, the sphere's chi-square tail; no
-    zero is padded next to it, so the norms it enters keep their bits.
+    scalar (f = 1 real; f = 2 complex, Goodman's form), drawn as a
+    ``_normals`` row. ``_head_rows`` reads the entries as per-row Gram
+    terms; no column of R, and no zero in it, is stored. One vector's tail
+    is its norm c1 alone, the sphere's chi-square tail.
     """
     f = 2 if kind == "complex" else 1
     c1 = np.sqrt(_chi2(rng, f * m, count))
     if vectors == 1:
-        return (c1[:, None],)
+        return (c1,)
     c2 = np.sqrt(_chi2(rng, f * (m - 1), count))
-    z = _as_rows(_normals(rng, count, 1, kind), kind)[:, 0]
-    return np.stack([c1, np.zeros(count)], axis=1), np.stack([z, c2], axis=1)
+    return c1, _normals(rng, count, 1, kind), c2
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row sums of x * y over every coordinate of a row. Each row is
+    summed the same way whatever the number of rows."""
+    return np.einsum("ij,ij->i", x.reshape(len(x), -1), y.reshape(len(y), -1))
 
 
 def _row_blocks(count: int, coords: int) -> List[slice]:
@@ -180,45 +190,90 @@ def _accepted_blocks(count: int, coords: int, draw, rows) -> Iterator:
 def _frame_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
                   head: int, vectors: int) -> Iterator:
     """Leading ``head`` coordinates of ``count`` orthonormal ``vectors``-frames
-    in R^n or C^n (``kind``), as (rows, (a,) or (a, b)) blocks of
-    ``_accepted_blocks``. A 1-frame is a uniform unit vector.
+    in R^n or C^n (``kind``), as (rows, coordinates) blocks of
+    ``_accepted_blocks``: each vector's real coordinates (rows, head) in
+    turn, real and imaginary parts apart in C^n. A 1-frame is a uniform unit
+    vector.
 
     With head < n the last n - head coordinates of the Gaussian vectors are
-    replaced by the columns of ``_tail_factor``, which have the same inner
-    products, so Gram-Schmidt gives the head exactly in law at O(head)
-    cost.
+    replaced by ``_tail_factor``, which has the same inner products, so
+    Gram-Schmidt (``_head_rows``) gives the head exactly in law at O(head)
+    cost. At head = n it runs on the whole rows (``_whole_rows``).
     """
 
     def draw(c):
         gs = [_normals(rng, c, head, kind) for _ in range(vectors)]
-        return gs, (_tail_factor(rng, c, n - head, kind, vectors) if head < n else None)
+        return gs, (_tail_factor(rng, c, n - head, kind, vectors) if head < n else ())
 
-    def rows(draws, sl):
-        gs, tails = draws
-        gs = [_as_rows(g[sl], kind) for g in gs]
-        if tails is not None:
-            gs = [np.concatenate([g, t[sl]], axis=1) for g, t in zip(gs, tails)]
-        # A rejected row divides by 1 instead; every row is accepted almost
-        # surely, and then no mask is applied.
-        g1 = gs[0]
-        n1 = np.linalg.norm(g1, axis=1)
-        ok1 = n1 >= _RESIDUAL_TINY
-        if not ok1.all():
-            g1, n1 = np.where(ok1[:, None], g1, 1.0), np.where(ok1, n1, 1.0)
-        a = g1 / n1[:, None]
-        if vectors == 1:
-            return (a[:, :head],), ok1
-        g2 = gs[1]
+    coords = (2 if kind == "complex" else 1) * vectors * head
+    return _accepted_blocks(count, coords, draw,
+                            functools.partial(_head_rows if head < n else _whole_rows,
+                                              kind=kind))
+
+
+def _whole_rows(draws, sl, kind):
+    """Gram-Schmidt on rows ``sl`` of whole Gaussian vectors, complex rows
+    assembled: the ``rows`` of ``_accepted_blocks`` at head = n."""
+    gs = [_as_rows(g[sl], kind) for g in draws[0]]
+    # A rejected row divides by 1 instead; every row is accepted almost
+    # surely, and then no mask is applied.
+    g1 = gs[0]
+    n1 = np.linalg.norm(g1, axis=1)
+    ok = n1 >= _RESIDUAL_TINY
+    if not ok.all():
+        g1, n1 = np.where(ok[:, None], g1, 1.0), np.where(ok, n1, 1.0)
+    frame = [g1 / n1[:, None]]
+    if len(gs) == 2:
+        a, g2 = frame[0], gs[1]
         ip = np.einsum("ij,ij->i", a.conj(), g2)
         resid = g2 - ip[:, None] * a
         n2 = np.linalg.norm(resid, axis=1)
-        ok = ok1 & (n2 >= _RESIDUAL_TINY)
+        ok = ok & (n2 >= _RESIDUAL_TINY)
         if not ok.all():
             resid, n2 = np.where(ok[:, None], resid, 1.0), np.where(ok, n2, 1.0)
-        return (a[:, :head], resid[:, :head] / n2[:, None]), ok
+        frame.append(resid / n2[:, None])
+    if kind == "real":
+        return tuple(frame), ok
+    return tuple(part for x in frame for part in (x.real, x.imag)), ok
 
-    coords = (2 if kind == "complex" else 1) * vectors * head
-    return _accepted_blocks(count, coords, draw, rows)
+
+def _head_rows(draws, sl, kind):
+    """Gram-Schmidt on rows ``sl`` of head Gaussian vectors and their
+    Bartlett tails: the ``rows`` of ``_accepted_blocks`` at head < n.
+
+    The head is read as real coordinates (rows, f, head), and every inner
+    product is a sum over them plus the tail's per-row Gram terms: c1^2 in
+    |v1|^2, c1 z in v1^* v2, and for the tail of v2's residual
+    |z - p c1|^2 + c2^2, p = v1^* v2 / |v1|^2. That last term equals
+    |z|^2 + c2^2 - |v1^* v2|^2 / |v1|^2, but loses no digits when v2 is
+    nearly parallel to v1. A rejected row divides by 1 instead.
+    """
+    gs, tails = draws
+    c1 = tails[0][sl]
+    g = [x[sl].reshape(len(c1), -1, x.shape[-1]) for x in gs]  # (rows, f, head)
+    g1 = g[0]
+    s1 = _dot(g1, g1) + c1 * c1
+    ok = s1 >= _RESIDUAL_TINY ** 2
+    if not ok.all():
+        s1 = np.where(ok, s1, 1.0)
+    frame = [g1 / np.sqrt(s1)[:, None, None]]
+    if len(g) == 2:
+        g2, z, c2 = g[1], tails[1][sl].reshape(len(c1), -1).T, tails[2][sl]
+        # p and r = v2 - p v1, p's real and imaginary parts apart
+        p = [(_dot(g1, g2) + c1 * z[0]) / s1]
+        r = g2 - p[0][:, None, None] * g1
+        if kind == "complex":
+            p.append((_dot(g1[:, 0], g2[:, 1]) - _dot(g1[:, 1], g2[:, 0]) + c1 * z[1]) / s1)
+            r[:, 0] += p[1][:, None] * g1[:, 1]
+            r[:, 1] -= p[1][:, None] * g1[:, 0]
+        s2 = _dot(r, r) + c2 * c2
+        for zf, pf in zip(z, p):
+            s2 += np.square(zf - pf * c1)
+        ok &= s2 >= _RESIDUAL_TINY ** 2
+        if not ok.all():
+            s2 = np.where(ok, s2, 1.0)
+        frame.append(r / np.sqrt(s2)[:, None, None])
+    return tuple(x[:, f] for x in frame for f in range(x.shape[1])), ok
 
 
 def _haar_unitary_batch(rng: np.random.Generator, count: int, n: int) -> np.ndarray:

@@ -24,9 +24,12 @@ pins the perimeter to 2 without any rescaling.
 every ensemble draw go through it. Every space is drawn by one frame
 sampler, ``haar._frame_blocks``: an arm is its one-vector case, a unit
 vector of R^(2n) or R^(4n) read in coordinate pairs or quadruples, and a
-polygon its two-vector case. It makes a batch's random draws at once, then
-maps each row block (see ``haar``) to edges in one (count, k, dim) array,
-with the bits of the same arithmetic on the whole batch.
+polygon its two-vector case, a pol3 frame as the real and imaginary parts
+of a and b. It makes a batch's random draws at once, then maps each row
+block's real coordinate arrays (see ``haar``) to edges in one
+(count, k, dim) array, with the bits of the same arithmetic on the whole
+batch. A head (k < n) is orthonormalised on its own coordinates, the rest
+of the polygon entering as per-row Gram terms, so it costs O(k).
 """
 from __future__ import annotations
 
@@ -36,8 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (InvalidDimensionError, InvalidSizeError, _check_int,
-                     _is_int)
+from .errors import (DomainError, InvalidDimensionError, InvalidSizeError,
+                     _check_int, _is_int)
 from .haar import StreamLike, _complex, _frame_blocks, ensure_generator
 
 SPACES = ("arm2", "pol2", "arm3", "pol3")
@@ -127,14 +130,16 @@ def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int,
     """Batch sampler keyed by space name ('arm2', 'pol2', 'arm3', 'pol3').
 
     Returns the leading k edges (default all n) of ``count`` n-edge samples,
-    shape (count, k, dim). For k < n the first k edges are drawn at O(k)
-    cost, exactly in law: the rest of the Gaussian draw enters only through
-    its Bartlett factor, a chi-square norm (arm) or the factor of a Wishart
-    2x2 Gram matrix (pol). At k = n the draws and arithmetic are those of
-    the full sampler.
+    shape (count, k, dim); ``count`` is an integer >= 0, never a bool
+    (``DomainError``). For k < n the first k edges are drawn at O(k) cost,
+    exactly in law: the rest of the Gaussian draw enters only through the
+    per-row Gram terms of its Bartlett factor, a chi-square norm (arm) or
+    the factor of a Wishart 2x2 Gram matrix (pol). At k = n the draws and
+    arithmetic are those of the full sampler.
     """
     dim = space_dim(space)
     _check_space_args(dim, n)
+    count = _check_int("sample count", count, 0, error=DomainError)
     k = n if k is None else k
     _check_segment_length(n, k)
     if space.startswith("arm"):
@@ -142,12 +147,9 @@ def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int,
         blocks = ((sl, np.moveaxis((math.sqrt(2.0) * u).reshape(-1, k, c), -1, 0))
                   for sl, (u,) in _frame_blocks(rng, count, c * n, "real", c * k,
                                                 vectors=1))
-    elif dim == 2:
-        blocks = _frame_blocks(rng, count, n, "real", k, vectors=2)
     else:
-        blocks = ((sl, (a.real, a.imag, b.real, b.imag))
-                  for sl, (a, b) in _frame_blocks(rng, count, n, "complex", k,
-                                                  vectors=2))
+        blocks = _frame_blocks(rng, count, n, "real" if dim == 2 else "complex", k,
+                               vectors=2)
     # each block's coordinates: (re, im) squared, or (w, x, y, z) Hopf-mapped
     out = np.empty((count, k, dim))
     for sl, xs in blocks:

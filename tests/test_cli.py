@@ -391,7 +391,7 @@ def test_density_check_small_count_fails(tmp_path, capsys):
     assert "false" in {r[3] for r in rows[1:]}
 
 
-DENSITY_CHECK_SHA256 = "5c69350704ad9037b12dae261ec7ef69bcacd0807ae47235cf909fcda04fb4a6"
+DENSITY_CHECK_SHA256 = "6a2964ba0a77c13bbf2a6198975ded2a0c6e7f30302c39f39f312b4bd679ce17"
 
 
 def test_density_check_digest_is_pinned(tmp_path):

@@ -9,10 +9,18 @@ from scipy import stats
 from symmpoly import (InvalidDimensionError, SeedStream, ensure_generator,
                       haar, ks_distance, space_dim)
 from symmpoly.haar import (_RESIDUAL_TINY, _as_rows, _chi2, _haar_unitary_batch,
-                           _normals, _tail_factor)
+                           _normals)
 from symmpoly.polygons import SPACES, space_edges_batch
 
 SEED = 7
+
+# At k < n the sampler runs Gram-Schmidt on the head's real coordinates,
+# with the tail's per-row terms in place of the reference's concatenated
+# Bartlett columns, so its sums run in another order: its edges must agree
+# with the reference's within HEAD_EPS machine epsilons times the edge's
+# length. At k = n the arithmetic is the reference's, and the edges are
+# equal.
+HEAD_EPS = 16
 
 
 def test_seed_stream_repeats_exactly():
@@ -128,6 +136,17 @@ def _reference_unit_rows(rng, count, m, head):
     return g[:, :head] / norms[:, None]
 
 
+def _tail_factor(rng, count, m, kind, vectors):
+    """The reference's Bartlett tail: the columns of R = [[c1, z], [0, c2]],
+    (c1, 0) and (z, c2), each (count, 2), concatenated onto the head rows
+    of two vectors. The draws are the sampler's, in its order."""
+    f = 2 if kind == "complex" else 1
+    c1 = np.sqrt(_chi2(rng, f * m, count))
+    c2 = np.sqrt(_chi2(rng, f * (m - 1), count))
+    z = _as_rows(_normals(rng, count, 1, kind), kind)[:, 0]
+    return np.stack([c1, np.zeros(count)], axis=1), np.stack([z, c2], axis=1)
+
+
 def _reference_frame2(rng, count, n, kind, head):
     """The leading ``head`` coordinates of orthonormal pairs, shape
     (count, 2, head), unblocked and in the masked form: every pass divides
@@ -182,6 +201,17 @@ def _reference_edges(rng, count, space, n, k):
                      2.0 * (w * y + x * z)], axis=-1)
 
 
+def _assert_matches_reference(got, ref, exact):
+    """got equals ref, or (``exact`` false) every edge of got is within
+    HEAD_EPS epsilons of its length from ref's."""
+    assert got.shape == ref.shape
+    if exact:
+        assert np.array_equal(got, ref)
+    else:
+        length = np.linalg.norm(ref, axis=-1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= HEAD_EPS * np.finfo(float).eps * length)
+
+
 def _block_rows(monkeypatch, rows, coords):
     """Make the sampler's row blocks ``rows`` long for rows of ``coords``
     real coordinates."""
@@ -225,9 +255,11 @@ BLOCK_COUNTS = (1, 255, 257, 1000, 4096)
 
 @pytest.mark.parametrize("space", SPACES)
 def test_space_edges_match_reference_sampler(space, monkeypatch):
-    # At the module's block size, then in 256-row blocks at k = n.
+    # At the module's block size, then in 256- and 3-row blocks at k = n.
+    # Every block size gives the bits of the module's, heads included.
     n = 12
-    for blocks in ("module", 256):
+    first = {}
+    for blocks in ("module", 256, 3):
         if blocks != "module":
             _block_rows(monkeypatch, blocks, _coords_per_edge(space) * n)
         for count in BLOCK_COUNTS:
@@ -237,7 +269,8 @@ def test_space_edges_match_reference_sampler(space, monkeypatch):
                 ref = _reference_edges(SeedStream(SEED, 9).chunk_generator(count),
                                        count, space, n, k)
                 assert got.shape == (count, k, space_dim(space))
-                assert np.array_equal(got, ref)
+                _assert_matches_reference(got, ref, exact=k == n)
+                assert np.array_equal(got, first.setdefault((count, k), got))
 
 
 @pytest.mark.parametrize("space", ["arm2", "arm3"])
@@ -253,7 +286,7 @@ def test_unit_rows_match_reference(space, monkeypatch):
             ref = _reference_edges(SeedStream(SEED, 10).chunk_generator(count),
                                    count, space, n, k)
             assert got.shape == (count, k, space_dim(space))
-            assert np.array_equal(got, ref)
+            _assert_matches_reference(got, ref, exact=k == n)
 
 
 # Rejected rows in the first block, in a later one and in the last row of
@@ -262,9 +295,9 @@ REDRAW_COUNT = 1000
 REDRAW_BAD = [3, 300, 999]
 
 
-def _check_redraws(sampler, reference, scale, bad, plain):
+def _check_redraws(sampler, reference, scale, bad, plain, exact):
     got = sampler(_ScaledRows(scale))
-    assert np.array_equal(got, reference(_ScaledRows(scale)))
+    _assert_matches_reference(got, reference(_ScaledRows(scale)), exact)
     keep = np.setdiff1d(np.arange(REDRAW_COUNT), bad)
     assert np.array_equal(got[keep], plain[keep])
     assert not np.any(got[bad] == plain[bad])
@@ -287,7 +320,7 @@ def test_unit_rows_redraw_rejected_rows(space, monkeypatch):
         got = _check_redraws(
             lambda rng: space_edges_batch(rng, count, space, n, k),
             lambda rng: _reference_edges(rng, count, space, n, k),
-            scale, REDRAW_BAD, plain)
+            scale, REDRAW_BAD, plain, exact=k == n)
         if k == n:
             # redrawn rows lie on the sphere too: perimeter 2 |u|^2 = 2
             perimeters = np.linalg.norm(got, axis=2).sum(axis=1)
@@ -316,7 +349,7 @@ def test_frame2_redraws_rejected_rows(kind, monkeypatch):
         got = _check_redraws(
             lambda rng: space_edges_batch(rng, count, space, n, k),
             lambda rng: _reference_edges(rng, count, space, n, k),
-            scale, REDRAW_BAD, plain)
+            scale, REDRAW_BAD, plain, exact=k == n)
         if k == n:
             # the full frames, redrawn rows included, are orthonormal
             _assert_closed_with_perimeter_2(got)

@@ -1,15 +1,16 @@
 """Polygon spaces: squaring map, Hopf map, samplers, and accessors."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from symmpoly import (InvalidDimensionError, InvalidSizeError, Polygon,
-                      SeedStream, closure_residual, ks_distance, perimeter,
-                      sample_arm, sample_pol, space_dim)
-from symmpoly.polygons import _hopf, _square, space_edges_batch
+from symmpoly import (DomainError, InvalidDimensionError, InvalidSizeError,
+                      Polygon, SeedStream, closure_residual, ks_distance,
+                      perimeter, sample_arm, sample_pol, space_dim)
+from symmpoly.polygons import SPACES, _hopf, _square, space_edges_batch
 
 SEED = 7
 
@@ -118,6 +119,14 @@ def test_sampler_size_validation():
         sample_pol(3, 1, s)
     with pytest.raises(InvalidDimensionError):
         sample_arm(4, 10, s)
+    # the sample count of space_edges_batch: an integer >= 0, never a bool
+    for count in (-1, 2.0, True, None):
+        with pytest.raises(DomainError):
+            space_edges_batch(s.generator(), count, "pol3", 10, 2)
+    for space in ("arm2", "pol3"):
+        for k in (10, 2):
+            empty = space_edges_batch(s.generator(), np.int64(0), space, 10, k)
+            assert empty.shape == (0, k, space_dim(space))
 
 
 def test_space_dim():
@@ -300,17 +309,17 @@ def test_full_draws_match_golden_digests(space, n):
 # a change that moves these moves their outputs.
 HEAD_DRAW_SHA256 = {
     ("arm2", 1): "72e0796f50bec6fd48a34545798ec50b3441a23e23d69a5e78258c832731f061",
-    ("arm2", 2): "8cbf598b1c5b2048b215b225ffebc2ac754fe08d082a86e471902424fba2e7f6",
-    ("arm2", 5): "ea6ead4079fd91cb9dfe45c89f7fb451bd204cbfea4d9cd74f529e13043bad86",
-    ("pol2", 1): "f71ad4bd21303f11f214621ec3d712c718133990b49d68de2625fd7dd0487ff0",
-    ("pol2", 2): "252ad33157b2556be545476849a0982ad31a1943532fbdcb510da4def7db2c8e",
-    ("pol2", 5): "8bd4125899cc2868cabd2839415cef619fec324d7cfe69edfe59988977c746e0",
-    ("arm3", 1): "5e5b72dc94b3520d9c03aca474579a94e1a2c3de4f07c32107bbad8c27087fef",
-    ("arm3", 2): "553fb62e40facdc396961c252ed13588967c37c024a73e86a2cb46171ef3b609",
-    ("arm3", 5): "a0ce178a85beb4e2bec84c6596514bf0fee77712004bbd108d5993115f2c6468",
-    ("pol3", 1): "7049d2c8eeb12efae36fa27fbb76dbd3366569802aea05617a39a874a0cbb021",
-    ("pol3", 2): "53f02d48ddc5a1b874f1495cb56d745d28856f405eca3fe77f9bf26d6c5641d0",
-    ("pol3", 5): "cfab14ea31034bbb8a1087d495fd837f9c23dd0cfd31632536a28029775d9fcd",
+    ("arm2", 2): "3f97ee9f352dfebc4c8e8049dc3ed8d1c368d4a9b7adf876984e3ff21764c609",
+    ("arm2", 5): "f6618f3f776328830757a944bdbb8f188af185991bbce7fbd3098a4f9f5b3e12",
+    ("pol2", 1): "862bab59b17aaedadf0e3409add79c430d40d777d217a99b0909e2d1c1611672",
+    ("pol2", 2): "48f85f817a540c299b54b6dbf38ebd1ff383fb759fd8b8696611a16c26c11415",
+    ("pol2", 5): "76c82ffb0b31f018d57902ffa213412b657a861a346cfbb40f86dcf4dfc9806d",
+    ("arm3", 1): "5a9b10ca879a15f002e015d44daf8e40718c43bf8c3f419ad399f583dd3a77c5",
+    ("arm3", 2): "76fa55538ad7584be4814eff4006cf3a5187021f9fd3f4ab622ff6e7496ed023",
+    ("arm3", 5): "98bfbe6eb15eb6b08da5c3f3d7d370fb21b6212ef6f207062965337353970c59",
+    ("pol3", 1): "d93938ca34d522132a28dbf16b3fc500adb60af547546498767a45cb6ac498f1",
+    ("pol3", 2): "f77ee3c523fcee54ff9d560cf8cbd9bf754841cbf9c03c2dfc43c32143fbb839",
+    ("pol3", 5): "bed1bef57dc4fb083c8b16a6e0693d5a4c97a7260f1d190ce34d8b56ce7f29a8",
 }
 
 
@@ -347,13 +356,31 @@ def _z_score(values, target):
 
 @pytest.mark.parametrize("space", sorted(CHORD_MEAN))
 def test_head_chord_matches_exact_second_moment(space):
+    # n = 10**6 reads the O(k) tail at a size no whole draw could reach.
     zs = {}
-    for i, (n, k) in enumerate(((6, 1), (6, 3), (10, 1), (10, 3))):
+    for i, (n, k) in enumerate(((6, 1), (6, 3), (10, 1), (10, 3), (10**6, 1), (10**6, 3))):
         head = space_edges_batch(SeedStream(SEED, 70 + i).generator(), 100_000,
                                  space, n, k)
         chord2 = np.square(head.sum(axis=1)).sum(axis=1)
         zs[n, k] = _z_score(chord2, CHORD_MEAN[space](n, k))
     assert max(map(abs, zs.values())) <= MOMENT_SE, zs
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_head_draw_memory_does_not_grow_with_n(space):
+    # A 4096-head draw holds arrays of 4096 rows and k coordinates, nothing
+    # of size n: its peak at n = 10**6, where one array of n floats is 8 MB,
+    # is within 64 KiB of its peak at n = 100.
+    peaks = {}
+    for n in (100, 10**6):
+        rng = SeedStream(SEED, 90).generator()
+        tracemalloc.start()
+        try:
+            space_edges_batch(rng, 4096, space, n, 3)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10**6] - peaks[100] < 2**16, peaks
 
 
 @pytest.mark.parametrize("space", sorted(GYRADIUS_MEAN))
