@@ -3,7 +3,8 @@
 ``SeedStream`` names a position in the seeded randomness. Streams are
 value-like: the same (seed, stream_id) reproduces the same draws, and
 distinct stream_ids are statistically independent, so parallel workers can
-each own a stream without coordination.
+each own a stream without coordination. Every generator is SFC64, seeded by
+a ``SeedSequence`` whose spawn key names the stream (and the chunk).
 
 The batch internal ``_frame_blocks`` draws the heads of Haar frames from
 an explicit Generator for its one caller, ``polygons.space_edges_batch``:
@@ -69,8 +70,9 @@ class SeedStream:
                 name, getattr(self, name), 0, _MAX_U64, error=InvalidDimensionError))
 
     def generator(self) -> np.random.Generator:
-        """Counter-based generator for this stream."""
-        return np.random.Generator(np.random.Philox(
+        """SFC64 generator for this stream, seeded by
+        ``SeedSequence(seed, spawn_key=(stream_id,))``."""
+        return np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))))
 
     def chunk_generator(self, chunk: int) -> np.random.Generator:
@@ -80,7 +82,7 @@ class SeedStream:
         chunked computation gives identical results for any worker count.
         """
         chunk = _check_int("chunk", chunk, 0, error=InvalidDimensionError)
-        return np.random.Generator(np.random.Philox(
+        return np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, chunk))))
 
 

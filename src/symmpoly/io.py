@@ -16,11 +16,11 @@ with trailing zeros stripped (no "." if none is left), then "e-05" or
 "e-06". The digits are the integer nearest the exact product
 |x| * 10**(16 - e), as a double-double from Dekker's split, rounded half to
 even. Every other value (zero, |x| < 1e-6 or |x| >= 1, and a product that
-misses [1e16, 1e17)) goes through "%.17g" itself: at seed 3, 0.27% of the
+misses [1e16, 1e17)) goes through "%.17g" itself: at seed 3, 0.28% of the
 coordinates of 1000 arm2 polygons of n = 1000 (13.1% without the exponent
-form), 0.28% of pol2, 0.10% of arm3 and 0.01% of pol3 at n = 100. The
-identity with "%.17g" assumes Python's correctly rounded float formatting
-(``sys.float_repr_style == "short"``).
+form), and 0.04% of pol2, 0.01% of arm3 and 0.01% of pol3 for 1000
+polygons of n = 100. The identity with "%.17g" assumes Python's correctly
+rounded float formatting (``sys.float_repr_style == "short"``).
 
 CSV files use a header row, repr-formatted floats, and "\n" line endings,
 so a fixed-seed run produces byte-identical files on every platform.

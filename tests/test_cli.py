@@ -10,6 +10,7 @@ import sys
 import tempfile
 import types
 
+import numpy as np
 import pytest
 
 from symmpoly import (Polygon, b2, closure_residual, perimeter, read_ensemble,
@@ -95,12 +96,13 @@ def test_small_sample_forks_no_pool(tmp_path, monkeypatch):
 
 
 # `sample` output, pinned by digest: the block formatter must write the
-# bytes of "%.17g" per coordinate. In the arm2 file 12.8% of the
+# bytes of "%.17g" per coordinate. In the arm2 file 12.91% of the
 # coordinates lie in [1e-6, 1e-4) and are written in exponent form, and
-# 0.26% fall outside [1e-6, 1) and take the "%.17g" fallback.
+# 0.25% fall outside [1e-6, 1) and take the "%.17g" fallback;
+# test_pinned_arm2_sample_takes_both_branches holds a re-pin to both.
 SAMPLE_JSONL_SHA256 = {
-    ("pol3", "100", "300"): "3ca7050a83956c76c8174532bb43f14fe36b47555de27d0f2f168648b6d53c0e",
-    ("arm2", "1000", "50"): "265e8c1cda197a90503a3a13709fb354eb99013ff81eda3222f347e2e9344c38",
+    ("pol3", "100", "300"): "02798d2b46e25524d266adcec43b3af2feb16113d6f6c4fe432445d3e40b9807",
+    ("arm2", "1000", "50"): "edf908e18daf5e75a36e7ce57eba9bdcbd9ff00398f279590af6bfd2e5da0b89",
 }
 
 
@@ -112,6 +114,15 @@ def test_sample_digest_is_pinned(space, n, count, workers, tmp_path):
                 "--workers", workers, "--out", str(out), *SEED_ARGS]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == SAMPLE_JSONL_SHA256[(space, n, count)]
+
+
+def test_pinned_arm2_sample_takes_both_branches(tmp_path):
+    out = tmp_path / "s.jsonl"
+    assert run(["sample", "--space", "arm2", "--n", "1000", "--count", "50",
+                "--out", str(out), *SEED_ARGS]) == 0
+    mag = abs(np.concatenate([p.edges.ravel() for p in read_ensemble(str(out))]))
+    assert ((mag >= 1e-6) & (mag < 1e-4)).any()
+    assert ((mag < 1e-6) | (mag >= 1.0)).any()
 
 
 @pytest.mark.parametrize("space", ["arm2", "pol2", "arm3", "pol3"])
@@ -391,7 +402,7 @@ def test_density_check_small_count_fails(tmp_path, capsys):
     assert "false" in {r[3] for r in rows[1:]}
 
 
-DENSITY_CHECK_SHA256 = "6a2964ba0a77c13bbf2a6198975ded2a0c6e7f30302c39f39f312b4bd679ce17"
+DENSITY_CHECK_SHA256 = "c18846f83029204e68835d33f3fcdbecfb6c1d20489f7a32991fbc812e1538f3"
 
 
 def test_density_check_digest_is_pinned(tmp_path):

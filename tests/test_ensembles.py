@@ -405,10 +405,12 @@ def test_expectation_transfer_within_bound():
 
 def test_closed_angle_mean_approaches_open():
     # the closed-chain mean turning angle exceeds pi/2 and the excess
-    # shrinks with n, consistent with the vanishing TV bound
+    # shrinks with n, consistent with the vanishing TV bound. The draws are
+    # 2-edge heads; at 10**6 the expected shrinkage is about 7.6 SE (at
+    # 10**5 it was 2.4 SE, failing on about 1% of seeds)
     ratios = {}
     for n, sid in ((50, 16), (200, 17)):
-        summary = run_ensemble("pol2", n, 100_000, ["theta1"], SEED,
+        summary = run_ensemble("pol2", n, 1_000_000, ["theta1"], SEED,
                                stream_id=sid)
         ratios[n] = summary.record("theta1").mean / (math.pi / 2)
     assert ratios[200] - 1 < ratios[50] - 1

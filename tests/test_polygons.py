@@ -276,10 +276,32 @@ def test_head_sampler_rejects_bad_length():
             space_edges_batch(rng, 10, "pol3", 10, k)
 
 
-# sha256 of the bytes of space_edges_batch(SeedStream(7, 13).chunk_generator(2),
-# 4096, space, n): whole polygons, as the ensembles draw them. They pin the
-# README's promise that full-length draws keep their bytes; a change that
-# moves them changes every whole-polygon output of the library.
+def _golden_generator():
+    """The generator the golden digests were recorded on: Philox, keyed as
+    SeedStream(7, 13).chunk_generator(2). The digests pin the sampler
+    arithmetic; test_seed_stream_keys_sfc64 pins the streams."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(7, spawn_key=(13, 2))))
+
+
+@pytest.mark.parametrize("seed,stream_id,chunk", [
+    (0, 0, 0), (7, 13, 2), (2**64 - 1, 2**64 - 1, 2**64 - 1)])
+def test_seed_stream_keys_sfc64(seed, stream_id, chunk):
+    # every draw of the library comes from one of these two generators
+    stream = SeedStream(seed, stream_id)
+    for rng, key in ((stream.generator(), (stream_id,)),
+                     (stream.chunk_generator(chunk), (stream_id, chunk))):
+        want = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)).state
+        got = rng.bit_generator.state
+        assert got["bit_generator"] == want["bit_generator"] == "SFC64"
+        assert np.array_equal(got["state"]["state"], want["state"]["state"])
+        assert (got["has_uint32"], got["uinteger"]) == (want["has_uint32"], want["uinteger"])
+
+
+# sha256 of the bytes of space_edges_batch(_golden_generator(), 4096, space,
+# n): whole polygons, as the ensembles draw them. They pin the README's
+# promise that full-length draws keep their bytes; a change that moves them
+# changes every whole-polygon output of the library.
 FULL_DRAW_SHA256 = {
     ("arm2", 3): "09ebcf1d8bda05515da7a0126f05108bf1a001780d357175ccc4ca76736325a6",
     ("arm2", 100): "7a2aa977c6f64f216d29508cdfef11039f9f16879ba607c9567adb98d6a1f53c",
@@ -298,13 +320,13 @@ FULL_DRAW_SHA256 = {
 
 @pytest.mark.parametrize("space,n", sorted(FULL_DRAW_SHA256))
 def test_full_draws_match_golden_digests(space, n):
-    edges = space_edges_batch(SeedStream(7, 13).chunk_generator(2), 4096, space, n)
+    edges = space_edges_batch(_golden_generator(), 4096, space, n)
     assert edges.shape == (4096, n, space_dim(space))
     assert hashlib.sha256(edges.tobytes()).hexdigest() == FULL_DRAW_SHA256[space, n]
 
 
-# sha256 of the bytes of space_edges_batch(SeedStream(7, 13).chunk_generator(2),
-# 4096, space, 100, k): heads, as the segment and window draws make them.
+# sha256 of the bytes of space_edges_batch(_golden_generator(), 4096, space,
+# 100, k): heads, as the segment and window draws make them.
 # Most verify checks read heads (arm heads, TV heads, Haar-block heads), so
 # a change that moves these moves their outputs.
 HEAD_DRAW_SHA256 = {
@@ -325,7 +347,7 @@ HEAD_DRAW_SHA256 = {
 
 @pytest.mark.parametrize("space,k", sorted(HEAD_DRAW_SHA256))
 def test_head_draws_match_golden_digests(space, k):
-    edges = space_edges_batch(SeedStream(7, 13).chunk_generator(2), 4096, space, 100, k)
+    edges = space_edges_batch(_golden_generator(), 4096, space, 100, k)
     assert edges.shape == (4096, k, space_dim(space))
     assert hashlib.sha256(edges.tobytes()).hexdigest() == HEAD_DRAW_SHA256[space, k]
 
