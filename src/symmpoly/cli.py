@@ -194,9 +194,10 @@ def _cmd_stats(args) -> int:
 
 
 def _same_file(a, b) -> bool:
-    """Whether output paths ``a`` and ``b`` name one regular file."""
-    if None in (a, b) or "-" in (a, b):
-        return False
+    """Whether output paths ``a`` and ``b`` name one stream: both stdout
+    ("-"), or one regular file."""
+    if "-" in (a, b):
+        return a == b
     if os.path.exists(a) and os.path.exists(b):
         return os.path.isfile(a) and os.path.samefile(a, b)
     return os.path.realpath(a) == os.path.realpath(b)
@@ -204,8 +205,8 @@ def _same_file(a, b) -> bool:
 
 def _cmd_tv(args) -> int:
     space_b = args.space_b or _COUNTERPART[args.space]
-    if _same_file(args.out, args.cells_out):
-        raise SymmpolyError(f"--out and --cells-out name one file: {args.out}")
+    if args.cells_out is not None and _same_file(args.out or "-", args.cells_out):
+        raise SymmpolyError(f"--out and --cells-out name one output: {args.cells_out}")
     cells = (_out_stream(args.cells_out) if args.cells_out is not None
              else contextlib.nullcontext())
     with _out_stream(args.out) as out_fh, cells as cells_fh:

@@ -9,18 +9,19 @@ a ``SeedSequence`` whose spawn key names the stream (and the chunk).
 The batch internal ``_frame_blocks`` draws the heads of Haar frames from
 an explicit Generator for its one caller, ``polygons.space_edges_batch``:
 real or complex orthonormal 2-frames behind the pol spaces, and real
-1-frames, uniform unit vectors, behind the arm spaces. A whole frame is
-orthonormalised on complex rows. A head, the leading coordinates only, is
-orthonormalised on its real coordinates, and the rest of each Gaussian
-vector enters as the per-row Gram terms of a Bartlett factor, so a head
-costs O(head) whatever n. It makes its random draws for all rows at once,
-as an unblocked sampler would, then normalises and orthonormalises them in
-blocks of about ``_BLOCK_COORDS`` coordinates, so that the temporaries stay
-in cache. Every row's arithmetic is the same whatever the block, so the
-bits do not depend on the block size. A row whose Gaussian vector or
-residual is shorter than ``_RESIDUAL_TINY`` is rejected and redrawn after
-the first pass, with masks only in the blocks that hold such a row; almost
-surely every row is accepted on the first pass. ``_haar_unitary_batch``
+1-frames, uniform unit vectors, behind the arm spaces. Every frame, whole
+or a head of its leading coordinates, is orthonormalised on its real
+coordinates, and the rest of each Gaussian vector enters as the per-row
+Gram terms of a Bartlett factor, so a head costs O(head) whatever n; a
+whole frame's factor is empty and draws nothing. It makes its random
+draws for all rows at once, as an unblocked sampler would, then
+normalises and orthonormalises them in blocks of about ``_BLOCK_COORDS``
+coordinates, so that the temporaries stay in cache. Every row's
+arithmetic is the same whatever the block, so the bits do not depend on
+the block size. A row whose Gaussian vector or residual is shorter than
+``_RESIDUAL_TINY`` is rejected and redrawn after the first pass, with
+masks only in the blocks that hold such a row; almost surely every row is
+accepted on the first pass. ``_haar_unitary_batch``
 draws whole Haar unitaries; no sampler uses it.
 """
 from __future__ import annotations
@@ -110,11 +111,6 @@ def _normals(rng: np.random.Generator, count: int, m: int, kind: str) -> np.ndar
     return rng.standard_normal((count, m) if kind == "real" else (count, 2, m))
 
 
-def _as_rows(g: np.ndarray, kind: str) -> np.ndarray:
-    """Rows of a ``_normals`` draw (or of a block of one), complex assembled."""
-    return g if kind == "real" else _complex(g[:, 0], g[:, 1])
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """re + 1j * im in one pass; the bits are equal up to the sign of a zero
     part."""
@@ -141,9 +137,13 @@ def _tail_factor(rng: np.random.Generator, count: int, m: int, kind: str,
     scalar (f = 1 real; f = 2 complex, Goodman's form), drawn as a
     ``_normals`` row. ``_head_rows`` reads the entries as per-row Gram
     terms; no column of R, and no zero in it, is stored. One vector's tail
-    is its norm c1 alone, the sphere's chi-square tail.
+    is its norm c1 alone, the sphere's chi-square tail. With m = 0 there is
+    no tail: every entry is zero, and nothing is drawn.
     """
     f = 2 if kind == "complex" else 1
+    if m == 0:
+        zero = np.zeros(count)
+        return (zero,) if vectors == 1 else (zero, np.zeros((count, f)), zero)
     c1 = np.sqrt(_chi2(rng, f * m, count))
     if vectors == 1:
         return (c1,)
@@ -197,51 +197,24 @@ def _frame_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
     turn, real and imaginary parts apart in C^n. A 1-frame is a uniform unit
     vector.
 
-    With head < n the last n - head coordinates of the Gaussian vectors are
-    replaced by ``_tail_factor``, which has the same inner products, so
-    Gram-Schmidt (``_head_rows``) gives the head exactly in law at O(head)
-    cost. At head = n it runs on the whole rows (``_whole_rows``).
+    The last n - head coordinates of the Gaussian vectors are replaced by
+    ``_tail_factor``, which has the same inner products, so Gram-Schmidt
+    (``_head_rows``) gives the head exactly in law at O(head) cost. At
+    head = n the factor is empty, and a whole frame is Gram-Schmidt on its
+    own coordinates.
     """
 
     def draw(c):
         gs = [_normals(rng, c, head, kind) for _ in range(vectors)]
-        return gs, (_tail_factor(rng, c, n - head, kind, vectors) if head < n else ())
+        return gs, _tail_factor(rng, c, n - head, kind, vectors)
 
     coords = (2 if kind == "complex" else 1) * vectors * head
-    return _accepted_blocks(count, coords, draw,
-                            functools.partial(_head_rows if head < n else _whole_rows,
-                                              kind=kind))
-
-
-def _whole_rows(draws, sl, kind):
-    """Gram-Schmidt on rows ``sl`` of whole Gaussian vectors, complex rows
-    assembled: the ``rows`` of ``_accepted_blocks`` at head = n."""
-    gs = [_as_rows(g[sl], kind) for g in draws[0]]
-    # A rejected row divides by 1 instead; every row is accepted almost
-    # surely, and then no mask is applied.
-    g1 = gs[0]
-    n1 = np.linalg.norm(g1, axis=1)
-    ok = n1 >= _RESIDUAL_TINY
-    if not ok.all():
-        g1, n1 = np.where(ok[:, None], g1, 1.0), np.where(ok, n1, 1.0)
-    frame = [g1 / n1[:, None]]
-    if len(gs) == 2:
-        a, g2 = frame[0], gs[1]
-        ip = np.einsum("ij,ij->i", a.conj(), g2)
-        resid = g2 - ip[:, None] * a
-        n2 = np.linalg.norm(resid, axis=1)
-        ok = ok & (n2 >= _RESIDUAL_TINY)
-        if not ok.all():
-            resid, n2 = np.where(ok[:, None], resid, 1.0), np.where(ok, n2, 1.0)
-        frame.append(resid / n2[:, None])
-    if kind == "real":
-        return tuple(frame), ok
-    return tuple(part for x in frame for part in (x.real, x.imag)), ok
+    return _accepted_blocks(count, coords, draw, functools.partial(_head_rows, kind=kind))
 
 
 def _head_rows(draws, sl, kind):
-    """Gram-Schmidt on rows ``sl`` of head Gaussian vectors and their
-    Bartlett tails: the ``rows`` of ``_accepted_blocks`` at head < n.
+    """Gram-Schmidt on rows ``sl`` of head Gaussian vectors (whole ones at
+    head = n) and their Bartlett tails: the ``rows`` of ``_accepted_blocks``.
 
     The head is read as real coordinates (rows, f, head), and every inner
     product is a sum over them plus the tail's per-row Gram terms: c1^2 in

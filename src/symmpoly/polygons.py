@@ -28,8 +28,9 @@ polygon its two-vector case, a pol3 frame as the real and imaginary parts
 of a and b. It makes a batch's random draws at once, then maps each row
 block's real coordinate arrays (see ``haar``) to edges in one
 (count, k, dim) array, with the bits of the same arithmetic on the whole
-batch. A head (k < n) is orthonormalised on its own coordinates, the rest
-of the polygon entering as per-row Gram terms, so it costs O(k).
+batch. Every draw is orthonormalised on its own coordinates; in a head
+(k < n) the rest of the polygon enters as per-row Gram terms, so it costs
+O(k).
 """
 from __future__ import annotations
 
@@ -134,8 +135,9 @@ def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int,
     (``DomainError``). For k < n the first k edges are drawn at O(k) cost,
     exactly in law: the rest of the Gaussian draw enters only through the
     per-row Gram terms of its Bartlett factor, a chi-square norm (arm) or
-    the factor of a Wishart 2x2 Gram matrix (pol). At k = n the draws and
-    arithmetic are those of the full sampler.
+    the factor of a Wishart 2x2 Gram matrix (pol). At k = n that factor is
+    empty and draws nothing: the same arithmetic orthonormalises the whole
+    frame.
     """
     dim = space_dim(space)
     _check_space_args(dim, n)

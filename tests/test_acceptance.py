@@ -110,7 +110,7 @@ def test_criterion_09_matrix_densities(verify_results):
 # sha256 of the desk CSV at seed 7. It moves whenever a check consumes its
 # stream differently or its draws change in their last bits; such a change
 # updates it and says so in CHANGES.md.
-DESK_CSV_SHA256 = "b026e356a2cfd967b2c858303fbad9c8fcca2155761d568fd51bbb238ee01217"
+DESK_CSV_SHA256 = "46d80ab3aded97bf8fb9c166098126b56d0c0d6bec5585d98f3a5ad88abae853"
 
 
 def test_desk_csv_digest_is_pinned(verify_results):

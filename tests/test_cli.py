@@ -101,8 +101,8 @@ def test_small_sample_forks_no_pool(tmp_path, monkeypatch):
 # 0.25% fall outside [1e-6, 1) and take the "%.17g" fallback;
 # test_pinned_arm2_sample_takes_both_branches holds a re-pin to both.
 SAMPLE_JSONL_SHA256 = {
-    ("pol3", "100", "300"): "02798d2b46e25524d266adcec43b3af2feb16113d6f6c4fe432445d3e40b9807",
-    ("arm2", "1000", "50"): "edf908e18daf5e75a36e7ce57eba9bdcbd9ff00398f279590af6bfd2e5da0b89",
+    ("pol3", "100", "300"): "4f941bd7f423474f8966ed21ccc0c94c173598372f293059751e20bc3b1359ba",
+    ("arm2", "1000", "50"): "c4f512c398d5f1d7528025e570189e22c4d7939b29521d6e6fab0344326df57c",
 }
 
 
@@ -484,19 +484,23 @@ def test_tv_opens_both_outputs_before_writing(tmp_path, capsys):
 
 
 def test_tv_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
-    # an existing file named two ways, and a new one: exit 2 before any
-    # sampling, the existing file left as it was and no new one made
+    # an existing file named two ways, a new one, and stdout by default and
+    # by "-": exit 2 before any sampling, nothing written to stdout, the
+    # existing file left as it was and no new one made
     monkeypatch.setattr(cli, "estimate_tv", None)
     old = tmp_path / "old.csv"
     old.write_text("earlier contents\n")
     (tmp_path / "sub").mkdir()
     new = tmp_path / "new.csv"
-    for out, cells in ((old, tmp_path / "sub" / ".." / "old.csv"),
-                       (new, tmp_path / "sub" / ".." / "new.csv")):
+    for out, cells in ((["--out", str(old)], tmp_path / "sub" / ".." / "old.csv"),
+                       (["--out", str(new)], tmp_path / "sub" / ".." / "new.csv"),
+                       ([], "-"), (["--out", "-"], "-")):
         assert run(["tv", "--space", "pol2", "--n", "20", "--k", "1",
-                    "--count", "2000", "--bins", "4", "--out", str(out),
+                    "--count", "2000", "--bins", "4", *out,
                     "--cells-out", str(cells), *SEED_ARGS]) == 2
-        assert "--cells-out" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "--cells-out" in captured.err
+        assert captured.out == ""
     assert old.read_text() == "earlier contents\n"
     assert not new.exists()
 

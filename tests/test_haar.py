@@ -8,18 +8,16 @@ from scipy import stats
 
 from symmpoly import (InvalidDimensionError, SeedStream, ensure_generator,
                       haar, ks_distance, space_dim)
-from symmpoly.haar import (_RESIDUAL_TINY, _as_rows, _chi2, _haar_unitary_batch,
-                           _normals)
+from symmpoly.haar import _RESIDUAL_TINY, _chi2, _haar_unitary_batch, _normals
 from symmpoly.polygons import SPACES, space_edges_batch
 
 SEED = 7
 
-# At k < n the sampler runs Gram-Schmidt on the head's real coordinates,
-# with the tail's per-row terms in place of the reference's concatenated
-# Bartlett columns, so its sums run in another order: its edges must agree
-# with the reference's within HEAD_EPS machine epsilons times the edge's
-# length. At k = n the arithmetic is the reference's, and the edges are
-# equal.
+# The sampler runs Gram-Schmidt on real coordinates, with the tail's
+# per-row terms in place of the reference's concatenated Bartlett columns
+# (none at k = n), and the reference on complex rows, so their sums run in
+# another order: the sampler's edges must agree with the reference's within
+# HEAD_EPS machine epsilons times the edge's length, at every k.
 HEAD_EPS = 16
 
 
@@ -136,6 +134,11 @@ def _reference_unit_rows(rng, count, m, head):
     return g[:, :head] / norms[:, None]
 
 
+def _rows(g, kind):
+    """The reference's rows of a ``_normals`` draw, complex assembled."""
+    return g if kind == "real" else g[:, 0] + 1j * g[:, 1]
+
+
 def _tail_factor(rng, count, m, kind, vectors):
     """The reference's Bartlett tail: the columns of R = [[c1, z], [0, c2]],
     (c1, 0) and (z, c2), each (count, 2), concatenated onto the head rows
@@ -143,7 +146,7 @@ def _tail_factor(rng, count, m, kind, vectors):
     f = 2 if kind == "complex" else 1
     c1 = np.sqrt(_chi2(rng, f * m, count))
     c2 = np.sqrt(_chi2(rng, f * (m - 1), count))
-    z = _as_rows(_normals(rng, count, 1, kind), kind)[:, 0]
+    z = _rows(_normals(rng, count, 1, kind), kind)[:, 0]
     return np.stack([c1, np.zeros(count)], axis=1), np.stack([z, c2], axis=1)
 
 
@@ -154,8 +157,8 @@ def _reference_frame2(rng, count, n, kind, head):
     out = np.empty((count, 2, head), dtype=complex if kind == "complex" else float)
     todo = np.arange(count)
     while todo.size:
-        g1 = _as_rows(_normals(rng, todo.size, head, kind), kind)
-        g2 = _as_rows(_normals(rng, todo.size, head, kind), kind)
+        g1 = _rows(_normals(rng, todo.size, head, kind), kind)
+        g2 = _rows(_normals(rng, todo.size, head, kind), kind)
         if head < n:
             t1, t2 = _tail_factor(rng, todo.size, n - head, kind, vectors=2)
             g1 = np.concatenate([g1, t1], axis=1)
@@ -201,15 +204,12 @@ def _reference_edges(rng, count, space, n, k):
                      2.0 * (w * y + x * z)], axis=-1)
 
 
-def _assert_matches_reference(got, ref, exact):
-    """got equals ref, or (``exact`` false) every edge of got is within
-    HEAD_EPS epsilons of its length from ref's."""
+def _assert_matches_reference(got, ref):
+    """Every edge of got is within HEAD_EPS epsilons of its length from
+    ref's."""
     assert got.shape == ref.shape
-    if exact:
-        assert np.array_equal(got, ref)
-    else:
-        length = np.linalg.norm(ref, axis=-1, keepdims=True)
-        assert np.all(np.abs(got - ref) <= HEAD_EPS * np.finfo(float).eps * length)
+    length = np.linalg.norm(ref, axis=-1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= HEAD_EPS * np.finfo(float).eps * length)
 
 
 def _block_rows(monkeypatch, rows, coords):
@@ -269,7 +269,7 @@ def test_space_edges_match_reference_sampler(space, monkeypatch):
                 ref = _reference_edges(SeedStream(SEED, 9).chunk_generator(count),
                                        count, space, n, k)
                 assert got.shape == (count, k, space_dim(space))
-                _assert_matches_reference(got, ref, exact=k == n)
+                _assert_matches_reference(got, ref)
                 assert np.array_equal(got, first.setdefault((count, k), got))
 
 
@@ -286,7 +286,41 @@ def test_unit_rows_match_reference(space, monkeypatch):
             ref = _reference_edges(SeedStream(SEED, 10).chunk_generator(count),
                                    count, space, n, k)
             assert got.shape == (count, k, space_dim(space))
-            _assert_matches_reference(got, ref, exact=k == n)
+            _assert_matches_reference(got, ref)
+
+
+def _state(rng):
+    """A generator's bit-generator state, comparable with ==."""
+    s = rng.bit_generator.state
+    return s["bit_generator"], s["state"]["state"].tolist(), s["has_uint32"], s["uinteger"]
+
+
+@pytest.mark.parametrize("space", SPACES)
+def test_draws_are_the_documented_ones(space):
+    # A draw leaves its generator where a twin stands that made only these
+    # draws, in this order: the raw Gaussian vectors, then at k < n the
+    # Bartlett tail's chi-square norms (c1, and c2 for a pol) and its
+    # Gaussian z. A whole draw has no tail and draws nothing more.
+    count, n = 1000, 12
+    for k in (n, n - 1, 5, 1):
+        rng = SeedStream(SEED, 12).generator()
+        space_edges_batch(rng, count, space, n, k)
+        twin = SeedStream(SEED, 12).generator()
+        if space.startswith("arm"):
+            c = _coords_per_edge(space)
+            twin.standard_normal((count, c * k))
+            if k < n:
+                twin.standard_gamma(c * (n - k) / 2.0, count)
+        else:
+            f = 2 if space == "pol3" else 1
+            shape = (count, k) if f == 1 else (count, 2, k)
+            twin.standard_normal(shape)
+            twin.standard_normal(shape)
+            if k < n:
+                twin.standard_gamma(f * (n - k) / 2.0, count)
+                twin.standard_gamma(f * (n - k - 1) / 2.0, count)
+                twin.standard_normal((count, 1) if f == 1 else (count, 2, 1))
+        assert _state(rng) == _state(twin)
 
 
 # Rejected rows in the first block, in a later one and in the last row of
@@ -295,9 +329,9 @@ REDRAW_COUNT = 1000
 REDRAW_BAD = [3, 300, 999]
 
 
-def _check_redraws(sampler, reference, scale, bad, plain, exact):
+def _check_redraws(sampler, reference, scale, bad, plain):
     got = sampler(_ScaledRows(scale))
-    _assert_matches_reference(got, reference(_ScaledRows(scale)), exact)
+    _assert_matches_reference(got, reference(_ScaledRows(scale)))
     keep = np.setdiff1d(np.arange(REDRAW_COUNT), bad)
     assert np.array_equal(got[keep], plain[keep])
     assert not np.any(got[bad] == plain[bad])
@@ -320,7 +354,7 @@ def test_unit_rows_redraw_rejected_rows(space, monkeypatch):
         got = _check_redraws(
             lambda rng: space_edges_batch(rng, count, space, n, k),
             lambda rng: _reference_edges(rng, count, space, n, k),
-            scale, REDRAW_BAD, plain, exact=k == n)
+            scale, REDRAW_BAD, plain)
         if k == n:
             # redrawn rows lie on the sphere too: perimeter 2 |u|^2 = 2
             perimeters = np.linalg.norm(got, axis=2).sum(axis=1)
@@ -349,7 +383,7 @@ def test_frame2_redraws_rejected_rows(kind, monkeypatch):
         got = _check_redraws(
             lambda rng: space_edges_batch(rng, count, space, n, k),
             lambda rng: _reference_edges(rng, count, space, n, k),
-            scale, REDRAW_BAD, plain, exact=k == n)
+            scale, REDRAW_BAD, plain)
         if k == n:
             # the full frames, redrawn rows included, are orthonormal
             _assert_closed_with_perimeter_2(got)

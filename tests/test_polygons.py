@@ -299,22 +299,22 @@ def test_seed_stream_keys_sfc64(seed, stream_id, chunk):
 
 
 # sha256 of the bytes of space_edges_batch(_golden_generator(), 4096, space,
-# n): whole polygons, as the ensembles draw them. They pin the README's
-# promise that full-length draws keep their bytes; a change that moves them
-# changes every whole-polygon output of the library.
+# n): whole polygons, as the ensembles draw them. They pin the arithmetic of
+# whole draws; a change that moves them changes every whole-polygon output
+# of the library.
 FULL_DRAW_SHA256 = {
-    ("arm2", 3): "09ebcf1d8bda05515da7a0126f05108bf1a001780d357175ccc4ca76736325a6",
-    ("arm2", 100): "7a2aa977c6f64f216d29508cdfef11039f9f16879ba607c9567adb98d6a1f53c",
-    ("arm2", 200): "f8a1ed07d0ce43d64d0f603e4e0b8c38629d41674ff9f85f4c7d7ba30a771d9a",
-    ("pol2", 3): "6adeffb80528840781e74477c725973118c16ee187d1cda9d6c2f269f4181e53",
-    ("pol2", 100): "72866df46128846473579201d6a459773355ba0842846d555f871df1a1ae167b",
-    ("pol2", 200): "e8a828fd6297733a4cac7795672dff935cf7dca405c29ac4f0f559928c777a29",
-    ("arm3", 3): "bf435a8ab48d8aef94fa88e8d47c270448bf707ba2ba6c7e9f7b24bebea2838a",
-    ("arm3", 100): "1265d7c2da50487548c6d743ed17987a2faccd22bb063dd09a181751be372dae",
-    ("arm3", 200): "9c0b9c9e24929b4265f1c0cb7e78eab54d23e6aa2e2f6a3746a078edc233f215",
-    ("pol3", 3): "0728cc1ee076398aee11ca8b28ddeb19f1499663d2ac26102e4159f9b67ec6bb",
-    ("pol3", 100): "7cbb2200ecc944cfc3e0b5ad382c6111ce71d2ecea4ad0735e0e2ebcb19555a9",
-    ("pol3", 200): "3c3ef97704a0100cbeafa7cba134789e4f333687af26560820adf3a380f7ec42",
+    ("arm2", 3): "a5234a9f9bf9fcaa3eae6ffd887454376912cf1a52bed507a332feb481477435",
+    ("arm2", 100): "41a56de19985cde670d7d3ab3fb35abf0df1f3fcd5c7ec3b8bf80d346bfab71c",
+    ("arm2", 200): "ff808efa3d1589af578258b3bc0a73ec13178db60ed34202a52cbbe6ba3e29c9",
+    ("pol2", 3): "ca6ad3d695db4922d1cfd79e32068df2bfd0ab7b78e00d8ede82f1a3de5ccae0",
+    ("pol2", 100): "cceaf187abb60ca97b0fc2c843ac4d12b8f3ca18d8259faebdf2759a0ece513c",
+    ("pol2", 200): "11ffcc10dc848c310a90efa6f646d3a700d801d44c8662b210f8d39fb171ca56",
+    ("arm3", 3): "15751b6478d8e3784a6941a157de81cb9cc95ce720a0603880316adb392e4b23",
+    ("arm3", 100): "10c3d3cd2567bc3cc162f0b4d0d2a73febbd5cee3982643372ff0ab7f1d9aa8d",
+    ("arm3", 200): "cdbc2ee1d5089d154fdb19a1e955a98bb211813cf557262dd1c7a1756ce2f421",
+    ("pol3", 3): "eb157662b0b98c8eae2153fa08d9034068daa894567e602c7ddd334322f800b2",
+    ("pol3", 100): "d4ceb4fc2c33fa73b9f8fcff099a9da27f9df81cfe322bcafafe34012c763497",
+    ("pol3", 200): "acfdd93eaab9f77f2423564b80e569a402c175ed87767663df0db184cee6b12c",
 }
 
 
