@@ -253,11 +253,13 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     with _out_stream(args.out) as fh:
+        # the log goes beside the CSV, never into it
+        log = sys.stderr if fh is sys.stdout else sys.stdout
         results = run_verify(args.level, args.seed, args.workers)
         for r in results:
-            print(format_check_line(r))
+            print(format_check_line(r), file=log)
         failed = [r for r in results if not r.passed]
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed", file=log)
         write_results_csv(fh, results)
     return 1 if failed else 0
 

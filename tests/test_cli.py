@@ -15,7 +15,7 @@ import pytest
 
 from symmpoly import (Polygon, b2, closure_residual, perimeter, read_ensemble,
                       segment_samples, write_ensemble)
-from symmpoly import cli, ensembles
+from symmpoly import cli, ensembles, verify
 from symmpoly.cli import run
 from symmpoly.polygons import space_dim
 from symmpoly.verify import CheckResult, write_results_csv
@@ -472,6 +472,22 @@ def test_verify_keeps_an_earlier_csv_until_it_has_results(tmp_path, monkeypatch,
     write_results_csv(buf, results)
     assert out.read_text() == buf.getvalue()
     capsys.readouterr()
+
+
+def test_verify_csv_on_stdout_sends_the_log_to_stderr(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "DESK_N", 8192)
+    monkeypatch.setattr(verify, "DESK_N_TV", 32768)
+    monkeypatch.setattr(verify, "DESK_N_STRUCT", 64)
+    code = run(["verify", "--out", "-", *SEED_ARGS])
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0] == list(verify.CSV_HEADER)
+    assert len(rows) == 38
+    passed = sum(row[-1] == "true" for row in rows[1:])
+    log = captured.err.splitlines()
+    assert len(log) == 38
+    assert log[-1] == f"{passed}/37 checks passed"
+    assert code == (0 if passed == 37 else 1)
 
 
 def test_tv_opens_both_outputs_before_writing(tmp_path, capsys):

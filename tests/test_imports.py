@@ -1,7 +1,9 @@
-"""scipy stays off the import path: the samplers, kernels, TV estimates and
-bounds load numpy and the standard library only, and the checks that need
-scipy import it when they run, scipy.special alone. No module imports a
-name it does not use."""
+"""The package loads submodules on first use: `import symmpoly` imports
+none, the bounds import only `bounds` and `errors`, and the samplers none
+of `verify`, `cli`, `io` or `densities`. scipy stays off the import path:
+the samplers, kernels, TV estimates and bounds load numpy and the standard
+library only, and the checks that need scipy import it when they run,
+scipy.special alone. No module imports a name it does not use."""
 import ast
 import json
 import subprocess
@@ -9,6 +11,100 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SUBMODULES = sorted(p.stem for p in (SRC / "symmpoly").glob("*.py")
+                    if not p.name.startswith("__"))
+
+
+def _fresh(code, tmp_path, env):
+    """Run code in a fresh interpreter; return the JSON of its last line."""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Prints the symmpoly submodules in sys.modules after the statements given.
+LOADED = """
+import json, sys
+{}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("symmpoly."))))
+"""
+
+
+def test_import_loads_no_submodule(tmp_path, src_env):
+    assert _fresh(LOADED.format("import symmpoly"), tmp_path, src_env) == []
+
+
+def test_bounds_load_only_bounds_and_errors(tmp_path, src_env):
+    code = LOADED.format("import symmpoly; symmpoly.b2(1, 100)")
+    assert _fresh(code, tmp_path, src_env) == ["symmpoly.bounds", "symmpoly.errors"]
+
+
+def test_tv_estimate_loads_no_checks_cli_io_or_densities(tmp_path, src_env):
+    code = LOADED.format('import symmpoly; symmpoly.estimate_tv('
+                         '"pol2", "arm2", 20, 1, 2000, 4, seed=7)')
+    loaded = _fresh(code, tmp_path, src_env)
+    assert "symmpoly.ensembles" in loaded
+    for name in ("verify", "cli", "io", "densities"):
+        assert f"symmpoly.{name}" not in loaded, name
+
+
+def test_public_names_are_their_modules_objects(tmp_path, src_env):
+    # each name read from the package is its home module's object, and a
+    # function or class is defined there, not re-exported from elsewhere
+    code = """
+import importlib, json, symmpoly
+bad = []
+for name in symmpoly.__all__:
+    home = "symmpoly." + symmpoly._HOME[name]
+    value = getattr(symmpoly, name)
+    if value is not getattr(importlib.import_module(home), name):
+        bad.append(name)
+    if getattr(value, "__module__", home) != home and callable(value):
+        bad.append(name)
+    if symmpoly.__dict__.get(name) is not value:
+        bad.append(name)
+print(json.dumps(bad))
+"""
+    assert _fresh(code, tmp_path, src_env) == []
+
+
+def test_dir_lists_every_public_name_and_submodule(tmp_path, src_env):
+    code = """
+import json, sys, symmpoly
+names = dir(symmpoly)
+print(json.dumps([names, symmpoly.__all__,
+                  [m for m in sys.modules if m.startswith("symmpoly.")]]))
+"""
+    names, public, loaded = _fresh(code, tmp_path, src_env)
+    assert set(public) | set(SUBMODULES) <= set(names)
+    assert names == sorted(names)
+    assert loaded == []  # listing the names imports nothing
+
+
+def test_unknown_attribute_raises_attribute_error(tmp_path, src_env):
+    code = """
+import json, symmpoly
+try:
+    symmpoly.no_such_name
+except AttributeError as exc:
+    print(json.dumps([str(exc), hasattr(symmpoly, "no_such_name")]))
+"""
+    message, found = _fresh(code, tmp_path, src_env)
+    assert message == "module 'symmpoly' has no attribute 'no_such_name'"
+    assert found is False
+
+
+def test_star_import_binds_every_public_name(tmp_path, src_env):
+    code = """
+import json
+from symmpoly import *
+import symmpoly
+print(json.dumps([n for n in symmpoly.__all__
+                  if globals().get(n) is not getattr(symmpoly, n)]))
+"""
+    assert _fresh(code, tmp_path, src_env) == []
+
 
 # Prints, after each step, which of the scipy modules the package could
 # load are in sys.modules. Each step runs in the one fresh interpreter, as
