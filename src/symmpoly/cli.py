@@ -4,10 +4,10 @@ Subcommands: sample (JSONL polygons), stats (moment CSV), tv (binned TV
 CSV, optional grid-cell CSV), bounds (bound-value CSV), verify (the full
 check suite), density-check (matrix-density checks CSV).
 
-Every command takes --seed (default 7) and is byte-deterministic given its
-flags; --workers only changes scheduling. Exit codes: 0 success, 1 failed
-verification checks, 2 usage or domain errors and output files that cannot
-be written.
+Every command that draws samples (all but bounds) takes --seed (default
+7); every command is byte-deterministic given its flags, and --workers
+only changes scheduling. Exit codes: 0 success, 1 failed verification
+checks, 2 usage or domain errors and output files that cannot be written.
 """
 from __future__ import annotations
 
@@ -171,7 +171,7 @@ def _cmd_sample(args) -> int:
         # so that no worker still writes into it.
         with contextlib.closing(chunks):
             fh.flush()
-            for path, _ in chunks:
+            for path in chunks:
                 with open(path, "rb") as spill:
                     shutil.copyfileobj(spill, fh.buffer, 1 << 20)
                 os.remove(path)

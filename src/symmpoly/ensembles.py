@@ -28,13 +28,15 @@ full plan on the same stream. Plans that read a total or a closed angle
 that wraps around, and full-length segments (k = n), draw whole polygons.
 
 Every chunk run goes through one ordered generator, ``_iter_chunks``,
-which yields the chunk results in chunk order. The estimators take them as
-a list (``_run_chunks``). ``estimate_tv`` reduces its two lists chunk by
-chunk, grid extrema and cell counts alike, so it holds the chunks and
-nothing else the size of a sample. ``symmpoly sample`` consumes the generator
-directly with the task ``("polygons", fn)``, which draws each chunk's whole
-polygons and returns ``fn(chunk, edges)`` from the process that drew them
-(a pooled run needs a picklable ``fn``). What ``fn`` does with them, such
+which yields each chunk's own result in chunk order: (values, excluded)
+for functionals, the flattened (count, dim*k) array for segments. The
+estimators take them as a list (``_run_chunks``). ``estimate_tv`` reduces
+its two lists chunk by chunk, grid extrema and cell counts alike, so it
+holds the chunks and nothing else the size of a sample. ``symmpoly
+sample`` consumes the generator directly with the task
+``("polygons", fn)``, which draws each chunk's whole polygons and yields
+``fn(chunk, edges)``, returned by the process that drew them (a pooled
+run needs a picklable ``fn``). What ``fn`` does with them, such
 as writing them to a file, is the caller's: this module opens no file.
 
 Which runs go to the worker pool depends only on the run, by one rule,
@@ -118,6 +120,11 @@ class EnsembleSummary:
 @dataclass(frozen=True, eq=False)
 class GridHistogram:
     """Shared-grid histograms of two segment samples and their binned TV.
+
+    dim is the number of grid axes, one per coordinate of a flattened
+    k-segment: dim x k for ambient dimension dim, not the ambient dimension
+    itself. counts_a and counts_b have that many axes, and ranges one pair
+    per axis.
 
     tv_estimate = 0.5 * sum_cells |p_a - p_b| over cell frequencies, so it
     lies in [0, 1]; by data processing it underestimates (in expectation)
@@ -252,8 +259,8 @@ def _eval_chunk(args):
     if task[0] == "functionals":
         return _chunk_functionals(space, n, count, rng, _build_plan(space, n, task[1]))
     if task[0] == "polygons":
-        return task[1](chunk, space_edges_batch(rng, count, space, n)), 0
-    return space_edges_batch(rng, count, space, n, task[1]).reshape(count, -1), 0
+        return task[1](chunk, space_edges_batch(rng, count, space, n))
+    return space_edges_batch(rng, count, space, n, task[1]).reshape(count, -1)
 
 
 def _chunk_counts(N: int) -> List[int]:
@@ -354,15 +361,16 @@ def _iter_chunks(space: str, n: int, N: int, seed: int, stream_id: int, task,
     """The results of the chunks of one stream, in chunk order.
 
     ``task`` is ``("functionals", specs)``, ``("segments", k)`` or
-    ``("polygons", fn)``; the last draws each chunk's whole polygons as an
-    edge array (count, n, dim) and yields (fn(chunk, edges), 0). Chunks are
-    evaluated in-process, each when it is asked for, unless ``_dispatches``
-    sends the run to the pool of the enclosing ``_worker_pool`` block. A
-    pooled run keeps at most 2 x the block's worker count of chunks
-    submitted and not yet yielded: the workers stay busy while the consumer
-    takes a result, and a consumer that writes each result as it comes
-    holds a bounded number of them. A list run prefetched in the block
-    starts from the handles it already has.
+    ``("polygons", fn)``, and each chunk yields its task's own result: the
+    chunk's (values, excluded), its (count, dim*k) flattened segments, or
+    fn(chunk, edges) on its whole polygons' edge array (count, n, dim).
+    Chunks are evaluated in-process, each when it is asked for, unless
+    ``_dispatches`` sends the run to the pool of the enclosing
+    ``_worker_pool`` block. A pooled run keeps at most 2 x the block's
+    worker count of chunks submitted and not yet yielded: the workers stay
+    busy while the consumer takes a result, and a consumer that writes each
+    result as it comes holds a bounded number of them. A list run
+    prefetched in the block starts from the handles it already has.
     """
     args = _chunk_args(space, n, N, seed, stream_id, task)
     if not _dispatches(space, n, N, task, workers):
@@ -472,7 +480,7 @@ def segment_samples(space: str, n: int, k: int, N: int, seed: int, *,
     space_dim(space)
     _check_segment_length(n, k)
     results = _run_chunks(space, n, N, seed, stream_id, ("segments", k), workers)
-    return np.concatenate([chunk[0] for chunk in results], axis=0)
+    return np.concatenate(results, axis=0)
 
 
 def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
@@ -520,8 +528,8 @@ def estimate_tv(space_a: str, space_b: str, n: int, k: int, N: int,
     if id_a == id_b and space_a == space_b:
         raise DomainError("same-law comparison needs distinct stream ids")
     task = ("segments", k)
-    chunks_a = [c for c, _ in _run_chunks(space_a, n, N, seed, id_a, task, workers)]
-    chunks_b = [c for c, _ in _run_chunks(space_b, n, N, seed, id_b, task, workers)]
+    chunks_a = _run_chunks(space_a, n, N, seed, id_a, task, workers)
+    chunks_b = _run_chunks(space_b, n, N, seed, id_b, task, workers)
     # Column by column: min(axis=0) on a (rows, d) chunk is ten times slower.
     both = chunks_a + chunks_b
     lo = np.array([min(c[:, j].min() for c in both) for j in range(d)])

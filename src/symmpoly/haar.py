@@ -13,22 +13,22 @@ real or complex orthonormal 2-frames behind the pol spaces, and real
 or a head of its leading coordinates, is orthonormalised on its real
 coordinates, and the rest of each Gaussian vector enters as the per-row
 Gram terms of a Bartlett factor, so a head costs O(head) whatever n; a
-whole frame's factor is empty and draws nothing. It makes its random
-draws for all rows at once, as an unblocked sampler would, then
-normalises and orthonormalises them in blocks of about ``_BLOCK_COORDS``
-coordinates, so that the temporaries stay in cache. Every row's
-arithmetic is the same whatever the block, so the bits do not depend on
-the block size. A row whose Gaussian vector or residual is shorter than
-``_RESIDUAL_TINY`` is rejected and redrawn after the first pass, with
-masks only in the blocks that hold such a row; almost surely every row is
-accepted on the first pass. ``_haar_unitary_batch``
-draws whole Haar unitaries; no sampler uses it.
+whole frame's factor is empty and draws nothing. It runs the whole
+draw-and-redraw loop itself: it makes its random draws for all rows at
+once, as an unblocked sampler would, then normalises and orthonormalises
+them in blocks of about ``_BLOCK_COORDS`` coordinates, so that the
+temporaries stay in cache. Every row's arithmetic is the same whatever
+the block, so the bits do not depend on the block size. A row whose
+Gaussian vector or residual is shorter than ``_RESIDUAL_TINY`` is
+rejected and redrawn after the first pass, with masks only in the blocks
+that hold such a row; almost surely every row is accepted on the first
+pass. ``_haar_unitary_batch`` draws whole Haar unitaries; no sampler uses
+it.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterator, List, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -111,14 +111,6 @@ def _normals(rng: np.random.Generator, count: int, m: int, kind: str) -> np.ndar
     return rng.standard_normal((count, m) if kind == "real" else (count, 2, m))
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + 1j * im in one pass; the bits are equal up to the sign of a zero
-    part."""
-    z = np.empty(re.shape, dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
 def _chi2(rng: np.random.Generator, dof: float, count: int) -> np.ndarray:
     """Chi-square variates with ``dof`` degrees of freedom (0 gives 0)."""
     return 2.0 * rng.standard_gamma(dof / 2.0, count)
@@ -157,64 +149,51 @@ def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x.reshape(len(x), -1), y.reshape(len(y), -1))
 
 
-def _row_blocks(count: int, coords: int) -> List[slice]:
-    """Row blocks of a draw whose rows hold ``coords`` real coordinates."""
-    step = max(1, _BLOCK_COORDS // coords)
-    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
-
-
-def _accepted_blocks(count: int, coords: int, draw, rows) -> Iterator:
-    """The draw-and-redraw loop of a batch sampler, block by block.
-
-    ``draw(c)`` makes every random draw of c rows; ``rows(draws, sl)``
-    turns rows ``sl`` of them into (values, ok), values a tuple of arrays
-    over those rows. The first pass draws all ``count`` rows and yields
-    (slice of output rows, values) per block of ``_row_blocks``, rejected
-    rows included; each redraw pass draws the rows still rejected, in one
-    block, and yields every accepted one as a one-row slice, which writes
-    over its rejected value. The draws are those of one whole-count pass
-    followed by the redraws, whatever the block size.
-    """
-    draws = draw(count)
-    todo = []
-    for sl in _row_blocks(count, coords):
-        values, ok = rows(draws, sl)
-        yield sl, values
-        todo.extend(sl.start + np.flatnonzero(~ok))
-    todo = np.array(todo, dtype=np.intp)
-    while todo.size:
-        values, ok = rows(draw(todo.size), slice(None))
-        for j in np.flatnonzero(ok):
-            yield slice(todo[j], todo[j] + 1), tuple(v[j:j + 1] for v in values)
-        todo = todo[~ok]
-
-
 def _frame_blocks(rng: np.random.Generator, count: int, n: int, kind: str,
                   head: int, vectors: int) -> Iterator:
     """Leading ``head`` coordinates of ``count`` orthonormal ``vectors``-frames
-    in R^n or C^n (``kind``), as (rows, coordinates) blocks of
-    ``_accepted_blocks``: each vector's real coordinates (rows, head) in
-    turn, real and imaginary parts apart in C^n. A 1-frame is a uniform unit
-    vector.
+    in R^n or C^n (``kind``), block by block: yields (output rows, values),
+    values each vector's real coordinates (rows, head) in turn, real and
+    imaginary parts apart in C^n. A 1-frame is a uniform unit vector.
 
     The last n - head coordinates of the Gaussian vectors are replaced by
     ``_tail_factor``, which has the same inner products, so Gram-Schmidt
     (``_head_rows``) gives the head exactly in law at O(head) cost. At
     head = n the factor is empty, and a whole frame is Gram-Schmidt on its
     own coordinates.
+
+    The first pass draws all ``count`` rows and yields them in blocks of
+    about ``_BLOCK_COORDS`` real coordinates, rejected rows included; each
+    redraw pass draws the rows still rejected, in one block, and yields
+    every accepted one as a one-row slice, which writes over its rejected
+    value. The draws are those of one whole-count pass followed by the
+    redraws, whatever the block size.
     """
 
     def draw(c):
         gs = [_normals(rng, c, head, kind) for _ in range(vectors)]
         return gs, _tail_factor(rng, c, n - head, kind, vectors)
 
-    coords = (2 if kind == "complex" else 1) * vectors * head
-    return _accepted_blocks(count, coords, draw, functools.partial(_head_rows, kind=kind))
+    draws = draw(count)
+    step = max(1, _BLOCK_COORDS // ((2 if kind == "complex" else 1) * vectors * head))
+    todo = []
+    for start in range(0, count, step):
+        sl = slice(start, min(start + step, count))
+        values, ok = _head_rows(draws, sl, kind)
+        yield sl, values
+        todo.extend(start + np.flatnonzero(~ok))
+    todo = np.array(todo, dtype=np.intp)
+    while todo.size:
+        values, ok = _head_rows(draw(todo.size), slice(None), kind)
+        for j in np.flatnonzero(ok):
+            yield slice(todo[j], todo[j] + 1), tuple(v[j:j + 1] for v in values)
+        todo = todo[~ok]
 
 
 def _head_rows(draws, sl, kind):
     """Gram-Schmidt on rows ``sl`` of head Gaussian vectors (whole ones at
-    head = n) and their Bartlett tails: the ``rows`` of ``_accepted_blocks``.
+    head = n) and their Bartlett tails, for ``_frame_blocks``: (values, ok)
+    over those rows.
 
     The head is read as real coordinates (rows, f, head), and every inner
     product is a sum over them plus the tail's per-row Gram terms: c1^2 in

@@ -12,8 +12,8 @@ Four sample spaces, all normalized to perimeter 2:
 * ``pol3(n)``: closed spatial polygons; a Haar unitary 2-frame (a, b) of C^n
   read as q = a + b j, pushed through the Hopf map.
 
-Both maps take whole batches: ``_square`` complex arrays (...) to edges
-(..., 2), ``_hopf`` the four coordinate arrays (...) of (w, x, y, z) to
+Both maps take whole batches as coordinate arrays (...): ``_square`` the
+two of (re, im) to edges (..., 2), ``_hopf`` the four of (w, x, y, z) to
 edges (..., 3).
 
 Closure of the pol spaces is the frame orthonormality: the squared/Hopf
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (DomainError, InvalidDimensionError, InvalidSizeError,
                      _check_int, _is_int)
-from .haar import StreamLike, _complex, _frame_blocks, ensure_generator
+from .haar import StreamLike, _frame_blocks, ensure_generator
 
 SPACES = ("arm2", "pol2", "arm3", "pol3")
 
@@ -76,10 +76,14 @@ class Polygon:
         return self.edges.shape[0]
 
 
-def _square(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Square each coordinate of a complex array and read the results as R^2
-    edges, written into a C-ordered float ``out`` of shape z.shape + (2,)."""
-    # the (..., 2) rows are the real and imaginary parts of z * z
+def _square(re: np.ndarray, im: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Square each coordinate z = re + i im of a complex batch, given as its
+    two coordinate arrays, and read the results as R^2 edges, written into a
+    C-ordered float ``out`` of shape re.shape + (2,)."""
+    # the complex multiply, not re*re - im*im, whose last bits differ; the
+    # (..., 2) rows are the real and imaginary parts of z * z
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
     np.multiply(z, z, out=out.view(complex)[..., 0])
     return out
 
@@ -153,12 +157,10 @@ def space_edges_batch(rng: np.random.Generator, count: int, space: str, n: int,
         blocks = _frame_blocks(rng, count, n, "real" if dim == 2 else "complex", k,
                                vectors=2)
     # each block's coordinates: (re, im) squared, or (w, x, y, z) Hopf-mapped
+    edge_map = _square if dim == 2 else _hopf
     out = np.empty((count, k, dim))
     for sl, xs in blocks:
-        if dim == 2:
-            _square(_complex(*xs), out[sl])
-        else:
-            _hopf(*xs, out=out[sl])
+        edge_map(*xs, out=out[sl])
     return out
 
 

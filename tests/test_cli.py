@@ -426,6 +426,24 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--space", "arm2", "--n", "10"],
+    ["stats", "--space", "arm2", "--n", "10"],
+    ["tv", "--space", "arm2", "--n", "10"],
+    ["verify"],
+    ["density-check"]])
+def test_sampling_commands_take_a_seed(argv):
+    assert cli.build_parser().parse_args(argv + ["--seed", "3"]).seed == 3
+
+
+def test_bounds_takes_no_seed(capsys):
+    # bounds draws nothing, so it has no --seed to take
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["bounds", "--dim", "2", "--n", "20",
+                                       "--seed", "7"])
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
 # Each CSV command with the library call that does its work; the call must
 # not run when --out cannot be opened.
 OUTPUT_COMMANDS = {

@@ -598,7 +598,9 @@ def test_runs_in_one_block_open_one_pool(monkeypatch, dispatch_every_run):
                                          SEED, stream_id=24, workers=workers)
             sums = ensembles._run_chunks("arm2", 20, 3000, SEED, 25,
                                          ("polygons", _edge_sums), workers)
-        return vals["total_curvature"], np.concatenate([r[0] for r in sums])
+        sums = np.concatenate(sums)
+        assert len(sums) == 3000
+        return vals["total_curvature"], sums
 
     pooled = draws(2)
     assert opened == [2]
@@ -691,8 +693,10 @@ def test_worker_pool_forks_on_first_dispatch(monkeypatch):
     task = ("polygons", _edge_sums)
 
     def sums(workers):
-        return np.concatenate([r[0] for r in ensembles._run_chunks(
-            "arm2", 20, 20_000, SEED, 3, task, workers)])
+        got = np.concatenate(ensembles._run_chunks(
+            "arm2", 20, 20_000, SEED, 3, task, workers))
+        assert len(got) == 20_000
+        return got
 
     with _worker_pool(2):
         # a two-edge window: 40k drawn edges, below the cut
@@ -796,7 +800,7 @@ def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch, dispatch_every_ru
     got = []
     for result in stream:
         # the consumer logs when it is done with each result
-        got.append(result[0])
+        got.append(result)
         pool.log.append("used")
     assert len(got) == 11
     assert pool.log.count("submit") == 11
@@ -808,8 +812,9 @@ def test_chunk_stream_bounds_the_chunks_in_flight(monkeypatch, dispatch_every_ru
         worst = max(worst, submitted - consumed)
     assert worst == 4
     expected = segment_samples("arm3", 10, 10, 1050, SEED, stream_id=4)
-    assert np.array_equal(np.concatenate(got),
-                          expected.reshape(1050, 10, 3).sum(axis=1))
+    got = np.concatenate(got)
+    assert len(got) == 1050
+    assert np.array_equal(got, expected.reshape(1050, 10, 3).sum(axis=1))
 
 
 def test_chunk_list_keeps_the_window(monkeypatch, dispatch_every_run):
@@ -829,6 +834,34 @@ def test_chunk_list_keeps_the_window(monkeypatch, dispatch_every_run):
     assert np.array_equal(
         np.concatenate([r[0]["total_curvature"] for r in results]),
         expected["total_curvature"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_results_are_the_tasks_own(monkeypatch, dispatch_every_run, workers):
+    # each chunk yields its task's result and nothing beside it: a
+    # functional plan's (values, excluded), a segment run's (count, dim*k)
+    # array, a polygon task's fn(chunk, edges)
+    _chunk_size(monkeypatch, 100)
+    counts = [100, 100, 50]
+
+    def chunks(task):
+        got = list(ensembles._iter_chunks("arm3", 10, 250, SEED, 4, task, workers))
+        assert len(got) == len(counts)
+        return got
+
+    for (values, excluded), count in zip(
+            chunks(("functionals", ("theta1", "total_torsion"))), counts):
+        assert isinstance(values, dict) and isinstance(excluded, int)
+        assert sorted(values) == ["theta1", "total_torsion"]
+        assert len(values["theta1"]) == count - excluded
+    for segments, count in zip(chunks(("segments", 2)), counts):
+        assert isinstance(segments, np.ndarray) and segments.shape == (count, 6)
+    polygon_chunks = chunks(("polygons", _edge_sums))
+    for chunk, (sums, count) in enumerate(zip(polygon_chunks, counts)):
+        rng = SeedStream(SEED, 4).chunk_generator(chunk)
+        want = _edge_sums(chunk, space_edges_batch(rng, count, "arm3", 10))
+        assert isinstance(sums, np.ndarray) and sums.shape == (count, 3)
+        assert sums.tobytes() == want.tobytes()
 
 
 def test_prefetched_run_submits_each_chunk_once(monkeypatch, dispatch_every_run):
@@ -965,6 +998,9 @@ def test_estimate_tv_matches_whole_sample_binning(
         assert got.tobytes() == want.tobytes()
     assert hist.tv_estimate == tv
     assert hist.null_calibration == null
+    # one grid axis per coordinate of a k-segment, not per ambient axis
+    dim = space_dim(space_a)
+    assert hist.dim == dim * k == hist.counts_a.ndim == len(hist.ranges)
 
 
 @pytest.mark.parametrize("N", [100_000, 400_000])

@@ -18,7 +18,7 @@ SEED = 7
 def square_map(z):
     """The squaring kernel on a complex array: edges z.shape + (2,)."""
     z = np.asarray(z, dtype=complex)
-    return _square(z, np.empty(z.shape + (2,)))
+    return _square(z.real, z.imag, np.empty(z.shape + (2,)))
 
 
 def hopf_map(comp):
